@@ -120,6 +120,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,17 +10,16 @@ side and is only sound for innermost problems.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+import itertools
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional
 
 from .framework import Problem, StartKind, StartTerms, is_innermost
 from .rewriting import OracleResult, Rule, q_successors
 from .terms import (
     App,
-    Symbol,
     SymbolKind,
     Term,
-    Var,
     com,
     mark,
     marked,
@@ -50,27 +49,42 @@ def defined_rooted_subterms(t: Term) -> list[Term]:
     ]
 
 
+def _marked_pair(
+    rule: Rule, label: str, components: Callable[[Term], list[Term]]
+) -> Rule:
+    rhs = com(tuple(mark(c) for c in components(rule.rhs)))
+    return Rule(App(marked(rule.lhs.sym), rule.lhs.args), rhs, label, is_dp=True)
+
+
 def weak_dependency_pair(rule: Rule, label: str) -> Rule:
-    comps = constructor_prefix_components(rule.rhs)
-    rhs = com(tuple(mark(c) for c in comps))
-    lhs = App(marked(rule.lhs.sym), rule.lhs.args)
-    return Rule(lhs, rhs, label, is_dp=True)
+    return _marked_pair(rule, label, constructor_prefix_components)
 
 
 def dependency_tuple(rule: Rule, label: str) -> Rule:
-    comps = defined_rooted_subterms(rule.rhs)
-    rhs = com(tuple(mark(c) for c in comps))
-    lhs = App(marked(rule.lhs.sym), rule.lhs.args)
-    return Rule(lhs, rhs, label, is_dp=True)
+    return _marked_pair(rule, label, defined_rooted_subterms)
 
 
-def _extended_signature(p: Problem, new_rules: Iterable[Rule]) -> frozenset[Symbol]:
+def _dp_problem(
+    p: Problem, pair: Callable[[Rule, str], Rule], rules_stay_strict: bool
+) -> Problem:
+    """One marked pair per rule, labelled 1, 2, ... over strict then weak
+    rules; the original rules stay where they are or all become weak."""
+    labels = map(str, itertools.count(1))
+    strict_dps = tuple(pair(r, next(labels)) for r in p.strict)
+    weak_dps = tuple(pair(r, next(labels)) for r in p.weak)
     sig = set(p.signature)
     sig.update(marked(s) for s in p.signature if s.kind is SymbolKind.DEFINED)
-    for r in new_rules:
-        sig.update(symbols_of(r.lhs))
-        sig.update(symbols_of(r.rhs))
-    return frozenset(sig)
+    for r in strict_dps + weak_dps:
+        sig.update(symbols_of(r.lhs) | symbols_of(r.rhs))
+    return replace(
+        p,
+        strict_dps=strict_dps,
+        strict_trs=p.strict if rules_stay_strict else (),
+        weak_dps=weak_dps,
+        weak_trs=p.weak if rules_stay_strict else p.strict + p.weak,
+        start_terms=StartTerms.marked_basic(),
+        signature=frozenset(sig),
+    )
 
 
 def wdp_problem(p: Problem) -> Problem:
@@ -78,18 +92,7 @@ def wdp_problem(p: Problem) -> Problem:
     dependency pairs on top of the original rules."""
     if p.start_terms.kind is not StartKind.BASIC:
         raise ValueError("weak dependency pairs need basic start terms")
-    labels = iter(str(i) for i in range(1, len(p.strict) + len(p.weak) + 1))
-    strict_dps = tuple(weak_dependency_pair(r, next(labels)) for r in p.strict)
-    weak_dps = tuple(weak_dependency_pair(r, next(labels)) for r in p.weak)
-    return Problem(
-        strict_dps=strict_dps,
-        strict_trs=p.strict,
-        weak_dps=weak_dps,
-        weak_trs=p.weak,
-        q=p.q,
-        start_terms=StartTerms.marked_basic(),
-        signature=_extended_signature(p, strict_dps + weak_dps),
-    )
+    return _dp_problem(p, weak_dependency_pair, rules_stay_strict=True)
 
 
 def dt_problem(p: Problem) -> Problem:
@@ -99,18 +102,7 @@ def dt_problem(p: Problem) -> Problem:
         raise ValueError("dependency tuples need basic start terms")
     if not is_innermost(p):
         raise ValueError("dependency tuples need an innermost problem")
-    labels = iter(str(i) for i in range(1, len(p.strict) + len(p.weak) + 1))
-    strict_dps = tuple(dependency_tuple(r, next(labels)) for r in p.strict)
-    weak_dps = tuple(dependency_tuple(r, next(labels)) for r in p.weak)
-    return Problem(
-        strict_dps=strict_dps,
-        strict_trs=(),
-        weak_dps=weak_dps,
-        weak_trs=p.strict + p.weak,
-        q=p.q,
-        start_terms=StartTerms.marked_basic(),
-        signature=_extended_signature(p, strict_dps + weak_dps),
-    )
+    return _dp_problem(p, dependency_tuple, rules_stay_strict=False)
 
 
 def rhs_components(rule: Rule) -> tuple[Term, ...]:

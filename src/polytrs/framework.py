@@ -9,8 +9,8 @@ any start term of size n contains O(f(n)) strict steps.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from . import rewriting
 from .rewriting import OracleResult, Rule, check_labels, strict_step_oracle
@@ -19,7 +19,6 @@ from .terms import (
     Symbol,
     SymbolKind,
     Term,
-    com,
     is_basic,
     match_term,
     render,
@@ -228,30 +227,9 @@ def start_terms_up_to(p: Problem, n: int, cap: int = 200_000) -> list[Term]:
         return rewriting.basic_terms(p.signature, n, SymbolKind.DEFINED, cap)
     if st.kind is StartKind.MARKED_BASIC:
         return rewriting.basic_terms(p.signature, n, SymbolKind.MARKED, cap)
-    return _all_ground_terms(p.signature, n, cap)
-
-
-def _all_ground_terms(symbols: frozenset[Symbol], n: int, cap: int) -> list[Term]:
-    syms = sorted(
-        (s for s in symbols if s.kind is not SymbolKind.COMPOUND),
-        key=lambda s: (s.arity, s.name),
+    return rewriting.ground_terms(
+        (s for s in p.signature if s.kind is not SymbolKind.COMPOUND), n, cap
     )
-    by_size: list[list[Term]] = [[] for _ in range(n + 1)]
-    total = 0
-    for sz in range(1, n + 1):
-        for f in syms:
-            if f.arity == 0:
-                if sz == 1:
-                    by_size[1].append(App(f))
-                    total += 1
-                continue
-            for split in rewriting._size_splits(sz - 1, f.arity):
-                for args in rewriting._arg_products(by_size, split):
-                    by_size[sz].append(App(f, args))
-                    total += 1
-                    if total > cap:
-                        raise rewriting.TooLargeError(f"more than {cap} start terms")
-    return [t for bucket in by_size for t in bucket]
 
 
 def cc_oracle(p: Problem, n: int, budget: int) -> OracleResult:

@@ -16,7 +16,6 @@ from typing import Iterator, Mapping, Optional, Sequence
 from .framework import Bound, Problem, StartKind
 from .rewriting import Rule
 from .terms import (
-    App,
     ReplacementMap,
     Symbol,
     SymbolKind,
@@ -189,27 +188,15 @@ def eval_term(interp: PolyInterp, t: Term, env: Mapping[str, int]) -> int:
     )
 
 
-@dataclass(frozen=True)
-class OrderPair:
-    """One interpretation inducing a strict order (monotone on mu_strict
-    positions) and its weak companion (weakly monotone for free over N)."""
+def usable_replacement_map(p: Problem) -> ReplacementMap:
+    """Positions where the interpretation must be strictly monotone.
 
-    interp: PolyInterp
-    mu_strict: ReplacementMap
-    mu_weak: ReplacementMap
-
-
-def usable_replacement_map(p: Problem, part: str) -> ReplacementMap:
-    """Positions that must be monotone for the given part ("strict"/"weak").
-
-    For a DP problem whose selected part consists of dependency pairs only,
+    For a DP problem whose strict part consists of dependency pairs only,
     rewriting happens below compound symbols exclusively; everything else
-    needs the full map.
+    needs the full map.  Weak rules need only weak monotonicity, which every
+    interpretation over N has.
     """
-    if part not in ("strict", "weak"):
-        raise ValueError("part must be 'strict' or 'weak'")
-    rules = p.strict if part == "strict" else p.weak
-    if p.is_dp_problem() and all(r.is_dp for r in rules):
+    if p.is_dp_problem() and all(r.is_dp for r in p.strict):
         return compound_only_map()
     return full_map()
 
@@ -228,10 +215,10 @@ def orients_weakly(interp: PolyInterp, rule: Rule) -> bool:
     return diff.all_nonnegative()
 
 
-def check_orientation(op: OrderPair, p: Problem) -> bool:
+def check_orientation(interp: PolyInterp, p: Problem) -> bool:
     """All strict rules strictly decreasing, all weak rules weakly."""
-    return all(orients_strictly(op.interp, r) for r in p.strict) and all(
-        orients_weakly(op.interp, r) for r in p.weak
+    return all(orients_strictly(interp, r) for r in p.strict) and all(
+        orients_weakly(interp, r) for r in p.weak
     )
 
 
@@ -244,9 +231,9 @@ def mu_monotone(interp: PolyInterp, mu: ReplacementMap) -> bool:
     return True
 
 
-def induced_bound(op: OrderPair, p: Problem) -> Bound:
-    """Degree of the certificate the pair yields for p's start terms."""
-    ents = op.interp.entries
+def induced_bound(interp: PolyInterp, p: Problem) -> Bound:
+    """Degree of the certificate the interpretation yields for p's start terms."""
+    ents = interp.entries
     if p.start_terms.kind is StartKind.ALL:
         if all(sp.strongly_linear for sp in ents.values()):
             return Bound.poly(1)
@@ -295,8 +282,8 @@ def synthesize(
     degree: int,
     coeff_max: int,
     search_limit: int = 60_000,
-) -> Optional[OrderPair]:
-    """Backtracking search for an order pair compatible with p.
+) -> Optional[PolyInterp]:
+    """Backtracking search for an interpretation compatible with p.
 
     Symbols are assigned one at a time; every rule is checked as soon as all
     of its symbols have interpretations, which prunes most of the space.  The
@@ -305,8 +292,7 @@ def synthesize(
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    mu_strict = usable_replacement_map(p, "strict")
-    mu_weak = usable_replacement_map(p, "weak")
+    mu_strict = usable_replacement_map(p)
 
     syms = set()
     for r in p.all_rules:
@@ -360,7 +346,4 @@ def synthesize(
         assignment.pop(order[k], None)
         return None
 
-    interp = search(0)
-    if interp is None:
-        return None
-    return OrderPair(interp, mu_strict, mu_weak)
+    return search(0)

@@ -11,7 +11,7 @@ recorded proofs replay bit-for-bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Any, Optional, Sequence
 
@@ -27,7 +27,6 @@ from .framework import (
     is_innermost,
 )
 from .interpretations import (
-    OrderPair,
     PolyInterp,
     SymbolPoly,
     check_orientation,
@@ -79,14 +78,14 @@ def interp_to_json(interp: PolyInterp) -> Any:
 
 
 def interp_from_json(obj: Any) -> PolyInterp:
-    return PolyInterp(
-        {
-            symbol_from_json(e["symbol"]): SymbolPoly(
-                tuple(e["lin"]), tuple(e["sq"]), e["const"]
-            )
-            for e in obj
-        }
-    )
+    entries = {}
+    for e in obj:
+        sym = symbol_from_json(e["symbol"])
+        lin = tuple(e["lin"])
+        if len(lin) != sym.arity:  # SymbolPoly checks sq against lin
+            raise ValueError(f"interpretation of {sym.display_name} has wrong arity")
+        entries[sym] = SymbolPoly(lin, tuple(e["sq"]), e["const"])
+    return PolyInterp(entries)
 
 
 def _resolve(labels: Sequence[str], pool: Sequence[Rule]) -> Optional[tuple[Rule, ...]]:
@@ -108,14 +107,22 @@ def _empty(params: dict, p: Problem):
 
 def _complexity_pair(params: dict, p: Problem):
     interp = interp_from_json(params["interpretation"])
-    mu_strict = usable_replacement_map(p, "strict")
-    mu_weak = usable_replacement_map(p, "weak")
-    if not mu_monotone(interp, mu_strict):
+    if not mu_monotone(interp, usable_replacement_map(p)):
         return None
-    pair = OrderPair(interp, mu_strict, mu_weak)
-    if not check_orientation(pair, p):
+    if not check_orientation(interp, p):
         return None
-    return [], ("const", induced_bound(pair, p))
+    return [], ("const", induced_bound(interp, p))
+
+
+def _weaken(p: Problem, moved: set[Rule]) -> Problem:
+    """p with the strict rules in moved appended to the weak part."""
+    return replace(
+        p,
+        strict_dps=tuple(d for d in p.strict_dps if d not in moved),
+        strict_trs=tuple(r for r in p.strict_trs if r not in moved),
+        weak_dps=p.weak_dps + tuple(d for d in p.strict_dps if d in moved),
+        weak_trs=p.weak_trs + tuple(r for r in p.strict_trs if r in moved),
+    )
 
 
 def _decompose(params: dict, p: Problem):
@@ -123,25 +130,7 @@ def _decompose(params: dict, p: Problem):
     if not s1 or len(s1) == len(p.strict):
         return None
     chosen = set(s1)
-    p1 = Problem(
-        strict_dps=tuple(d for d in p.strict_dps if d in chosen),
-        strict_trs=tuple(r for r in p.strict_trs if r in chosen),
-        weak_dps=p.weak_dps + tuple(d for d in p.strict_dps if d not in chosen),
-        weak_trs=p.weak_trs + tuple(r for r in p.strict_trs if r not in chosen),
-        q=p.q,
-        start_terms=p.start_terms,
-        signature=p.signature,
-    )
-    p2 = Problem(
-        strict_dps=tuple(d for d in p.strict_dps if d not in chosen),
-        strict_trs=tuple(r for r in p.strict_trs if r not in chosen),
-        weak_dps=p.weak_dps + tuple(d for d in p.strict_dps if d in chosen),
-        weak_trs=p.weak_trs + tuple(r for r in p.strict_trs if r in chosen),
-        q=p.q,
-        start_terms=p.start_terms,
-        signature=p.signature,
-    )
-    return [p1, p2], ("sum",)
+    return [_weaken(p, set(p.strict) - chosen), _weaken(p, chosen)], ("sum",)
 
 
 def _weak_dependency_pairs(params: dict, p: Problem):
@@ -176,16 +165,7 @@ def _predecessor_estimation(params: dict, p: Problem):
     new_weak = tuple(
         d for d in p.dps if (d in weak_set or d in chosen) and d not in kept
     )
-    sub = Problem(
-        strict_dps=new_strict,
-        strict_trs=p.strict_trs,
-        weak_dps=new_weak,
-        weak_trs=p.weak_trs,
-        q=p.q,
-        start_terms=p.start_terms,
-        signature=p.signature,
-    )
-    return [sub], ("identity",)
+    return [replace(p, strict_dps=new_strict, weak_dps=new_weak)], ("identity",)
 
 
 def _remove_weak_suffix(params: dict, p: Problem):
@@ -200,15 +180,7 @@ def _remove_weak_suffix(params: dict, p: Problem):
     if not g.is_forward_closed(w1):
         return None
     gone = set(w1)
-    sub = Problem(
-        strict_dps=p.strict_dps,
-        strict_trs=p.strict_trs,
-        weak_dps=tuple(d for d in p.weak_dps if d not in gone),
-        weak_trs=p.weak_trs,
-        q=p.q,
-        start_terms=p.start_terms,
-        signature=p.signature,
-    )
+    sub = replace(p, weak_dps=tuple(d for d in p.weak_dps if d not in gone))
     return [sub], ("identity",)
 
 
@@ -229,24 +201,8 @@ def _dg_decomposition(params: dict, p: Problem):
     w_up = tuple(d for d in p.weak_dps if d not in down)
     if not (g.predecessors(down) - down <= set(s_up)):
         return None
-    p_up = Problem(
-        strict_dps=s_up,
-        strict_trs=p.strict_trs,
-        weak_dps=w_up,
-        weak_trs=p.weak_trs,
-        q=p.q,
-        start_terms=p.start_terms,
-        signature=p.signature,
-    )
-    p_down = Problem(
-        strict_dps=tuple(s_down),
-        strict_trs=p.strict_trs,
-        weak_dps=tuple(w_down) + sep(s_up + w_up),
-        weak_trs=p.weak_trs,
-        q=p.q,
-        start_terms=p.start_terms,
-        signature=p.signature,
-    )
+    p_up = replace(p, strict_dps=s_up, weak_dps=w_up)
+    p_down = replace(p, strict_dps=s_down, weak_dps=w_down + sep(s_up + w_up))
     return [p_up, p_down], ("product",)
 
 
@@ -268,19 +224,22 @@ def apply_processor(
     """Run one processor; None when its side conditions reject (p, params).
 
     Malformed parameters (unknown labels, missing interpretation entries,
-    rule sets that break problem invariants) count as rejection, since
-    params may come from an untrusted serialized proof.
+    values of the wrong type, rule sets that break problem invariants) count
+    as rejection, since params may come from an untrusted serialized proof.
     """
     fn = _PROCESSORS.get(proc)
     if fn is None:
         raise ValueError(f"unknown processor {proc!r}")
     try:
         return fn(params, p)
-    except (KeyError, ValueError):
+    except (KeyError, TypeError, ValueError):
         return None
 
 
 # --- default proof search ---------------------------------------------------
+
+# DG decomposition tries at most this many down-sets per DP problem.
+_DGD_CANDIDATES = 8
 
 
 @dataclass
@@ -289,8 +248,6 @@ class StrategyConfig:
     coeff_max: int = 3
     timeout: Optional[float] = None
     step_cap: int = 500
-    synth_limit: int = 60_000
-    dgd_candidates: int = 8
 
 
 class _SearchState:
@@ -408,7 +365,7 @@ def _prove_dp(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
     if node is not None:
         return node
 
-    for s_down, w_down in _dgd_candidates(p, g, cfg):
+    for s_down, w_down in _dgd_candidates(p, g):
         if st.timed_out():
             return _give_up(p, "timeout")
         params = {"strict_down": s_down, "weak_down": w_down}
@@ -428,9 +385,7 @@ def _prove_dp(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
     return _give_up(p)
 
 
-def _dgd_candidates(
-    p: Problem, g: DepGraph, cfg: StrategyConfig
-) -> list[tuple[list[str], list[str]]]:
+def _dgd_candidates(p: Problem, g: DepGraph) -> list[tuple[list[str], list[str]]]:
     """Forward-closed down-sets seeded from single nodes, smallest first."""
     strict_set = set(p.strict_dps)
     seen: set[frozenset[Rule]] = set()
@@ -453,7 +408,7 @@ def _dgd_candidates(
             )
         )
     ranked.sort(key=lambda c: (c[0], c[1]))
-    return [(s, w) for _, _, s, w in ranked[: cfg.dgd_candidates]]
+    return [(s, w) for _, _, s, w in ranked[:_DGD_CANDIDATES]]
 
 
 def _try_complexity_pair(
@@ -468,20 +423,17 @@ def _try_complexity_pair(
         for coeff_max in range(1, cfg.coeff_max + 1):
             if st.timed_out():
                 return None
-            pair = synthesize(p, degree, coeff_max, cfg.synth_limit)
-            if pair is None:
-                continue
-            bound = induced_bound(pair, p)
-            if bound.is_unknown:
+            interp = synthesize(p, degree, coeff_max)
+            if interp is None:
                 continue
             params = {
                 "degree": degree,
                 "coeff_max": coeff_max,
-                "interpretation": interp_to_json(pair.interp),
+                "interpretation": interp_to_json(interp),
             }
-            if apply_processor("complexity_pair", params, p) is None:
-                continue
-            return Inference("complexity_pair", params, Judgement(p, bound), ())
+            node = _chain("complexity_pair", params, p, cfg, st)
+            if node is not None and not node.judgement.bound.is_unknown:
+                return node
     return None
 
 

@@ -42,10 +42,6 @@ class Inference:
 ProofTree = Union[Axiom, Assumption, Inference]
 
 
-def conclusion(tree: ProofTree) -> Judgement:
-    return tree.judgement
-
-
 def is_closed(tree: ProofTree) -> bool:
     """True when the proof has no open assumptions."""
     if isinstance(tree, Assumption):
@@ -188,7 +184,6 @@ def rule_to_json(r: Rule) -> Any:
 
 def rule_from_json(obj: Any) -> Rule:
     lhs = term_from_json(obj["lhs"])
-    assert isinstance(lhs, App)
     return Rule(lhs, term_from_json(obj["rhs"]), obj["label"], is_dp=obj["dp"])
 
 

@@ -14,7 +14,7 @@ being fast.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .terms import (
@@ -249,24 +249,25 @@ def dh_oracle(t: Term, rules: Sequence[Rule], q: Sequence[Rule], budget: int) ->
     return strict_step_oracle(t, rules, (), q, budget)
 
 
-def ground_constructor_terms(
-    symbols: Iterable[Symbol], max_size: int
-) -> list[Term]:
-    """All ground constructor terms up to max_size, smallest first."""
-    ctors = sorted(
-        (s for s in symbols if s.kind is SymbolKind.CONSTRUCTOR),
-        key=lambda s: (s.arity, s.name),
-    )
+def ground_terms(symbols: Iterable[Symbol], max_size: int, cap: int) -> list[Term]:
+    """All ground terms over symbols up to max_size: by size, then by symbol
+    (arity, name); TooLargeError once there are more than cap of them."""
+    syms = sorted(symbols, key=lambda s: (s.arity, s.name))
     by_size: list[list[Term]] = [[] for _ in range(max_size + 1)]
+    total = 0
     for sz in range(1, max_size + 1):
-        for c in ctors:
-            if c.arity == 0:
+        for f in syms:
+            if f.arity == 0:
                 if sz == 1:
-                    by_size[1].append(App(c))
+                    by_size[1].append(App(f))
+                    total += 1
                 continue
-            for split in _size_splits(sz - 1, c.arity):
+            for split in _size_splits(sz - 1, f.arity):
                 for args in _arg_products(by_size, split):
-                    by_size[sz].append(App(c, args))
+                    by_size[sz].append(App(f, args))
+                    total += 1
+                    if total > cap:
+                        raise TooLargeError(f"more than {cap} start terms")
     return [t for bucket in by_size for t in bucket]
 
 
@@ -299,7 +300,8 @@ def basic_terms(
     heads = sorted(
         (s for s in symbols if s.kind is roots), key=lambda s: (s.arity, s.name)
     )
-    grounds = ground_constructor_terms(symbols, max_size - 1)
+    ctors = (s for s in symbols if s.kind is SymbolKind.CONSTRUCTOR)
+    grounds = ground_terms(ctors, max_size - 1, cap)
     by_size: list[list[Term]] = [[] for _ in range(max_size)]
     for g in grounds:
         by_size[term_size(g)].append(g)

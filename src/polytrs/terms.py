@@ -9,7 +9,7 @@ pairs, and basic terms are defined roots over constructor arguments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Union
 
@@ -262,36 +262,24 @@ def is_basic(t: Term) -> bool:
 
 @dataclass(frozen=True)
 class ReplacementMap:
-    """Argument positions where rewriting (and hence monotonicity) is required."""
+    """Argument positions where rewriting (and hence monotonicity) is required:
+    every position, or only the arguments of compound symbols."""
 
-    entries: Mapping[Symbol, frozenset[int]] = field(default_factory=dict)
-    default_all: bool = False
+    full: bool
 
     def positions_for(self, sym: Symbol) -> frozenset[int]:
-        got = self.entries.get(sym)
-        if got is not None:
-            return got
-        if self.default_all:
+        if self.full or sym.kind is SymbolKind.COMPOUND:
             return frozenset(range(1, sym.arity + 1))
         return frozenset()
 
 
 def full_map() -> ReplacementMap:
-    return ReplacementMap({}, default_all=True)
-
-
-class _CompoundEntries(dict):
-    """Lazy map giving all positions to compound symbols, none to the rest."""
-
-    def get(self, sym: Symbol, default=None):  # type: ignore[override]
-        if sym.kind is SymbolKind.COMPOUND:
-            return frozenset(range(1, sym.arity + 1))
-        return frozenset()
+    return ReplacementMap(full=True)
 
 
 def compound_only_map() -> ReplacementMap:
     """Full positions below compound symbols, nothing anywhere else."""
-    return ReplacementMap(_CompoundEntries(), default_all=False)
+    return ReplacementMap(full=False)
 
 
 def mu_positions(mu: ReplacementMap, t: Term) -> frozenset[Position]:

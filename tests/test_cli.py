@@ -75,6 +75,17 @@ class TestErrors:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    def test_deep_input_is_an_error(self, capsys, tmp_path):
+        depth = 10_000
+        deep = tmp_path / "deep.trs"
+        deep.write_text(
+            "(VAR x)\n(RULES\n  f(x) -> " + "s(" * depth + "x" + ")" * depth + "\n)\n"
+        )
+        code = main(["analyze", str(deep)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.trs"
         bad.write_text("(RULES f(x) -> )\n(VAR x)")

@@ -6,7 +6,6 @@ import pytest
 
 from polytrs.framework import Bound, Problem, StartTerms
 from polytrs.interpretations import (
-    OrderPair,
     PolyInterp,
     Polynomial,
     SymbolPoly,
@@ -200,12 +199,8 @@ class TestOrientation:
 
     def test_check_orientation_on_relative_problem(self):
         p = relative_problem({"c"})
-        op = OrderPair(counting_interp(), full_map(), full_map())
-        assert check_orientation(op, p)
-        assert not check_orientation(
-            OrderPair(counting_interp(), full_map(), full_map()),
-            relative_problem({"a"}),
-        )
+        assert check_orientation(counting_interp(), p)
+        assert not check_orientation(counting_interp(), relative_problem({"a"}))
 
     def test_strict_decrease_pointwise(self):
         p = relative_problem({"c"})
@@ -236,7 +231,7 @@ class TestOrientation:
 
 class TestReplacementMaps:
     def test_dp_strict_part_needs_compounds_only(self, mult_dt):
-        mu = usable_replacement_map(mult_dt, "strict")
+        mu = usable_replacement_map(mult_dt)
         marked = next(s for s in mult_dt.signature if s.kind is SymbolKind.MARKED)
         assert mu.positions_for(marked) == frozenset()
         c2 = next(
@@ -246,17 +241,9 @@ class TestReplacementMaps:
         )
         assert mu.positions_for(c2) == frozenset({1, 2})
 
-    def test_trs_weak_part_needs_full_map(self, mult_dt):
-        mu = usable_replacement_map(mult_dt, "weak")
-        assert mu.positions_for(PLUS) == frozenset({1, 2})
-
     def test_non_dp_strict_part_needs_full_map(self, mult_problem):
-        mu = usable_replacement_map(mult_problem, "strict")
+        mu = usable_replacement_map(mult_problem)
         assert mu.positions_for(TIMES) == frozenset({1, 2})
-
-    def test_rejects_other_parts(self, mult_problem):
-        with pytest.raises(ValueError):
-            usable_replacement_map(mult_problem, "both")
 
 
 class TestMuMonotone:
@@ -283,7 +270,7 @@ class TestInducedBound:
             start_terms=starts,
             signature=SIGNATURE,
         )
-        return induced_bound(OrderPair(interp, full_map(), full_map()), p)
+        return induced_bound(interp, p)
 
     def test_runtime_degree_from_defined_symbols(self):
         interp = PolyInterp(
@@ -336,11 +323,11 @@ class TestSynthesize:
             start_terms=StartTerms.all_terms(),
             signature=SIGNATURE,
         )
-        op = synthesize(p, 1, 1)
-        assert op is not None
-        assert check_orientation(op, p)
-        assert mu_monotone(op.interp, op.mu_strict)
-        assert induced_bound(op, p) == Bound.poly(1)
+        interp = synthesize(p, 1, 1)
+        assert interp is not None
+        assert check_orientation(interp, p)
+        assert mu_monotone(interp, usable_replacement_map(p))
+        assert induced_bound(interp, p) == Bound.poly(1)
 
     def test_growing_rule_has_no_pair(self):
         g = Symbol("g", 1, SymbolKind.DEFINED)
@@ -384,16 +371,16 @@ class TestSynthesizedPairSemantics:
             start_terms=mult_dt.start_terms,
             signature=mult_dt.signature,
         )
-        op = synthesize(p, 1, 1)
-        assert op is not None and check_orientation(op, p)
+        interp = synthesize(p, 1, 1)
+        assert interp is not None and check_orientation(interp, p)
         rng = random.Random(5)
         for _ in range(200):
             env = {"x": rng.randrange(40), "y": rng.randrange(40)}
             for dp in plus_dps:
-                lhs = eval_term(op.interp, dp.lhs, env)
+                lhs = eval_term(interp, dp.lhs, env)
                 rhs = (
                     env[dp.rhs.name]
                     if isinstance(dp.rhs, Var)
-                    else eval_term(op.interp, dp.rhs, env)
+                    else eval_term(interp, dp.rhs, env)
                 )
                 assert lhs >= rhs + 1

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from polytrs.dependency_pairs import (
@@ -29,7 +33,7 @@ from polytrs.processors import (
 )
 from polytrs.proofs import Assumption, Axiom, render_proof
 from polytrs.terms import App
-from tests.conftest import constructor, marked_sym
+from tests.conftest import ROOT, constructor, marked_sym
 
 P0 = Bound.poly(0)
 P1 = Bound.poly(1)
@@ -78,7 +82,7 @@ class TestCombine:
 
 class TestInterpJson:
     def test_roundtrip(self, mult_dt):
-        pair = synthesize(
+        interp = synthesize(
             Problem(
                 strict_dps=tuple(d for d in mult_dt.dps if d.label in {"1", "2"}),
                 strict_trs=(),
@@ -91,12 +95,12 @@ class TestInterpJson:
             1,
             1,
         )
-        assert pair is not None
-        obj = interp_to_json(pair.interp)
-        assert interp_from_json(obj).entries == dict(pair.interp.entries)
+        assert interp is not None
+        obj = interp_to_json(interp)
+        assert interp_from_json(obj).entries == dict(interp.entries)
 
     def test_sorted_output(self, mult_dt):
-        pair = synthesize(
+        interp = synthesize(
             Problem(
                 strict_dps=tuple(d for d in mult_dt.dps if d.label in {"1", "2"}),
                 strict_trs=(),
@@ -109,7 +113,7 @@ class TestInterpJson:
             1,
             1,
         )
-        obj = interp_to_json(pair.interp)
+        obj = interp_to_json(interp)
         keys = [(e["symbol"]["kind"], e["symbol"]["name"]) for e in obj]
         assert keys == sorted(keys)
 
@@ -122,6 +126,15 @@ class TestDispatch:
     def test_malformed_params_reject(self, mult_dt):
         assert apply_processor("predecessor_estimation", {}, mult_dt) is None
         assert apply_processor("complexity_pair", {}, mult_dt) is None
+        assert apply_processor("predecessor_estimation", {"rules": 5}, mult_dt) is None
+        plus = {"name": "plus", "arity": 2, "kind": "marked"}
+        c2 = {"name": "c_2", "arity": 2, "kind": "compound"}
+        for entry in (
+            {"symbol": plus, "lin": None, "sq": [0, 0], "const": 0},
+            {"symbol": c2, "lin": [], "sq": [], "const": 0},
+        ):
+            params = {"interpretation": [entry]}
+            assert apply_processor("complexity_pair", params, mult_dt) is None
 
     def test_input_problem_unchanged(self, mult_dt):
         snapshot = Problem(
@@ -387,16 +400,16 @@ class TestComplexityPairProcessor:
 
     def test_accepts_synthesized_pair(self, mult_dt):
         p = self.plus_only(mult_dt)
-        pair = synthesize(p, 1, 1)
-        params = {"interpretation": interp_to_json(pair.interp)}
+        interp = synthesize(p, 1, 1)
+        params = {"interpretation": interp_to_json(interp)}
         subs, comb = apply_processor("complexity_pair", params, p)
         assert subs == []
         assert comb == ("const", P1)
 
     def test_rejects_non_orienting_interp(self, mult_dt):
         p = self.plus_only(mult_dt)
-        pair = synthesize(p, 1, 1)
-        obj = interp_to_json(pair.interp)
+        interp = synthesize(p, 1, 1)
+        obj = interp_to_json(interp)
         for entry in obj:
             entry["lin"] = [0] * len(entry["lin"])
             entry["const"] = 0
@@ -432,8 +445,8 @@ class TestComplexityPairProcessor:
 
     def test_missing_entry_rejects(self, mult_dt):
         p = self.plus_only(mult_dt)
-        pair = synthesize(p, 1, 1)
-        obj = interp_to_json(pair.interp)[:-1]
+        interp = synthesize(p, 1, 1)
+        obj = interp_to_json(interp)[:-1]
         assert (
             apply_processor("complexity_pair", {"interpretation": obj}, p) is None
         )
@@ -459,6 +472,30 @@ class TestDefaultStrategy:
         assert isinstance(proof, Assumption)
         assert proof.note == "step budget exhausted"
         assert "[open" in render_proof(proof)
+
+    def test_proof_bytes_independent_of_hash_seed(self):
+        script = (
+            "import json, sys\n"
+            "from polytrs.parsing import parse_file\n"
+            "from polytrs.processors import StrategyConfig, default_strategy\n"
+            "from polytrs.proofs import proof_to_json\n"
+            "cfg = StrategyConfig(degree_max=1, coeff_max=1)\n"
+            "for path in sys.argv[1:]:\n"
+            "    print(json.dumps(proof_to_json(default_strategy(parse_file(path), cfg))))\n"
+        )
+        files = [str(ROOT / "problems" / name) for name in ("mult.trs", "exp.trs")]
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+            run = subprocess.run(
+                [sys.executable, "-c", script, *files],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 2
 
     def test_explicit_starts_stay_open(self, mult_problem):
         p = Problem(

@@ -153,6 +153,12 @@ class TestJsonRoundtrip:
         with pytest.raises(ValueError):
             proof_from_json(obj)
 
+    def test_variable_lhs_is_rejected(self, mult_problem):
+        obj = proof_to_json(Axiom(Judgement(empty_problem(mult_problem), Bound.poly(0))))
+        obj["proof"]["conclusion"]["problem"]["weak_trs"][0]["lhs"] = {"var": "y"}
+        with pytest.raises(ValueError):
+            proof_from_json(obj)
+
 
 class TestComponentSerializers:
     def test_bound(self):

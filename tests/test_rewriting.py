@@ -8,7 +8,7 @@ from polytrs.rewriting import (
     basic_terms,
     check_labels,
     dh_oracle,
-    ground_constructor_terms,
+    ground_terms,
     is_q_normal_form,
     q_successors,
     strict_step_oracle,
@@ -147,7 +147,7 @@ class TestOracles:
 
 class TestEnumeration:
     def test_ground_constructor_terms(self):
-        got = ground_constructor_terms([ZERO, S, PLUS], 3)
+        got = ground_terms([ZERO, S], 3, 100)
         assert got == [num(0), num(1), num(2)]
 
     def test_basic_terms_smallest(self):
