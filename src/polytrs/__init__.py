@@ -12,12 +12,7 @@ from .framework import (
     is_innermost,
 )
 from .parsing import ParseError, parse_file, parse_problem, print_problem
-from .processors import (
-    StrategyConfig,
-    apply_processor,
-    combine,
-    default_strategy,
-)
+from .processors import StrategyConfig, apply_processor, default_strategy
 from .proofs import (
     Assumption,
     Axiom,
@@ -57,7 +52,6 @@ __all__ = [
     "bound_add",
     "bound_mul",
     "cc_oracle",
-    "combine",
     "default_strategy",
     "dh_oracle",
     "is_closed",

@@ -23,6 +23,22 @@ from .processors import StrategyConfig, default_strategy
 from .proofs import is_closed, iter_nodes, proof_to_json, render_proof
 
 
+def _positive(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"expected seconds >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polytrs",
@@ -33,13 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="prove a complexity bound")
     analyze.add_argument("file", help="rewrite system in parenthesized format")
     analyze.add_argument(
-        "--degree-max", type=int, default=3, help="largest bound degree to try"
+        "--degree-max",
+        type=_positive,
+        default=3,
+        help="largest interpretation degree to search (above 2 counts as 2); "
+        "combined proofs may still conclude a higher bound",
     )
     analyze.add_argument(
-        "--coeff-max", type=int, default=3, help="largest interpretation coefficient"
+        "--coeff-max", type=_positive, default=3, help="largest coefficient to search"
     )
     analyze.add_argument(
-        "--timeout", type=float, default=None, help="soft time limit in seconds"
+        "--timeout", type=_seconds, default=None, help="soft time limit in seconds"
     )
     analyze.add_argument(
         "--proof",
@@ -106,8 +126,17 @@ def _run_analyze(args: argparse.Namespace) -> int:
 def _run_oracle(args: argparse.Namespace) -> int:
     problem = parse_file(args.file)
     print("n\tcc")
-    for n in range(args.size + 1):
-        print(f"{n}\t{cc_oracle(problem, n, args.budget)}")
+    try:
+        for n in range(args.size + 1):
+            print(f"{n}\t{cc_oracle(problem, n, args.budget)}")
+    except RecursionError:
+        # reachable terms, not the input, outgrew the recursive term walks
+        print(
+            f"error: terms reached from start terms of size {n} are nested too "
+            "deeply to explore; try a smaller --budget or --size",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 

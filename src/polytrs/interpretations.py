@@ -15,16 +15,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .framework import Bound, Problem, StartKind
 from .rewriting import Rule
-from .terms import (
-    ReplacementMap,
-    Symbol,
-    SymbolKind,
-    Term,
-    Var,
-    compound_only_map,
-    full_map,
-    symbols_of,
-)
+from .terms import Symbol, SymbolKind, Term, Var, symbols_of
 
 # A monomial maps variable names to exponents; stored sorted for hashing.
 Monomial = tuple[tuple[str, int], ...]
@@ -188,17 +179,17 @@ def eval_term(interp: PolyInterp, t: Term, env: Mapping[str, int]) -> int:
     )
 
 
-def usable_replacement_map(p: Problem) -> ReplacementMap:
-    """Positions where the interpretation must be strictly monotone.
+def needs_monotone(p: Problem, sym: Symbol) -> bool:
+    """Whether sym's interpretation must be strictly monotone in every argument.
 
     For a DP problem whose strict part consists of dependency pairs only,
-    rewriting happens below compound symbols exclusively; everything else
-    needs the full map.  Weak rules need only weak monotonicity, which every
-    interpretation over N has.
+    rewriting happens below compound symbols exclusively; in any other
+    problem every symbol needs it.  Weak rules need only weak monotonicity,
+    which every interpretation over N has.
     """
-    if p.is_dp_problem() and all(r.is_dp for r in p.strict):
-        return compound_only_map()
-    return full_map()
+    return sym.kind is SymbolKind.COMPOUND or not (
+        p.is_dp_problem() and all(r.is_dp for r in p.strict)
+    )
 
 
 def orients_strictly(interp: PolyInterp, rule: Rule) -> bool:
@@ -222,13 +213,13 @@ def check_orientation(interp: PolyInterp, p: Problem) -> bool:
     )
 
 
-def mu_monotone(interp: PolyInterp, mu: ReplacementMap) -> bool:
-    """Syntactic sufficient check: linear coefficient >= 1 on mu positions."""
-    for sym, sp in interp.entries.items():
-        for i in mu.positions_for(sym):
-            if sp.lin[i - 1] < 1:
-                return False
-    return True
+def mu_monotone(interp: PolyInterp, p: Problem) -> bool:
+    """Syntactic sufficient check: linear coefficients >= 1 where p needs it."""
+    return all(
+        min(sp.lin, default=1) >= 1
+        for sym, sp in interp.entries.items()
+        if needs_monotone(p, sym)
+    )
 
 
 def induced_bound(interp: PolyInterp, p: Problem) -> Bound:
@@ -254,13 +245,13 @@ def induced_bound(interp: PolyInterp, p: Problem) -> Bound:
 
 
 def _candidate_polys(
-    sym: Symbol, degree: int, coeff_max: int, mu_strict: ReplacementMap
+    sym: Symbol, degree: int, coeff_max: int, p: Problem
 ) -> list[SymbolPoly]:
     """Candidate interpretations for one symbol, small coefficients first."""
     n = sym.arity
     if sym.kind in (SymbolKind.CONSTRUCTOR, SymbolKind.COMPOUND):
         return [strongly_linear_poly(n, c) for c in range(coeff_max + 1)]
-    need_one = mu_strict.positions_for(sym)
+    monotone = needs_monotone(p, sym)
     out: list[SymbolPoly] = []
     sq_choices: Iterator[tuple[int, ...]]
     if degree >= 2:
@@ -269,7 +260,7 @@ def _candidate_polys(
         sq_choices = iter([(0,) * n])
     for sq in sq_choices:
         for lin in itertools.product(range(coeff_max + 1), repeat=n):
-            if any(lin[i - 1] < 1 for i in need_one):
+            if monotone and 0 in lin:
                 continue
             for const in range(coeff_max + 1):
                 out.append(SymbolPoly(lin, sq, const))
@@ -292,8 +283,6 @@ def synthesize(
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    mu_strict = usable_replacement_map(p)
-
     syms = set()
     for r in p.all_rules:
         syms |= symbols_of(r.lhs) | symbols_of(r.rhs)
@@ -315,7 +304,7 @@ def synthesize(
         last = max(pos_of[s] for s in used)
         checkable[last].append((rule, is_strict))
 
-    candidates = [_candidate_polys(s, degree, coeff_max, mu_strict) for s in order]
+    candidates = [_candidate_polys(s, degree, coeff_max, p) for s in order]
     assignment: dict[Symbol, SymbolPoly] = {}
     visited = 0
 

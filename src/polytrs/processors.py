@@ -3,9 +3,10 @@ problems, plus the default proof search built from them.
 
 apply_processor is the single entry point both for the strategy and for
 proof validation: given a processor id, JSON-level parameters and a problem
-it either returns the generated sub-problems with a bound combinator, or
-None when a side condition fails.  Parameters reference rules by label so
-recorded proofs replay bit-for-bit.
+it either returns the generated sub-problems together with the function that
+computes its bound from the premises' bounds, or None when a side condition
+fails.  Parameters reference rules by label so recorded proofs replay
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .dependency_pairs import dt_problem, wdp_problem
 from .depgraph import DepGraph, estimate_dg, sep
@@ -24,7 +25,6 @@ from .framework import (
     StartKind,
     bound_add,
     bound_mul,
-    is_innermost,
 )
 from .interpretations import (
     PolyInterp,
@@ -33,7 +33,6 @@ from .interpretations import (
     induced_bound,
     mu_monotone,
     synthesize,
-    usable_replacement_map,
 )
 from .proofs import (
     Assumption,
@@ -46,20 +45,14 @@ from .proofs import (
 )
 from .rewriting import Rule
 
-Combinator = tuple
+
+def _sum(bounds: Sequence[Bound]) -> Bound:
+    """Also the bound of single-premise steps and of the empty axiom."""
+    return reduce(bound_add, bounds, Bound.poly(0))
 
 
-def combine(comb: Combinator, bounds: Sequence[Bound]) -> Bound:
-    kind = comb[0]
-    if kind == "const":
-        return comb[1]
-    if kind == "identity":
-        return bounds[0] if bounds else Bound.poly(0)
-    if kind == "sum":
-        return reduce(bound_add, bounds, Bound.poly(0))
-    if kind == "product":
-        return reduce(bound_mul, bounds, Bound.poly(0))
-    raise ValueError(f"unknown combinator {kind!r}")
+def _product(bounds: Sequence[Bound]) -> Bound:
+    return reduce(bound_mul, bounds, Bound.poly(0))
 
 
 def interp_to_json(interp: PolyInterp) -> Any:
@@ -102,16 +95,15 @@ def _resolve(labels: Sequence[str], pool: Sequence[Rule]) -> Optional[tuple[Rule
 def _empty(params: dict, p: Problem):
     if p.strict:
         return None
-    return [], ("const", Bound.poly(0))
+    return [], _sum
 
 
 def _complexity_pair(params: dict, p: Problem):
     interp = interp_from_json(params["interpretation"])
-    if not mu_monotone(interp, usable_replacement_map(p)):
+    if not mu_monotone(interp, p) or not check_orientation(interp, p):
         return None
-    if not check_orientation(interp, p):
-        return None
-    return [], ("const", induced_bound(interp, p))
+    bound = induced_bound(interp, p)
+    return [], lambda _: bound
 
 
 def _weaken(p: Problem, moved: set[Rule]) -> Problem:
@@ -130,19 +122,19 @@ def _decompose(params: dict, p: Problem):
     if not s1 or len(s1) == len(p.strict):
         return None
     chosen = set(s1)
-    return [_weaken(p, set(p.strict) - chosen), _weaken(p, chosen)], ("sum",)
+    return [_weaken(p, set(p.strict) - chosen), _weaken(p, chosen)], _sum
 
 
 def _weak_dependency_pairs(params: dict, p: Problem):
     if p.dps:
         return None
-    return [wdp_problem(p)], ("identity",)
+    return [wdp_problem(p)], _sum
 
 
 def _dependency_tuples(params: dict, p: Problem):
     if p.dps:
         return None
-    return [dt_problem(p)], ("identity",)
+    return [dt_problem(p)], _sum
 
 
 def _predecessor_estimation(params: dict, p: Problem):
@@ -165,7 +157,7 @@ def _predecessor_estimation(params: dict, p: Problem):
     new_weak = tuple(
         d for d in p.dps if (d in weak_set or d in chosen) and d not in kept
     )
-    return [replace(p, strict_dps=new_strict, weak_dps=new_weak)], ("identity",)
+    return [replace(p, strict_dps=new_strict, weak_dps=new_weak)], _sum
 
 
 def _remove_weak_suffix(params: dict, p: Problem):
@@ -181,7 +173,7 @@ def _remove_weak_suffix(params: dict, p: Problem):
         return None
     gone = set(w1)
     sub = replace(p, weak_dps=tuple(d for d in p.weak_dps if d not in gone))
-    return [sub], ("identity",)
+    return [sub], _sum
 
 
 def _dg_decomposition(params: dict, p: Problem):
@@ -203,7 +195,7 @@ def _dg_decomposition(params: dict, p: Problem):
         return None
     p_up = replace(p, strict_dps=s_up, weak_dps=w_up)
     p_down = replace(p, strict_dps=s_down, weak_dps=w_down + sep(s_up + w_up))
-    return [p_up, p_down], ("product",)
+    return [p_up, p_down], _product
 
 
 _PROCESSORS = {
@@ -220,8 +212,9 @@ _PROCESSORS = {
 
 def apply_processor(
     proc: str, params: dict, p: Problem
-) -> Optional[tuple[list[Problem], Combinator]]:
-    """Run one processor; None when its side conditions reject (p, params).
+) -> Optional[tuple[list[Problem], Callable[[Sequence[Bound]], Bound]]]:
+    """Run one processor: its sub-problems and the function computing its bound
+    from theirs, or None when its side conditions reject (p, params).
 
     Malformed parameters (unknown labels, missing interpretation entries,
     values of the wrong type, rule sets that break problem invariants) count
@@ -288,26 +281,27 @@ def _give_up(p: Problem, note: Optional[str] = None) -> Assumption:
     return Assumption(Judgement(p, Bound.unknown()), note)
 
 
-def _mk_inference(
+def _chain(
     proc: str,
     params: dict,
     p: Problem,
-    premises: Sequence[ProofTree],
-    comb: Combinator,
-) -> Inference:
-    bound = combine(comb, [pr.judgement.bound for pr in premises])
-    return Inference(proc, params, Judgement(p, bound), tuple(premises))
-
-
-def _chain(
-    proc: str, params: dict, p: Problem, cfg: StrategyConfig, st: _SearchState
+    cfg: StrategyConfig,
+    st: _SearchState,
+    closed: bool = False,
 ) -> Optional[Inference]:
+    """Apply proc and prove its sub-problems in order; None when it rejects,
+    or with closed, as soon as one sub-proof stays open."""
     res = apply_processor(proc, params, p)
     if res is None:
         return None
-    subs, comb = res
-    premises = [_prove(sub, cfg, st) for sub in subs]
-    return _mk_inference(proc, params, p, premises, comb)
+    subs, bound_of = res
+    premises = []
+    for sub in subs:
+        premises.append(_prove(sub, cfg, st))
+        if closed and not is_closed(premises[-1]):
+            return None
+    bound = bound_of([pr.judgement.bound for pr in premises])
+    return Inference(proc, params, Judgement(p, bound), tuple(premises))
 
 
 def _prove(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
@@ -317,9 +311,11 @@ def _prove(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
     if not p.strict:
         return Axiom(Judgement(p, Bound.poly(0)))
     if p.start_terms.kind is StartKind.BASIC:
-        proc = "dependency_tuples" if is_innermost(p) else "weak_dependency_pairs"
-        node = _chain(proc, {}, p, cfg, st)
-        return node if node is not None else _give_up(p)
+        # dependency tuples reject problems that are not innermost
+        node = _chain("dependency_tuples", {}, p, cfg, st) or _chain(
+            "weak_dependency_pairs", {}, p, cfg, st
+        )
+        return node or _give_up(p)
     if p.is_dp_problem():
         return _prove_dp(p, cfg, st)
     if p.start_terms.kind is StartKind.ALL:
@@ -335,31 +331,16 @@ def _prove_dp(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
     # estimate strict DPs whose successors are all weak already; keeping the
     # predecessors strict guarantees the strict component shrinks
     targets = tuple(d for d in p.strict_dps if g.successors((d,)) <= weak_set)
-    if targets and g.predecessors(targets) <= strict_set:
-        node = _chain(
-            "predecessor_estimation",
-            {"rules": [d.label for d in targets]},
-            p,
-            cfg,
-            st,
-        )
+    if g.predecessors(targets) <= strict_set:
+        rules = [d.label for d in targets]
+        node = _chain("predecessor_estimation", {"rules": rules}, p, cfg, st)
         if node is not None:
             return node
 
-    if p.strict and all(r.is_dp for r in p.strict):
-        removable = tuple(
-            w for w in p.weak_dps if g.forward_closure((w,)) <= weak_set
-        )
-        if removable:
-            node = _chain(
-                "remove_weak_suffix",
-                {"rules": [w.label for w in removable]},
-                p,
-                cfg,
-                st,
-            )
-            if node is not None:
-                return node
+    removable = [w.label for w in p.weak_dps if g.forward_closure((w,)) <= weak_set]
+    node = _chain("remove_weak_suffix", {"rules": removable}, p, cfg, st)
+    if node is not None:
+        return node
 
     node = _try_complexity_pair(p, cfg, st)
     if node is not None:
@@ -369,19 +350,9 @@ def _prove_dp(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
         if st.timed_out():
             return _give_up(p, "timeout")
         params = {"strict_down": s_down, "weak_down": w_down}
-        res = apply_processor("dependency_graph_decomposition", params, p)
-        if res is None:
-            continue
-        subs, comb = res
-        up = _prove(subs[0], cfg, st)
-        if not is_closed(up):
-            continue
-        down = _prove(subs[1], cfg, st)
-        if not is_closed(down):
-            continue
-        return _mk_inference(
-            "dependency_graph_decomposition", params, p, [up, down], comb
-        )
+        node = _chain("dependency_graph_decomposition", params, p, cfg, st, closed=True)
+        if node is not None:
+            return node
     return _give_up(p)
 
 
@@ -441,18 +412,9 @@ def _prove_derivational(p: Problem, cfg: StrategyConfig, st: _SearchState) -> Pr
     node = _try_complexity_pair(p, cfg, st)
     if node is not None:
         return node
-    if len(p.strict) >= 2:
-        for r in p.strict:
-            params = {"strict_part": [r.label]}
-            res = apply_processor("decompose", params, p)
-            if res is None:
-                continue
-            subs, comb = res
-            first = _try_complexity_pair(subs[0], cfg, st)
-            if first is None:
-                continue
-            rest = _prove(subs[1], cfg, st)
-            if not is_closed(rest):
-                continue
-            return _mk_inference("decompose", params, p, [first, rest], comb)
+    for r in p.strict:
+        params = {"strict_part": [r.label]}
+        node = _chain("decompose", params, p, cfg, st, closed=True)
+        if node is not None:
+            return node
     return _give_up(p)

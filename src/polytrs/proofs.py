@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
-from .framework import Bound, Judgement, Problem, StartKind, StartTerms
+from .framework import Bound, Judgement, Problem, StartKind, StartTerms, problems_equal
 from .rewriting import Rule
 from .terms import App, Symbol, SymbolKind, Term, Var
 
@@ -66,7 +66,7 @@ class ValidationResult:
 
 def validate_proof(tree: ProofTree) -> ValidationResult:
     """Replay every inference step and re-check the concluded bounds."""
-    from .processors import apply_processor, combine
+    from .processors import apply_processor
 
     errors: list[str] = []
 
@@ -84,20 +84,18 @@ def validate_proof(tree: ProofTree) -> ValidationResult:
         if result is None:
             errors.append(f"{path}: processor {node.processor} not applicable")
             return
-        subs, comb = result
+        subs, bound_of = result
         if len(subs) != len(node.premises):
             errors.append(
                 f"{path}: expected {len(subs)} premises, found {len(node.premises)}"
             )
             return
-        from .framework import problems_equal
-
         for i, (sub, premise) in enumerate(zip(subs, node.premises)):
             if not problems_equal(sub, premise.judgement.problem):
                 errors.append(
                     f"{path}.{i}: premise problem mismatch under {node.processor}"
                 )
-        got = combine(comb, [pr.judgement.bound for pr in node.premises])
+        got = bound_of([pr.judgement.bound for pr in node.premises])
         if got != node.judgement.bound:
             errors.append(
                 f"{path}: {node.processor} concluded {node.judgement.bound}, "

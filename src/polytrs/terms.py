@@ -260,43 +260,6 @@ def is_basic(t: Term) -> bool:
     return all(constructor_term(a) for a in t.args)
 
 
-@dataclass(frozen=True)
-class ReplacementMap:
-    """Argument positions where rewriting (and hence monotonicity) is required:
-    every position, or only the arguments of compound symbols."""
-
-    full: bool
-
-    def positions_for(self, sym: Symbol) -> frozenset[int]:
-        if self.full or sym.kind is SymbolKind.COMPOUND:
-            return frozenset(range(1, sym.arity + 1))
-        return frozenset()
-
-
-def full_map() -> ReplacementMap:
-    return ReplacementMap(full=True)
-
-
-def compound_only_map() -> ReplacementMap:
-    """Full positions below compound symbols, nothing anywhere else."""
-    return ReplacementMap(full=False)
-
-
-def mu_positions(mu: ReplacementMap, t: Term) -> frozenset[Position]:
-    """Positions of t reachable through mu-allowed argument slots."""
-    out: set[Position] = set()
-
-    def walk(s: Term, p: Position) -> None:
-        out.add(p)
-        if isinstance(s, App):
-            for i in mu.positions_for(s.sym):
-                if 1 <= i <= len(s.args):
-                    walk(s.args[i - 1], p + (i,))
-
-    walk(t, ())
-    return frozenset(out)
-
-
 def render(t: Term) -> str:
     if isinstance(t, Var):
         return t.name

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from polytrs.cli import main
 from polytrs.proofs import proof_from_json, validate_proof
@@ -38,6 +43,19 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert code == 1
         assert out == "MAYBE\n"
+
+    def test_degree_max_caps_interpretations_not_the_bound(self, capsys):
+        # linear interpretations, combined by DG decomposition, prove O(n^2)
+        argv = ["analyze", MULT, "--degree-max", "1", "--coeff-max", "1"]
+        code = main([*argv, "--proof", "none"])
+        assert code == 0
+        assert capsys.readouterr().out == "WORST_CASE(?, O(n^2))\n"
+
+    def test_search_options_accept_their_limits(self, capsys):
+        argv = ["analyze", EXP, "--degree-max", "3", "--coeff-max", "1"]
+        code = main([*argv, "--timeout", "0", "--proof", "none"])
+        assert code == 1
+        assert capsys.readouterr().out == "MAYBE\n"
 
 
 class TestOracle:
@@ -85,6 +103,42 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "option", [["--degree-max", "0"], ["--coeff-max", "0"], ["--timeout", "-1"]]
+    )
+    def test_search_option_out_of_range(self, capsys, option):
+        with pytest.raises(SystemExit) as stop:
+            main(["analyze", MULT, *option])
+        captured = capsys.readouterr()
+        assert stop.value.code == 2
+        assert captured.out == ""
+        assert f"argument {option[0]}:" in captured.err
+
+    def test_oracle_depth_names_the_size(self, tmp_path):
+        grow = tmp_path / "grow.trs"
+        grow.write_text("(VAR x)\n(RULES\n  f(x) -> f(s(x))\n  g(0) -> 0\n)\n")
+        # f(s(...s(0)...)) grows one level per step; a low recursion limit
+        # makes its exploration overflow within milliseconds
+        script = (
+            "import sys\n"
+            "from polytrs.cli import main\n"
+            "sys.setrecursionlimit(150)\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["oracle", str(grow), "--size", "4", "--budget", "300"]
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 2
+        assert run.stdout.splitlines() == ["n\tcc", "0\tExact(0)", "1\tExact(0)"]
+        assert run.stderr.startswith("error:")
+        assert "size 2" in run.stderr and "--budget" in run.stderr
+        assert "input" not in run.stderr
 
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.trs"

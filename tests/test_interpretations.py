@@ -13,22 +13,15 @@ from polytrs.interpretations import (
     eval_term,
     induced_bound,
     mu_monotone,
+    needs_monotone,
     orients_strictly,
     orients_weakly,
     strongly_linear_poly,
     synthesize,
     term_polynomial,
-    usable_replacement_map,
 )
 from polytrs.rewriting import Rule
-from polytrs.terms import (
-    App,
-    Symbol,
-    SymbolKind,
-    Var,
-    compound_only_map,
-    full_map,
-)
+from polytrs.terms import App, Symbol, SymbolKind, Var
 
 
 X = Polynomial.var("x")
@@ -231,31 +224,37 @@ class TestOrientation:
 
 class TestReplacementMaps:
     def test_dp_strict_part_needs_compounds_only(self, mult_dt):
-        mu = usable_replacement_map(mult_dt)
-        marked = next(s for s in mult_dt.signature if s.kind is SymbolKind.MARKED)
-        assert mu.positions_for(marked) == frozenset()
-        c2 = next(
-            s
-            for s in mult_dt.signature
-            if s.kind is SymbolKind.COMPOUND and s.arity == 2
-        )
-        assert mu.positions_for(c2) == frozenset({1, 2})
+        for s in mult_dt.signature:
+            assert needs_monotone(mult_dt, s) == (s.kind is SymbolKind.COMPOUND)
+        kinds = {s.kind for s in mult_dt.signature}
+        assert {SymbolKind.MARKED, SymbolKind.DEFINED, SymbolKind.COMPOUND} <= kinds
 
-    def test_non_dp_strict_part_needs_full_map(self, mult_problem):
-        mu = usable_replacement_map(mult_problem)
-        assert mu.positions_for(TIMES) == frozenset({1, 2})
+    def test_non_dp_strict_part_needs_full_map(self, mult_problem, mult_dt):
+        assert all(needs_monotone(mult_problem, s) for s in mult_problem.signature)
+        # a plain strict rule next to the DPs makes every symbol rewritable
+        with_rule = Problem(
+            strict_dps=mult_dt.strict_dps,
+            strict_trs=mult_dt.weak_trs[:1],
+            weak_dps=mult_dt.weak_dps,
+            weak_trs=mult_dt.weak_trs[1:],
+            q=mult_dt.q,
+            start_terms=mult_dt.start_terms,
+            signature=mult_dt.signature,
+        )
+        assert all(needs_monotone(with_rule, s) for s in mult_dt.signature)
 
 
 class TestMuMonotone:
-    def test_full_map_wants_every_argument(self):
-        assert mu_monotone(counting_interp(), compound_only_map())
-        assert not mu_monotone(counting_interp(), full_map())
+    def test_full_map_wants_every_argument(self, mult_problem, mult_dt):
+        # [plus](x, y) = y: not monotone in x, but plus is no compound symbol
+        assert mu_monotone(counting_interp(), mult_dt)
+        assert not mu_monotone(counting_interp(), mult_problem)
 
-    def test_unit_coefficients_suffice(self):
+    def test_unit_coefficients_suffice(self, mult_problem):
         interp = PolyInterp(
             {PLUS: SymbolPoly((1, 1), (0, 0), 0), S: SymbolPoly((2,), (0,), 1)}
         )
-        assert mu_monotone(interp, full_map())
+        assert mu_monotone(interp, mult_problem)
 
 
 class TestInducedBound:
@@ -326,7 +325,7 @@ class TestSynthesize:
         interp = synthesize(p, 1, 1)
         assert interp is not None
         assert check_orientation(interp, p)
-        assert mu_monotone(interp, usable_replacement_map(p))
+        assert mu_monotone(interp, p)
         assert induced_bound(interp, p) == Bound.poly(1)
 
     def test_growing_rule_has_no_pair(self):

@@ -27,7 +27,6 @@ from polytrs.interpretations import synthesize
 from polytrs.processors import (
     StrategyConfig,
     apply_processor,
-    combine,
     default_strategy,
     interp_from_json,
     interp_to_json,
@@ -58,27 +57,41 @@ def weak_labels(p: Problem) -> list[str]:
 
 
 class TestCombine:
-    def test_const(self):
-        assert combine(("const", P2), []) == P2
-        assert combine(("const", UNK), [P1]) == UNK
+    """The bound functions processors return next to their sub-problems."""
 
-    def test_identity(self):
-        assert combine(("identity",), [P2]) == P2
-        assert combine(("identity",), []) == P0
+    def test_const(self, mult_dt):
+        p = plus_only(mult_dt)
+        obj = interp_to_json(synthesize(p, 1, 1))
+        _, bound_of = apply_processor("complexity_pair", {"interpretation": obj}, p)
+        assert bound_of([]) == P1
+        assert bound_of([P2, UNK]) == P1
+        # [s](x) = 2x + 1 still orients, but [s^n(0)] grows exponentially in n
+        (s_entry,) = (e for e in obj if e["symbol"]["name"] == "s")
+        s_entry["lin"] = [2]
+        _, bound_of = apply_processor("complexity_pair", {"interpretation": obj}, p)
+        assert bound_of([P1]) == UNK
 
-    def test_sum_takes_max_degree(self):
-        assert combine(("sum",), [P1, P2, P0]) == P2
-        assert combine(("sum",), []) == P0
-        assert combine(("sum",), [P1, UNK]) == UNK
+    def test_identity(self, mult_problem):
+        _, bound_of = apply_processor("weak_dependency_pairs", {}, mult_problem)
+        assert bound_of([P2]) == P2
+        assert bound_of([UNK]) == UNK
+        _, bound_of = apply_processor("empty", {}, no_strict(mult_problem))
+        assert bound_of([]) == P0
 
-    def test_product_adds_degrees(self):
-        assert combine(("product",), [P1, P2]) == Bound.poly(3)
-        assert combine(("product",), [P1]) == P1
-        assert combine(("product",), [UNK, P0]) == UNK
+    def test_sum_takes_max_degree(self, mult_problem):
+        _, bound_of = apply_processor("decompose", {"strict_part": ["c"]}, mult_problem)
+        assert bound_of([P1, P2, P0]) == P2
+        assert bound_of([]) == P0
+        assert bound_of([P1, UNK]) == UNK
 
-    def test_unknown_combinator(self):
-        with pytest.raises(ValueError):
-            combine(("average",), [P1])
+    def test_product_adds_degrees(self, mult_dt):
+        params = {"strict_down": ["2"]}
+        p = simplified(mult_dt)
+        _, bound_of = apply_processor("dependency_graph_decomposition", params, p)
+        assert bound_of([P1, P2]) == Bound.poly(3)
+        assert bound_of([P1]) == P1
+        assert bound_of([UNK, P0]) == UNK
+        assert bound_of([]) == P0
 
 
 class TestInterpJson:
@@ -151,19 +164,22 @@ class TestDispatch:
         assert problems_equal(mult_dt, snapshot)
 
 
+def no_strict(p: Problem) -> Problem:
+    return Problem(
+        strict_dps=(),
+        strict_trs=(),
+        weak_dps=(),
+        weak_trs=p.strict_trs,
+        q=p.q,
+        start_terms=p.start_terms,
+        signature=p.signature,
+    )
+
+
 class TestEmpty:
     def test_applies_to_empty_strict(self, mult_problem):
-        p = Problem(
-            strict_dps=(),
-            strict_trs=(),
-            weak_dps=(),
-            weak_trs=mult_problem.strict_trs,
-            q=mult_problem.q,
-            start_terms=mult_problem.start_terms,
-            signature=mult_problem.signature,
-        )
-        subs, comb = apply_processor("empty", {}, p)
-        assert subs == [] and comb == ("const", P0)
+        subs, bound_of = apply_processor("empty", {}, no_strict(mult_problem))
+        assert subs == [] and bound_of([]) == P0
 
     def test_rejects_remaining_strict(self, mult_problem):
         assert apply_processor("empty", {}, mult_problem) is None
@@ -171,10 +187,10 @@ class TestEmpty:
 
 class TestDecompose:
     def test_splits_relative_to_rest(self, mult_problem):
-        subs, comb = apply_processor(
+        subs, bound_of = apply_processor(
             "decompose", {"strict_part": ["c"]}, mult_problem
         )
-        assert comb == ("sum",)
+        assert bound_of([P1, P2]) == P2
         first, second = subs
         assert strict_labels(first) == ["c"]
         assert weak_labels(first) == ["a", "b", "d"]
@@ -194,13 +210,13 @@ class TestDecompose:
 
 class TestDpTransforms:
     def test_weak_dependency_pairs(self, mult_problem):
-        subs, comb = apply_processor("weak_dependency_pairs", {}, mult_problem)
-        assert comb == ("identity",)
+        subs, bound_of = apply_processor("weak_dependency_pairs", {}, mult_problem)
+        assert bound_of([P2]) == P2
         assert problems_equal(subs[0], wdp_problem(mult_problem))
 
     def test_dependency_tuples(self, mult_problem):
-        subs, comb = apply_processor("dependency_tuples", {}, mult_problem)
-        assert comb == ("identity",)
+        subs, bound_of = apply_processor("dependency_tuples", {}, mult_problem)
+        assert bound_of([P2]) == P2
         assert problems_equal(subs[0], dt_problem(mult_problem))
 
     def test_rejects_existing_dps(self, mult_dt):
@@ -224,10 +240,10 @@ class TestDpTransforms:
 
 class TestPredecessorEstimation:
     def test_moves_sinks_behind_their_sources(self, mult_dt):
-        subs, comb = apply_processor(
+        subs, bound_of = apply_processor(
             "predecessor_estimation", {"rules": ["1", "3"]}, mult_dt
         )
-        assert comb == ("identity",)
+        assert bound_of([P2]) == P2
         (sub,) = subs
         assert [d.label for d in sub.strict_dps] == ["2", "4"]
         assert [d.label for d in sub.weak_dps] == ["1", "3"]
@@ -268,8 +284,8 @@ def pe_then(p: Problem) -> Problem:
 class TestRemoveWeakSuffix:
     def test_drops_closed_weak_set(self, mult_dt):
         p = pe_then(mult_dt)
-        subs, comb = apply_processor("remove_weak_suffix", {"rules": ["1", "3"]}, p)
-        assert comb == ("identity",)
+        subs, bound_of = apply_processor("remove_weak_suffix", {"rules": ["1", "3"]}, p)
+        assert bound_of([P2]) == P2
         (sub,) = subs
         assert sub.weak_dps == ()
         assert sub.strict_dps == p.strict_dps
@@ -311,12 +327,12 @@ def simplified(mult_dt: Problem) -> Problem:
 class TestDgDecomposition:
     def test_splits_along_closed_down_set(self, mult_dt):
         p = simplified(mult_dt)
-        subs, comb = apply_processor(
+        subs, bound_of = apply_processor(
             "dependency_graph_decomposition",
             {"strict_down": ["2"], "weak_down": []},
             p,
         )
-        assert comb == ("product",)
+        assert bound_of([P1, P2]) == Bound.poly(3)
         up, down = subs
         assert [d.label for d in up.strict_dps] == ["4"]
         assert up.weak_dps == ()
@@ -387,28 +403,29 @@ class TestDgDecomposition:
         assert checked > 1
 
 
-class TestComplexityPairProcessor:
-    def plus_only(self, mult_dt: Problem) -> Problem:
-        return Problem(
-            strict_dps=tuple(d for d in mult_dt.dps if d.label in {"1", "2"}),
-            strict_trs=(),
-            weak_dps=(),
-            weak_trs=(),
-            q=mult_dt.q,
-            start_terms=mult_dt.start_terms,
-            signature=mult_dt.signature,
-        )
+def plus_only(mult_dt: Problem) -> Problem:
+    return Problem(
+        strict_dps=tuple(d for d in mult_dt.dps if d.label in {"1", "2"}),
+        strict_trs=(),
+        weak_dps=(),
+        weak_trs=(),
+        q=mult_dt.q,
+        start_terms=mult_dt.start_terms,
+        signature=mult_dt.signature,
+    )
 
+
+class TestComplexityPairProcessor:
     def test_accepts_synthesized_pair(self, mult_dt):
-        p = self.plus_only(mult_dt)
+        p = plus_only(mult_dt)
         interp = synthesize(p, 1, 1)
         params = {"interpretation": interp_to_json(interp)}
-        subs, comb = apply_processor("complexity_pair", params, p)
+        subs, bound_of = apply_processor("complexity_pair", params, p)
         assert subs == []
-        assert comb == ("const", P1)
+        assert bound_of([]) == P1
 
     def test_rejects_non_orienting_interp(self, mult_dt):
-        p = self.plus_only(mult_dt)
+        p = plus_only(mult_dt)
         interp = synthesize(p, 1, 1)
         obj = interp_to_json(interp)
         for entry in obj:
@@ -445,7 +462,7 @@ class TestComplexityPairProcessor:
         )
 
     def test_missing_entry_rejects(self, mult_dt):
-        p = self.plus_only(mult_dt)
+        p = plus_only(mult_dt)
         interp = synthesize(p, 1, 1)
         obj = interp_to_json(interp)[:-1]
         assert (
@@ -455,16 +472,7 @@ class TestComplexityPairProcessor:
 
 class TestDefaultStrategy:
     def test_empty_strict_is_an_axiom(self, mult_problem):
-        p = Problem(
-            strict_dps=(),
-            strict_trs=(),
-            weak_dps=(),
-            weak_trs=mult_problem.strict_trs,
-            q=mult_problem.q,
-            start_terms=mult_problem.start_terms,
-            signature=mult_problem.signature,
-        )
-        proof = default_strategy(p)
+        proof = default_strategy(no_strict(mult_problem))
         assert isinstance(proof, Axiom)
         assert proof.judgement.bound == P0
 

@@ -6,20 +6,16 @@ from hypothesis import given, strategies as st
 from polytrs.terms import (
     App,
     InvalidPositionError,
-    ReplacementMap,
     Symbol,
     SymbolKind,
     Var,
     apply_subst,
     com,
     compound,
-    compound_only_map,
-    full_map,
     is_basic,
     mark,
     marked,
     match_term,
-    mu_positions,
     positions,
     rename_apart,
     render,
@@ -160,18 +156,6 @@ class TestSubstitution:
         renamed = rename_apart(t)
         assert not set(variables(renamed)) & set(variables(t))
         assert unify_terms(t, renamed) is not None
-
-
-class TestReplacementMap:
-    @given(term_strategy())
-    def test_full_map_gives_all_positions(self, t):
-        assert mu_positions(full_map(), t) == frozenset(positions(t))
-
-    def test_compound_only_map(self):
-        c = App(compound(2), (App(PLUS, (X, Y)), X))
-        mu = compound_only_map()
-        assert mu_positions(mu, c) == {(), (1,), (2,)}
-        assert mu_positions(mu, App(PLUS, (X, Y))) == {()}
 
 
 class TestRender:
