@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from polytrs.interpretations import needs_monotone
 from polytrs.terms import (
     App,
     InvalidPositionError,
@@ -156,6 +157,31 @@ class TestSubstitution:
         renamed = rename_apart(t)
         assert not set(variables(renamed)) & set(variables(t))
         assert unify_terms(t, renamed) is not None
+
+
+class TestReplacementMap:
+    @staticmethod
+    def mu_positions(p, t):
+        """Positions of t reached through arguments of symbols p needs monotone."""
+        out = set()
+
+        def walk(s, pos):
+            out.add(pos)
+            if isinstance(s, App) and needs_monotone(p, s.sym):
+                for i, a in enumerate(s.args, 1):
+                    walk(a, pos + (i,))
+
+        walk(t, ())
+        return frozenset(out)
+
+    @given(term_strategy())
+    def test_full_map_gives_all_positions(self, mult_problem, t):
+        assert self.mu_positions(mult_problem, t) == frozenset(positions(t))
+
+    def test_compound_only_map(self, mult_dt):
+        c = App(compound(2), (App(PLUS, (X, Y)), X))
+        assert self.mu_positions(mult_dt, c) == {(), (1,), (2,)}
+        assert self.mu_positions(mult_dt, App(PLUS, (X, Y))) == {()}
 
 
 class TestRender:
