@@ -5,7 +5,6 @@ from .framework import (
     Judgement,
     Problem,
     StartKind,
-    StartTerms,
     bound_add,
     bound_mul,
     cc_oracle,
@@ -42,7 +41,6 @@ __all__ = [
     "ProofTree",
     "Rule",
     "StartKind",
-    "StartTerms",
     "StrategyConfig",
     "Symbol",
     "SymbolKind",

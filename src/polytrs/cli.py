@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .depgraph import DepGraph, estimate_dg, to_dot
 from .framework import cc_oracle
@@ -23,10 +23,15 @@ from .processors import StrategyConfig, default_strategy
 from .proofs import is_closed, iter_nodes, proof_to_json, render_proof
 
 
-def _positive(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}"
+            )
+        return int(text)
+
+    return parse
 
 
 def _seconds(text: str) -> float:
@@ -50,13 +55,16 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("file", help="rewrite system in parenthesized format")
     analyze.add_argument(
         "--degree-max",
-        type=_positive,
+        type=_at_least(1),
         default=3,
         help="largest interpretation degree to search (above 2 counts as 2); "
         "combined proofs may still conclude a higher bound",
     )
     analyze.add_argument(
-        "--coeff-max", type=_positive, default=3, help="largest coefficient to search"
+        "--coeff-max",
+        type=_at_least(1),
+        default=3,
+        help="largest coefficient to search",
     )
     analyze.add_argument(
         "--timeout", type=_seconds, default=None, help="soft time limit in seconds"
@@ -77,10 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="brute-force small runtime values")
     oracle.add_argument("file", help="rewrite system in parenthesized format")
     oracle.add_argument(
-        "--size", type=int, default=6, help="largest start term size to try"
+        "--size", type=_at_least(0), default=6, help="largest start term size to try"
     )
     oracle.add_argument(
-        "--budget", type=int, default=50, help="exploration depth per start term"
+        "--budget",
+        type=_at_least(1),
+        default=50,
+        help="exploration depth per start term",
     )
     return parser
 

@@ -14,13 +14,14 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional
 
-from .framework import Problem, StartKind, StartTerms, is_innermost
+from .framework import Problem, StartKind, is_innermost
 from .rewriting import OracleResult, Rule, q_successors
 from .terms import (
     App,
     SymbolKind,
     Term,
     com,
+    components,
     mark,
     marked,
     render,
@@ -50,9 +51,9 @@ def defined_rooted_subterms(t: Term) -> list[Term]:
 
 
 def _marked_pair(
-    rule: Rule, label: str, components: Callable[[Term], list[Term]]
+    rule: Rule, label: str, parts: Callable[[Term], list[Term]]
 ) -> Rule:
-    rhs = com(tuple(mark(c) for c in components(rule.rhs)))
+    rhs = com(tuple(mark(c) for c in parts(rule.rhs)))
     return Rule(App(marked(rule.lhs.sym), rule.lhs.args), rhs, label, is_dp=True)
 
 
@@ -82,7 +83,7 @@ def _dp_problem(
         strict_trs=p.strict if rules_stay_strict else (),
         weak_dps=weak_dps,
         weak_trs=p.weak if rules_stay_strict else p.strict + p.weak,
-        start_terms=StartTerms.marked_basic(),
+        start_terms=StartKind.MARKED_BASIC,
         signature=frozenset(sig),
     )
 
@@ -90,7 +91,7 @@ def _dp_problem(
 def wdp_problem(p: Problem) -> Problem:
     """Replace the start terms by their marked versions and add the weak
     dependency pairs on top of the original rules."""
-    if p.start_terms.kind is not StartKind.BASIC:
+    if p.start_terms is not StartKind.BASIC:
         raise ValueError("weak dependency pairs need basic start terms")
     return _dp_problem(p, weak_dependency_pair, rules_stay_strict=True)
 
@@ -98,20 +99,11 @@ def wdp_problem(p: Problem) -> Problem:
 def dt_problem(p: Problem) -> Problem:
     """Dependency tuples: all defined activity moves into the marked layer,
     the original rules all become weak.  Innermost problems only."""
-    if p.start_terms.kind is not StartKind.BASIC:
+    if p.start_terms is not StartKind.BASIC:
         raise ValueError("dependency tuples need basic start terms")
     if not is_innermost(p):
         raise ValueError("dependency tuples need an innermost problem")
     return _dp_problem(p, dependency_tuple, rules_stay_strict=False)
-
-
-def rhs_components(rule: Rule) -> tuple[Term, ...]:
-    """The grouped right-hand side parts of a DP (arguments of the compound
-    root, or the whole rhs)."""
-    rhs = rule.rhs
-    if isinstance(rhs, App) and rhs.sym.kind is SymbolKind.COMPOUND:
-        return rhs.args
-    return (rhs,)
 
 
 @dataclass(frozen=True)
@@ -164,12 +156,6 @@ def trim(tr: DerivationTree, rules: Iterable[Rule]) -> DerivationTree:
     return walk(tr)
 
 
-def _group_reduct(v: Term) -> tuple[Term, ...]:
-    if isinstance(v, App) and v.sym.kind is SymbolKind.COMPOUND:
-        return v.args
-    return (v,)
-
-
 def enumerate_derivation_trees(
     p: Problem, start: Term, budget: int
 ) -> Iterator[DerivationTree]:
@@ -187,8 +173,7 @@ def enumerate_derivation_trees(
         out: dict[DerivationTree, None] = {leaf(u): None}
         if b >= 1:
             for _, rule, v in q_successors(u, rules, q):
-                parts = _group_reduct(v)
-                for forest in forests(parts, b - 1):
+                for forest in forests(components(v), b - 1):
                     out.setdefault(DerivationTree(u, rule, forest), None)
         result = tuple(out)
         memo[key] = result

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dependency_pairs import DerivationTree, rhs_components
+from .dependency_pairs import DerivationTree
 from .framework import Problem
 from .rewriting import Rule
-from .terms import App, Term, Var, fresh_var, rename_apart, unify_terms
+from .terms import App, Term, Var, components, fresh_var, rename_apart, unify_terms
 
 
 def tcap(t: Term, rules: Sequence[Rule]) -> Term:
@@ -71,7 +71,7 @@ def estimate_dg(p: Problem) -> DepGraph:
     base = p.strict_trs + p.weak_trs
     edges = set()
     for d1 in dps:
-        for i, comp in enumerate(rhs_components(d1), start=1):
+        for i, comp in enumerate(components(d1.rhs), start=1):
             capped = tcap(comp, base)
             for d2 in dps:
                 if unify_terms(capped, rename_apart(d2.lhs)) is not None:
@@ -87,8 +87,7 @@ def sep(dps: Iterable[Rule]) -> tuple[Rule, ...]:
     """
     out = []
     for d in dps:
-        comps = rhs_components(d)
-        for comp, letter in zip(comps, "abcdefghijklmnopqrstuvwxyz"):
+        for comp, letter in zip(components(d.rhs), "abcdefghijklmnopqrstuvwxyz"):
             out.append(Rule(d.lhs, comp, f"{d.label}{letter}", is_dp=True))
     return tuple(out)
 

@@ -10,22 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import rewriting
 from .rewriting import OracleResult, Rule, check_labels, strict_step_oracle
-from .terms import (
-    App,
-    Symbol,
-    SymbolKind,
-    Term,
-    is_basic,
-    match_term,
-    render,
-    size as term_size,
-    symbols_of,
-    unmark,
-)
+from .terms import Symbol, SymbolKind, Term, components, match_term, symbols_of, unmark
 
 
 @dataclass(frozen=True, order=True)
@@ -71,37 +60,15 @@ def bound_mul(a: Bound, b: Bound) -> Bound:
 
 
 class StartKind(enum.Enum):
+    """Basic terms (runtime), their marked versions after a dependency-pair
+    transformation, or all ground terms (derivational)."""
+
     ALL = "all"
     BASIC = "basic"
     MARKED_BASIC = "marked_basic"
-    EXPLICIT = "explicit"
-
-
-@dataclass(frozen=True)
-class StartTerms:
-    kind: StartKind
-    terms: tuple[Term, ...] = ()
-
-    @classmethod
-    def all_terms(cls) -> "StartTerms":
-        return cls(StartKind.ALL)
-
-    @classmethod
-    def basic(cls) -> "StartTerms":
-        return cls(StartKind.BASIC)
-
-    @classmethod
-    def marked_basic(cls) -> "StartTerms":
-        return cls(StartKind.MARKED_BASIC)
-
-    @classmethod
-    def explicit(cls, terms: Iterable[Term]) -> "StartTerms":
-        return cls(StartKind.EXPLICIT, tuple(terms))
 
     def __str__(self) -> str:
-        if self.kind is StartKind.EXPLICIT:
-            return "{" + ", ".join(render(t) for t in self.terms) + "}"
-        return self.kind.value
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -113,7 +80,7 @@ class Problem:
     weak_dps: tuple[Rule, ...]
     weak_trs: tuple[Rule, ...]
     q: tuple[Rule, ...]
-    start_terms: StartTerms
+    start_terms: StartKind
     signature: frozenset[Symbol]
 
     def __post_init__(self) -> None:
@@ -144,19 +111,7 @@ class Problem:
         return self.strict_dps + self.weak_dps
 
     def is_dp_problem(self) -> bool:
-        """Start terms are marked basic terms and all DPs are well formed."""
-        st = self.start_terms
-        if st.kind is StartKind.MARKED_BASIC:
-            return True
-        if st.kind is StartKind.EXPLICIT:
-            return bool(st.terms) and all(
-                is_basic(t) and isinstance(t, App) and t.sym.kind is SymbolKind.MARKED
-                for t in st.terms
-            )
-        return False
-
-    def is_runtime(self) -> bool:
-        return self.start_terms.kind in (StartKind.BASIC, StartKind.MARKED_BASIC)
+        return self.start_terms is StartKind.MARKED_BASIC
 
     def __str__(self) -> str:
         def lbls(rs: tuple[Rule, ...]) -> str:
@@ -173,14 +128,9 @@ def is_well_formed_dp(rule: Rule) -> bool:
     of compound symbols."""
     if rule.lhs.sym.kind is not SymbolKind.MARKED:
         return False
-    rhs = rule.rhs
-    comps = (
-        rhs.args
-        if isinstance(rhs, App) and rhs.sym.kind is SymbolKind.COMPOUND
-        else (rhs,)
-    )
     return all(
-        not any(s.kind is SymbolKind.COMPOUND for s in symbols_of(c)) for c in comps
+        not any(s.kind is SymbolKind.COMPOUND for s in symbols_of(c))
+        for c in components(rule.rhs)
     )
 
 
@@ -220,12 +170,9 @@ def is_innermost(p: Problem) -> bool:
 
 def start_terms_up_to(p: Problem, n: int, cap: int = 200_000) -> list[Term]:
     """Concrete start terms of size at most n, for the oracles."""
-    st = p.start_terms
-    if st.kind is StartKind.EXPLICIT:
-        return [t for t in st.terms if term_size(t) <= n]
-    if st.kind is StartKind.BASIC:
+    if p.start_terms is StartKind.BASIC:
         return rewriting.basic_terms(p.signature, n, SymbolKind.DEFINED, cap)
-    if st.kind is StartKind.MARKED_BASIC:
+    if p.start_terms is StartKind.MARKED_BASIC:
         return rewriting.basic_terms(p.signature, n, SymbolKind.MARKED, cap)
     return rewriting.ground_terms(
         (s for s in p.signature if s.kind is not SymbolKind.COMPOUND), n, cap

@@ -225,7 +225,7 @@ def mu_monotone(interp: PolyInterp, p: Problem) -> bool:
 def induced_bound(interp: PolyInterp, p: Problem) -> Bound:
     """Degree of the certificate the interpretation yields for p's start terms."""
     ents = interp.entries
-    if p.start_terms.kind is StartKind.ALL:
+    if p.start_terms is StartKind.ALL:
         if all(sp.strongly_linear for sp in ents.values()):
             return Bound.poly(1)
         return Bound.unknown()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .framework import Problem, StartKind, StartTerms
+from .framework import Problem, StartKind
 from .rewriting import Rule
 from .terms import App, Symbol, SymbolKind, Term, Var, render, variables
 
@@ -253,17 +253,13 @@ def parse_problem(text: str) -> Problem:
         (weak if is_weak else strict).append(rule)
 
     all_rules = tuple(strict) + tuple(weak)
-    if start_kind is StartKind.BASIC:
-        starts = StartTerms.basic()
-    else:
-        starts = StartTerms.all_terms()
     return Problem(
         strict_dps=(),
         strict_trs=tuple(strict),
         weak_dps=(),
         weak_trs=tuple(weak),
         q=all_rules if innermost else (),
-        start_terms=starts,
+        start_terms=start_kind,
         signature=frozenset(symbols.values()),
     )
 
@@ -283,9 +279,9 @@ def print_problem(p: Problem) -> str:
     """Inverse of parse_problem for problems the format can express."""
     if p.dps:
         raise ValueError("dependency pairs cannot be written in this format")
-    if p.start_terms.kind is StartKind.BASIC:
+    if p.start_terms is StartKind.BASIC:
         start = "CONSTRUCTOR-BASED"
-    elif p.start_terms.kind is StartKind.ALL:
+    elif p.start_terms is StartKind.ALL:
         start = "FULL"
     else:
         raise ValueError(f"start terms {p.start_terms} cannot be written")

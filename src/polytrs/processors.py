@@ -233,6 +233,8 @@ def apply_processor(
 
 # DG decomposition tries at most this many down-sets per DP problem.
 _DGD_CANDIDATES = 8
+# A search applies at most this many processors before it gives up.
+_STEP_CAP = 500
 
 
 @dataclass
@@ -240,12 +242,11 @@ class StrategyConfig:
     degree_max: int = 3
     coeff_max: int = 3
     timeout: Optional[float] = None
-    step_cap: int = 500
 
 
 class _SearchState:
     def __init__(self, cfg: StrategyConfig) -> None:
-        self.remaining = cfg.step_cap
+        self.remaining = _STEP_CAP
         self.deadline = (
             None if cfg.timeout is None else time.monotonic() + cfg.timeout
         )
@@ -310,7 +311,7 @@ def _prove(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
         return _give_up(p, stop)
     if not p.strict:
         return Axiom(Judgement(p, Bound.poly(0)))
-    if p.start_terms.kind is StartKind.BASIC:
+    if p.start_terms is StartKind.BASIC:
         # dependency tuples reject problems that are not innermost
         node = _chain("dependency_tuples", {}, p, cfg, st) or _chain(
             "weak_dependency_pairs", {}, p, cfg, st
@@ -318,9 +319,7 @@ def _prove(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
         return node or _give_up(p)
     if p.is_dp_problem():
         return _prove_dp(p, cfg, st)
-    if p.start_terms.kind is StartKind.ALL:
-        return _prove_derivational(p, cfg, st)
-    return _give_up(p)
+    return _prove_derivational(p, cfg, st)
 
 
 def _prove_dp(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
-from .framework import Bound, Judgement, Problem, StartKind, StartTerms, problems_equal
+from .framework import Bound, Judgement, Problem, StartKind, problems_equal
 from .rewriting import Rule
 from .terms import App, Symbol, SymbolKind, Term, Var
 
@@ -185,20 +185,6 @@ def rule_from_json(obj: Any) -> Rule:
     return Rule(lhs, term_from_json(obj["rhs"]), obj["label"], is_dp=obj["dp"])
 
 
-def start_terms_to_json(st: StartTerms) -> Any:
-    out: dict[str, Any] = {"kind": st.kind.value}
-    if st.kind is StartKind.EXPLICIT:
-        out["terms"] = [term_to_json(t) for t in st.terms]
-    return out
-
-
-def start_terms_from_json(obj: Any) -> StartTerms:
-    kind = StartKind(obj["kind"])
-    if kind is StartKind.EXPLICIT:
-        return StartTerms.explicit(tuple(term_from_json(t) for t in obj["terms"]))
-    return StartTerms(kind, ())
-
-
 def problem_to_json(p: Problem) -> Any:
     return {
         "strict_dps": [rule_to_json(r) for r in p.strict_dps],
@@ -206,7 +192,7 @@ def problem_to_json(p: Problem) -> Any:
         "weak_dps": [rule_to_json(r) for r in p.weak_dps],
         "weak_trs": [rule_to_json(r) for r in p.weak_trs],
         "q": [rule_to_json(r) for r in p.q],
-        "start_terms": start_terms_to_json(p.start_terms),
+        "start_terms": {"kind": p.start_terms.value},
         "signature": [
             symbol_to_json(s)
             for s in sorted(p.signature, key=lambda s: (s.name, s.kind.value))
@@ -221,7 +207,7 @@ def problem_from_json(obj: Any) -> Problem:
         weak_dps=tuple(rule_from_json(r) for r in obj["weak_dps"]),
         weak_trs=tuple(rule_from_json(r) for r in obj["weak_trs"]),
         q=tuple(rule_from_json(r) for r in obj["q"]),
-        start_terms=start_terms_from_json(obj["start_terms"]),
+        start_terms=StartKind(obj["start_terms"]["kind"]),
         signature=frozenset(symbol_from_json(s) for s in obj["signature"]),
     )
 

@@ -108,6 +108,13 @@ def com(ts: tuple[Term, ...] | list[Term]) -> Term:
     return App(compound(len(ts)), ts)
 
 
+def components(t: Term) -> tuple[Term, ...]:
+    """Inverse of com: the arguments of a compound root, else t itself."""
+    if isinstance(t, App) and t.sym.kind is SymbolKind.COMPOUND:
+        return t.args
+    return (t,)
+
+
 def size(t: Term) -> int:
     if isinstance(t, Var):
         return 1
@@ -241,23 +248,6 @@ def rename_apart(t: Term) -> Term:
     """Replace every variable of t consistently by a fresh one."""
     ren = {x: fresh_var() for x in variables(t)}
     return apply_subst(t, ren)
-
-
-def is_basic(t: Term) -> bool:
-    """Defined or marked root with arguments built from constructors and variables."""
-    if not isinstance(t, App):
-        return False
-    if t.sym.kind not in (SymbolKind.DEFINED, SymbolKind.MARKED):
-        return False
-
-    def constructor_term(s: Term) -> bool:
-        if isinstance(s, Var):
-            return True
-        return s.sym.kind is SymbolKind.CONSTRUCTOR and all(
-            constructor_term(a) for a in s.args
-        )
-
-    return all(constructor_term(a) for a in t.args)
 
 
 def render(t: Term) -> str:

@@ -20,7 +20,7 @@ from polytrs.dependency_pairs import (
 from polytrs.depgraph import chains_of, estimate_dg
 from polytrs.framework import (
     Problem,
-    StartTerms,
+    StartKind,
     cc_oracle,
     problems_equal,
     start_terms_up_to,
@@ -359,7 +359,7 @@ def test_09_unsound_removals_rejected(capsys):
         weak_dps=(spawner,),
         weak_trs=(),
         q=(),
-        start_terms=StartTerms.explicit((App(f_mark),)),
+        start_terms=StartKind.MARKED_BASIC,
         signature=frozenset({f_mark, g_mark, c0, c2}),
     )
     removal_refused = all(
@@ -383,7 +383,7 @@ def test_09_unsound_removals_rejected(capsys):
         weak_dps=(),
         weak_trs=(),
         q=(),
-        start_terms=StartTerms.explicit((App(f_mark),)),
+        start_terms=StartKind.MARKED_BASIC,
         signature=frozenset({f_mark, g_def, c1}),
     )
     suffix_refused = (

@@ -73,6 +73,11 @@ class TestOracle:
             "5\tExact(5)",
         ]
 
+    def test_size_zero_is_one_row(self, capsys):
+        code = main(["oracle", MULT, "--size", "0", "--budget", "1"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == ["n\tcc", "0\tExact(0)"]
+
     def test_exp_table_prefix(self, capsys):
         code = main(["oracle", EXP, "--size", "3", "--budget", "200"])
         out = capsys.readouterr().out
@@ -105,15 +110,23 @@ class TestErrors:
         assert captured.err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "option", [["--degree-max", "0"], ["--coeff-max", "0"], ["--timeout", "-1"]]
+        "option",
+        [
+            ["analyze", "--degree-max", "0"],
+            ["analyze", "--coeff-max", "0"],
+            ["analyze", "--timeout", "-1"],
+            ["oracle", "--budget", "0"],
+            ["oracle", "--budget", "-3"],
+            ["oracle", "--size", "-1"],
+        ],
     )
     def test_search_option_out_of_range(self, capsys, option):
         with pytest.raises(SystemExit) as stop:
-            main(["analyze", MULT, *option])
+            main([option[0], MULT, *option[1:]])
         captured = capsys.readouterr()
         assert stop.value.code == 2
         assert captured.out == ""
-        assert f"argument {option[0]}:" in captured.err
+        assert f"argument {option[1]}:" in captured.err
 
     def test_oracle_depth_names_the_size(self, tmp_path):
         grow = tmp_path / "grow.trs"

@@ -10,7 +10,6 @@ from polytrs.dependency_pairs import (
     dt_problem,
     enumerate_derivation_trees,
     leaf,
-    rhs_components,
     tree_edges,
     tree_size_oracle,
     tree_size_restricted,
@@ -18,13 +17,14 @@ from polytrs.dependency_pairs import (
     weak_dependency_pair,
     wdp_problem,
 )
-from polytrs.framework import StartKind, StartTerms, Problem
+from polytrs.framework import StartKind, Problem
 from polytrs.rewriting import OracleResult, q_successors, strict_step_oracle
 from polytrs.terms import (
     App,
     SymbolKind,
     Var,
     com,
+    components,
     compound,
     marked,
     render,
@@ -92,8 +92,8 @@ class TestTransforms:
     ):
         for p in (mult_problem, exp_problem):
             for rule in p.all_rules:
-                wdp_comps = rhs_components(weak_dependency_pair(rule, "w"))
-                dt_comps = rhs_components(dependency_tuple(rule, "t"))
+                wdp_comps = components(weak_dependency_pair(rule, "w").rhs)
+                dt_comps = components(dependency_tuple(rule, "t").rhs)
                 for c in wdp_comps:
                     if isinstance(c, Var):
                         continue
@@ -106,14 +106,14 @@ class TestProblemTransforms:
         assert [r.label for r in pw.strict_dps] == ["1", "2", "3", "4"]
         assert pw.strict_trs == mult_problem.strict_trs
         assert pw.weak_dps == ()
-        assert pw.start_terms.kind is StartKind.MARKED_BASIC
+        assert pw.start_terms is StartKind.MARKED_BASIC
         assert pw.q == mult_problem.q
 
     def test_dt_problem_shape(self, mult_dt, mult_problem):
         assert [r.label for r in mult_dt.strict_dps] == ["1", "2", "3", "4"]
         assert mult_dt.strict_trs == ()
         assert mult_dt.weak_trs == mult_problem.strict_trs
-        assert mult_dt.start_terms.kind is StartKind.MARKED_BASIC
+        assert mult_dt.start_terms is StartKind.MARKED_BASIC
 
     def test_wdp_requires_basic_starts(self, mult_problem):
         derivational = Problem(
@@ -122,7 +122,7 @@ class TestProblemTransforms:
             weak_dps=(),
             weak_trs=(),
             q=(),
-            start_terms=StartTerms.all_terms(),
+            start_terms=StartKind.ALL,
             signature=mult_problem.signature,
         )
         with pytest.raises(ValueError):
@@ -135,7 +135,7 @@ class TestProblemTransforms:
             weak_dps=(),
             weak_trs=(),
             q=(),
-            start_terms=StartTerms.basic(),
+            start_terms=StartKind.BASIC,
             signature=mult_problem.signature,
         )
         with pytest.raises(ValueError):

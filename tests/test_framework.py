@@ -7,7 +7,6 @@ from polytrs.framework import (
     Bound,
     Problem,
     StartKind,
-    StartTerms,
     bound_add,
     bound_mul,
     cc_oracle,
@@ -15,8 +14,8 @@ from polytrs.framework import (
     problems_equal,
     start_terms_up_to,
 )
-from polytrs.rewriting import OracleResult, Rule
-from polytrs.terms import App, Symbol, SymbolKind, Var, com, mark, marked
+from polytrs.rewriting import OracleResult
+from polytrs.terms import SymbolKind
 
 bounds = st.one_of(
     st.just(Bound.unknown()), st.integers(min_value=0, max_value=6).map(Bound.poly)
@@ -65,7 +64,7 @@ class TestProblemValidation:
                 weak_dps=(),
                 weak_trs=(),
                 q=(),
-                start_terms=StartTerms.basic(),
+                start_terms=StartKind.BASIC,
                 signature=mult_problem.signature,
             )
 
@@ -78,27 +77,12 @@ class TestProblemValidation:
                 weak_dps=(),
                 weak_trs=(rule,),
                 q=(),
-                start_terms=StartTerms.basic(),
+                start_terms=StartKind.BASIC,
                 signature=mult_problem.signature,
             )
 
-    def test_is_dp_problem_variants(self, mult_dt):
+    def test_is_dp_problem_variants(self, mult_problem, mult_dt):
         assert mult_dt.is_dp_problem()
-        f = Symbol("f", 0, SymbolKind.MARKED)
-        explicit = Problem(
-            strict_dps=(),
-            strict_trs=(),
-            weak_dps=(),
-            weak_trs=(),
-            q=(),
-            start_terms=StartTerms.explicit((App(f),)),
-            signature=frozenset({f}),
-        )
-        assert explicit.is_dp_problem()
-
-    def test_runtime_kinds(self, mult_problem, mult_dt):
-        assert mult_problem.is_runtime()
-        assert mult_dt.is_runtime()
         assert not mult_problem.is_dp_problem()
 
 
@@ -113,7 +97,7 @@ class TestInnermost:
             weak_dps=(),
             weak_trs=(),
             q=(),
-            start_terms=StartTerms.basic(),
+            start_terms=StartKind.BASIC,
             signature=mult_problem.signature,
         )
         assert not is_innermost(full)
@@ -132,12 +116,6 @@ class TestStartTerms:
         assert len(terms) == 2
         assert all(t.sym.kind is SymbolKind.MARKED for t in terms)
 
-    def test_explicit_filtering(self):
-        f = Symbol("f", 0, SymbolKind.MARKED)
-        st_ = StartTerms.explicit((App(f),))
-        p = Problem((), (), (), (), (), st_, frozenset({f}))
-        assert start_terms_up_to(p, 5) == [App(f)]
-
 
 class TestCcOracle:
     def test_empty_strict_is_constant(self, mult_problem):
@@ -147,7 +125,7 @@ class TestCcOracle:
             weak_dps=(),
             weak_trs=mult_problem.strict_trs,
             q=mult_problem.q,
-            start_terms=StartTerms.basic(),
+            start_terms=StartKind.BASIC,
             signature=mult_problem.signature,
         )
         assert cc_oracle(p, 6, 50) == OracleResult.exactly(0)

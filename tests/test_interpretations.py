@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from polytrs.framework import Bound, Problem, StartTerms
+from polytrs.framework import Bound, Problem, StartKind
 from polytrs.interpretations import (
     PolyInterp,
     Polynomial,
@@ -153,7 +153,7 @@ def relative_problem(strict_labels: set[str]) -> Problem:
         weak_dps=(),
         weak_trs=weak,
         q=(),
-        start_terms=StartTerms.basic(),
+        start_terms=StartKind.BASIC,
         signature=SIGNATURE,
     )
 
@@ -259,7 +259,7 @@ class TestMuMonotone:
 
 class TestInducedBound:
     def mk(self, interp, kind_all=False):
-        starts = StartTerms.all_terms() if kind_all else StartTerms.basic()
+        starts = StartKind.ALL if kind_all else StartKind.BASIC
         p = Problem(
             strict_dps=(),
             strict_trs=(MULT_RULES[2],),
@@ -319,7 +319,7 @@ class TestSynthesize:
             weak_dps=(),
             weak_trs=(),
             q=(),
-            start_terms=StartTerms.all_terms(),
+            start_terms=StartKind.ALL,
             signature=SIGNATURE,
         )
         interp = synthesize(p, 1, 1)
@@ -337,7 +337,7 @@ class TestSynthesize:
             weak_dps=(),
             weak_trs=(),
             q=(),
-            start_terms=StartTerms.basic(),
+            start_terms=StartKind.BASIC,
             signature=frozenset({g, S, ZERO}),
         )
         assert synthesize(p, 2, 2) is None

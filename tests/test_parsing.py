@@ -27,7 +27,7 @@ class TestHappyPath:
         assert p.weak_trs == () and p.dps == ()
         assert p.q == p.all_rules
         assert is_innermost(p)
-        assert p.start_terms.kind is StartKind.BASIC
+        assert p.start_terms is StartKind.BASIC
         kinds = {s.name: s.kind for s in p.signature}
         assert kinds["plus"] is SymbolKind.DEFINED
         assert kinds["times"] is SymbolKind.DEFINED
@@ -49,11 +49,11 @@ class TestHappyPath:
         p = parse_problem("(VAR x)(RULES f(x) -> x)")
         assert p.q == ()
         assert not is_innermost(p)
-        assert p.start_terms.kind is StartKind.BASIC
+        assert p.start_terms is StartKind.BASIC
 
     def test_full_start_terms(self):
         p = parse_problem("(VAR x)(RULES f(x) -> x)(STARTTERM FULL)")
-        assert p.start_terms.kind is StartKind.ALL
+        assert p.start_terms is StartKind.ALL
 
     def test_comment_section_skipped(self):
         p = parse_problem(

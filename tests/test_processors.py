@@ -10,7 +10,6 @@ import pytest
 from polytrs.dependency_pairs import (
     dt_problem,
     enumerate_derivation_trees,
-    rhs_components,
     tree_size_restricted,
     trim,
     wdp_problem,
@@ -19,20 +18,18 @@ from polytrs.framework import (
     Bound,
     Problem,
     StartKind,
-    StartTerms,
     is_innermost,
     problems_equal,
 )
 from polytrs.interpretations import synthesize
 from polytrs.processors import (
-    StrategyConfig,
     apply_processor,
     default_strategy,
     interp_from_json,
     interp_to_json,
 )
 from polytrs.proofs import Assumption, Axiom, render_proof
-from polytrs.terms import App
+from polytrs.terms import App, components
 from tests.conftest import ROOT, constructor, marked_sym
 
 P0 = Bound.poly(0)
@@ -230,7 +227,7 @@ class TestDpTransforms:
             weak_dps=(),
             weak_trs=(),
             q=(),
-            start_terms=StartTerms.basic(),
+            start_terms=StartKind.BASIC,
             signature=mult_problem.signature,
         )
         assert apply_processor("dependency_tuples", {}, full) is None
@@ -339,7 +336,7 @@ class TestDgDecomposition:
         assert [d.label for d in down.strict_dps] == ["2"]
         assert [d.label for d in down.weak_dps] == ["4a", "4b"]
         assert {
-            (d.label, len(rhs_components(d))) for d in down.weak_dps
+            (d.label, len(components(d.rhs))) for d in down.weak_dps
         } == {("4a", 1), ("4b", 1)}
         assert up.weak_trs == p.weak_trs and down.weak_trs == p.weak_trs
 
@@ -380,7 +377,7 @@ class TestDgDecomposition:
         down_rules = tuple(d for d in p.strict_dps if d.label == "2")
         up_rules = tuple(d for d in p.strict_dps if d.label == "4")
         keep_up = tuple(r for r in p.all_rules if r not in down_rules)
-        width = max(len(rhs_components(d)) for d in p.dps)
+        width = max(len(components(d.rhs)) for d in p.dps)
 
         def topmost_down(node):
             if node.rule is not None and node.rule in down_rules:
@@ -476,8 +473,9 @@ class TestDefaultStrategy:
         assert isinstance(proof, Axiom)
         assert proof.judgement.bound == P0
 
-    def test_step_cap_reports_exhaustion(self, mult_problem):
-        proof = default_strategy(mult_problem, StrategyConfig(step_cap=0))
+    def test_step_cap_reports_exhaustion(self, mult_problem, monkeypatch):
+        monkeypatch.setattr("polytrs.processors._STEP_CAP", 0)
+        proof = default_strategy(mult_problem)
         assert isinstance(proof, Assumption)
         assert proof.note == "step budget exhausted"
         assert "[open" in render_proof(proof)
@@ -519,17 +517,3 @@ class TestDefaultStrategy:
             "8b518e224cae9babef008b1206c8089132518292845e69694e8efdf5e9345515",
             "32f11038961d6c93e6c890d53be9c7ff6d27507a8252febf6a27f9bcbf635115",
         ]
-
-    def test_explicit_starts_stay_open(self, mult_problem):
-        p = Problem(
-            strict_dps=(),
-            strict_trs=mult_problem.strict_trs,
-            weak_dps=(),
-            weak_trs=(),
-            q=mult_problem.q,
-            start_terms=StartTerms.explicit((num(mult_problem, 3),)),
-            signature=mult_problem.signature,
-        )
-        proof = default_strategy(p)
-        assert isinstance(proof, Assumption)
-        assert proof.judgement.bound == UNK

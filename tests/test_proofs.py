@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from polytrs.framework import Bound, Judgement, Problem, StartTerms, problems_equal
+from polytrs.framework import Bound, Judgement, Problem, problems_equal
 from polytrs.proofs import (
     Assumption,
     Axiom,
@@ -153,6 +153,15 @@ class TestJsonRoundtrip:
         with pytest.raises(ValueError):
             proof_from_json(obj)
 
+    def test_explicit_start_kind_is_rejected(self, mult_proof):
+        obj = proof_to_json(mult_proof)
+        obj["proof"]["conclusion"]["problem"]["start_terms"] = {
+            "kind": "explicit",
+            "terms": [],
+        }
+        with pytest.raises(ValueError):
+            proof_from_json(obj)
+
     def test_variable_lhs_is_rejected(self, mult_problem):
         obj = proof_to_json(Axiom(Judgement(empty_problem(mult_problem), Bound.poly(0))))
         obj["proof"]["conclusion"]["problem"]["weak_trs"][0]["lhs"] = {"var": "y"}
@@ -180,17 +189,3 @@ class TestComponentSerializers:
     def test_problem(self, mult_dt, exp_problem):
         for p in (mult_dt, exp_problem):
             assert problems_equal(problem_from_json(problem_to_json(p)), p)
-
-    def test_explicit_start_terms(self, mult_problem):
-        p = Problem(
-            strict_dps=(),
-            strict_trs=mult_problem.strict_trs,
-            weak_dps=(),
-            weak_trs=(),
-            q=(),
-            start_terms=StartTerms.explicit((App(constructor(mult_problem, "0")),)),
-            signature=mult_problem.signature,
-        )
-        back = problem_from_json(problem_to_json(p))
-        assert problems_equal(back, p)
-        assert back.start_terms.terms == p.start_terms.terms

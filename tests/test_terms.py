@@ -13,7 +13,6 @@ from polytrs.terms import (
     apply_subst,
     com,
     compound,
-    is_basic,
     mark,
     marked,
     match_term,
@@ -101,7 +100,6 @@ class TestStructure:
 class TestMarking:
     def test_mark_unmark_roundtrip_on_basic(self):
         t = App(PLUS, (num(1), num(0)))
-        assert is_basic(t)
         assert unmark(mark(t)) == t
         assert mark(t).sym == marked(PLUS)
         assert marked(PLUS).display_name == "plus#"
