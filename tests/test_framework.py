@@ -81,8 +81,12 @@ class TestProblemValidation:
                 signature=mult_problem.signature,
             )
 
-    def test_is_dp_problem_variants(self, mult_problem, mult_dt):
+    def test_is_dp_problem_variants(self, mult_dt):
         assert mult_dt.is_dp_problem()
+
+    def test_runtime_kinds(self, mult_problem, mult_dt):
+        assert mult_problem.start_terms is StartKind.BASIC
+        assert mult_dt.start_terms is StartKind.MARKED_BASIC
         assert not mult_problem.is_dp_problem()
 
 
