@@ -64,10 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--coeff-max",
         type=_at_least(1),
         default=3,
-        help="largest coefficient to search",
+        help="largest interpretation coefficient to search; each box up to "
+        "these limits is searched completely",
     )
     analyze.add_argument(
-        "--timeout", type=_seconds, default=None, help="soft time limit in seconds"
+        "--timeout", type=_seconds, default=None, help="time limit in seconds"
     )
     analyze.add_argument(
         "--proof",

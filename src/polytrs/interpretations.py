@@ -10,8 +10,9 @@ Orientation is checked by absolute positiveness: every coefficient of
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .framework import Bound, Problem, StartKind
 from .rewriting import Rule
@@ -148,10 +149,6 @@ class SymbolPoly:
         return f"{head} = {' + '.join(parts)}"
 
 
-def strongly_linear_poly(arity: int, const: int) -> SymbolPoly:
-    return SymbolPoly((1,) * arity, (0,) * arity, const)
-
-
 @dataclass(frozen=True)
 class PolyInterp:
     entries: Mapping[Symbol, SymbolPoly]
@@ -244,28 +241,28 @@ def induced_bound(interp: PolyInterp, p: Problem) -> Bound:
     return Bound.poly(deg)
 
 
-def _candidate_polys(
-    sym: Symbol, degree: int, coeff_max: int, p: Problem
-) -> list[SymbolPoly]:
-    """Candidate interpretations for one symbol, small coefficients first."""
-    n = sym.arity
-    if sym.kind in (SymbolKind.CONSTRUCTOR, SymbolKind.COMPOUND):
-        return [strongly_linear_poly(n, c) for c in range(coeff_max + 1)]
-    monotone = needs_monotone(p, sym)
-    out: list[SymbolPoly] = []
-    sq_choices: Iterator[tuple[int, ...]]
-    if degree >= 2:
-        sq_choices = itertools.product(range(coeff_max + 1), repeat=n)
-    else:
-        sq_choices = iter([(0,) * n])
-    for sq in sq_choices:
-        for lin in itertools.product(range(coeff_max + 1), repeat=n):
-            if monotone and 0 in lin:
-                continue
-            for const in range(coeff_max + 1):
-                out.append(SymbolPoly(lin, sq, const))
-    out.sort(key=lambda sp: (sum(sp.lin) + sum(sp.sq) + sp.const, sp.sq, sp.lin, sp.const))
-    return out
+# A flat parametric polynomial: {(term monomial, unknown monomial): coefficient}.
+# An unknown monomial is a sorted tuple of unknown indices, one per factor.
+_Parametric = dict[tuple[Monomial, tuple[int, ...]], int]
+
+
+@dataclass(frozen=True)
+class Synthesis:
+    """Result of one interpretation search.
+
+    outcome is "found", "refuted" (the whole box was searched and holds no
+    compatible interpretation), "budget" or "deadline" (the search stopped
+    early, so interp is None without proving anything).  nodes counts the
+    propagations after a branching decision or a candidate trial.
+    """
+
+    interp: Optional[PolyInterp]
+    outcome: str
+    nodes: int
+
+
+class _Stop(Exception):
+    """The node budget or the deadline ran out; args are (outcome, nodes)."""
 
 
 def synthesize(
@@ -273,66 +270,311 @@ def synthesize(
     degree: int,
     coeff_max: int,
     search_limit: int = 60_000,
+    deadline: Optional[float] = None,
 ) -> Optional[PolyInterp]:
-    """Backtracking search for an interpretation compatible with p.
+    """The first interpretation compatible with p, or None.
 
-    Symbols are assigned one at a time; every rule is checked as soon as all
-    of its symbols have interpretations, which prunes most of the space.  The
-    search gives up (returns None) after search_limit assignments, so absence
-    of a result means "not found", not a proof of impossibility.
+    None means that no interpretation of the given degree with coefficients
+    at most coeff_max orients p, unless the search ran out of its
+    search_limit nodes or passed deadline (a time.monotonic() value);
+    search_interpretation tells these cases apart.
+    """
+    return search_interpretation(p, degree, coeff_max, search_limit, deadline).interp
+
+
+def search_interpretation(
+    p: Problem,
+    degree: int,
+    coeff_max: int,
+    search_limit: int = 60_000,
+    deadline: Optional[float] = None,
+) -> Synthesis:
+    """Complete search over the box of interpretations, with statistics.
+
+    Constructor and compound symbols get [f](x1..xn) = x1 + ... + xn + c; the
+    others sq_i*x_i^2 (degree 2 only) + lin_i*x_i + c, with lin_i >= 1 where
+    needs_monotone.  Every coefficient lies in 0..coeff_max.  Symbols are
+    ordered by (kind, arity, name), the candidates of one symbol by
+    coefficient sum, then (sq, lin, const); the answer is the first
+    assignment in this lexicographic order that orients every rule, which is
+    what a backtracking enumeration of the candidates would return first.
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    syms = set()
-    for r in p.all_rules:
-        syms |= symbols_of(r.lhs) | symbols_of(r.rhs)
-    kind_rank = {
-        SymbolKind.CONSTRUCTOR: 0,
-        SymbolKind.COMPOUND: 0,
-        SymbolKind.DEFINED: 1,
-        SymbolKind.MARKED: 2,
-    }
-    order = sorted(syms, key=lambda s: (kind_rank[s.kind], s.arity, s.name))
-    pos_of = {s: i for i, s in enumerate(order)}
+    try:
+        solver = _Solver(p, degree, coeff_max, search_limit, deadline)
+        interp = solver.first_solution()
+    except _Stop as stop:
+        return Synthesis(None, *stop.args)
+    return Synthesis(interp, "refuted" if interp is None else "found", solver.nodes)
 
-    # rules become checkable once their last symbol (in assignment order) is set
-    checkable: list[list[tuple[Rule, bool]]] = [[] for _ in order]
-    for rule, is_strict in [(r, True) for r in p.strict] + [
-        (r, False) for r in p.weak
-    ]:
-        used = symbols_of(rule.lhs) | symbols_of(rule.rhs)
-        last = max(pos_of[s] for s in used)
-        checkable[last].append((rule, is_strict))
 
-    candidates = [_candidate_polys(s, degree, coeff_max, p) for s in order]
-    assignment: dict[Symbol, SymbolPoly] = {}
-    visited = 0
+class _Solver:
+    """Orientation constraints over unknown coefficients, solved over a box.
 
-    def search(k: int) -> Optional[PolyInterp]:
-        nonlocal visited
-        if k == len(order):
-            return PolyInterp(dict(assignment))
-        for cand in candidates[k]:
-            visited += 1
-            if visited > search_limit:
-                return None
-            assignment[order[k]] = cand
-            interp = PolyInterp(assignment)
-            ok = True
-            for rule, is_strict in checkable[k]:
-                if is_strict:
-                    ok = orients_strictly(interp, rule)
-                else:
-                    ok = orients_weakly(interp, rule)
-                if not ok:
-                    break
-            if ok:
-                found = search(k + 1)
-                if found is not None:
-                    return found
-            if visited > search_limit:
-                break
-        assignment.pop(order[k], None)
+    Each rule's [l] - [r] (- 1 when strict) is expanded once over the
+    unknowns; absolute positiveness makes every coefficient of a term
+    monomial one constraint "sum of c * product of unknowns >= 0".  The
+    solver narrows the bounds lo..hi of the unknowns by propagation and
+    branches on the smallest open domain (Contejean, Marche, Tomas, Urbain,
+    JAR 2005; Fuhs et al., SAT 2007).
+    """
+
+    def __init__(
+        self,
+        p: Problem,
+        degree: int,
+        coeff_max: int,
+        search_limit: int,
+        deadline: Optional[float],
+    ) -> None:
+        self.limit = search_limit
+        self.deadline = deadline
+        self.nodes = 0
+        syms: set[Symbol] = set()
+        for r in p.all_rules:
+            syms |= symbols_of(r.lhs) | symbols_of(r.rhs)
+        kind_rank = {
+            SymbolKind.CONSTRUCTOR: 0,
+            SymbolKind.COMPOUND: 0,
+            SymbolKind.DEFINED: 1,
+            SymbolKind.MARKED: 2,
+        }
+        self.order = sorted(syms, key=lambda s: (kind_rank[s.kind], s.arity, s.name))
+
+        # the unknowns of a symbol of arity n: sq_1..sq_n, lin_1..lin_n, const
+        self.lo: list[int] = []
+        self.hi: list[int] = []
+        self.slots: dict[Symbol, slice] = {}
+        for sym in self.order:
+            n = sym.arity
+            if sym.kind in (SymbolKind.CONSTRUCTOR, SymbolKind.COMPOUND):
+                box = [(0, 0)] * n + [(1, 1)] * n
+            else:
+                lin_lo = 1 if needs_monotone(p, sym) else 0
+                box = [(0, coeff_max if degree == 2 else 0)] * n
+                box += [(lin_lo, coeff_max)] * n
+            box.append((0, coeff_max))
+            self.slots[sym] = slice(len(self.lo), len(self.lo) + len(box))
+            self.lo += [l for l, _ in box]
+            self.hi += [h for _, h in box]
+
+        # constraint i is a tuple of (c, unknown monomial) terms
+        self.cons: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
+        # per constraint: (unknown, indices of the terms it occurs in)
+        self.occurs: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
+        self.watch: list[list[int]] = [[] for _ in self.lo]
+        for rule in p.strict:
+            self._add_rule(rule, True)
+        for rule in p.weak:
+            self._add_rule(rule, False)
+        self.constrained = [u for u, w in enumerate(self.watch) if w]
+
+    # --- constraints ---------------------------------------------------------
+
+    def _add_rule(self, rule: Rule, strict: bool) -> None:
+        diff = self._expand(rule.lhs)
+        for key, c in self._expand(rule.rhs).items():
+            diff[key] = diff.get(key, 0) - c
+        if strict:
+            diff[(_ONE, ())] = diff.get((_ONE, ()), 0) - 1
+        groups: dict[Monomial, list[tuple[int, tuple[int, ...]]]] = {}
+        for (mono, unknowns), c in diff.items():
+            if c:
+                groups.setdefault(mono, []).append((c, unknowns))
+        del diff
+        lo, hi = self.lo, self.hi
+        for terms in groups.values():
+            if _value(terms, lo, hi) >= 0:
+                continue  # holds everywhere in the box
+            where: dict[int, list[int]] = {}
+            for k, (_, unknowns) in enumerate(terms):
+                for u in set(unknowns):
+                    where.setdefault(u, []).append(k)
+            for u in where:
+                self.watch[u].append(len(self.cons))
+            self.cons.append(tuple(terms))
+            self.occurs.append(tuple((u, tuple(ks)) for u, ks in where.items()))
+
+    def _coefficient(self, poly: _Parametric, u: int, out: _Parametric) -> None:
+        """out += unknown u * poly, with u substituted when its value is fixed."""
+        if self.lo[u] == self.hi[u]:
+            k = self.lo[u]
+            if k:
+                for key, c in poly.items():
+                    out[key] = out.get(key, 0) + k * c
+            return
+        for (mono, unknowns), c in poly.items():
+            key = (mono, tuple(sorted(unknowns + (u,))))
+            out[key] = out.get(key, 0) + c
+
+    def _expand(self, t: Term) -> _Parametric:
+        """[t] over the unknowns."""
+        if isinstance(t, Var):
+            return {(((t.name, 1),), ()): 1}
+        base = self.slots[t.sym].start
+        n = t.sym.arity
+        out: _Parametric = {}
+        self._coefficient({(_ONE, ()): 1}, base + 2 * n, out)
+        for i, a in enumerate(t.args):
+            arg = self._expand(a)
+            self._coefficient(arg, base + n + i, out)
+            if self.hi[base + i]:
+                self._coefficient(self._square(arg), base + i, out)
+        return out
+
+    def _square(self, poly: _Parametric) -> _Parametric:
+        out: _Parametric = {}
+        items = list(poly.items())
+        for (m1, u1), c1 in items:
+            # nested squares grow fast: keep the deadline while expanding
+            self._check_deadline()
+            for (m2, u2), c2 in items:
+                key = (_mul_monomials(m1, m2), tuple(sorted(u1 + u2)))
+                out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    # --- search --------------------------------------------------------------
+
+    def _check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Stop("deadline", self.nodes)
+
+    def _node(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise _Stop("budget", self.nodes)
+        self._check_deadline()
+
+    def _propagate(self, lo: list[int], hi: list[int], queue: Iterable[int]) -> bool:
+        """Narrow lo..hi until no constraint can shave an end of a domain.
+
+        A constraint's largest value in the box takes positive terms at hi and
+        negative ones at lo.  When it stays negative with one unknown at an
+        end of its domain, that end is removed.  False when a constraint
+        cannot hold in the box.
+        """
+        cons, occurs, watch = self.cons, self.occurs, self.watch
+        pending = set(queue)
+        while pending:
+            ci = pending.pop()
+            terms = cons[ci]
+            vals = []
+            top = 0
+            for c, unknowns in terms:
+                bound = hi if c > 0 else lo
+                for u in unknowns:
+                    c *= bound[u]
+                vals.append(c)
+                top += c
+            if top < 0:
+                return False
+            for u, ks in occurs[ci]:
+                l, h = lo[u], hi[u]
+                if l == h:
+                    continue
+                at_l = at_h = top
+                for k in ks:
+                    c, unknowns = terms[k]
+                    if c > 0:
+                        for x in unknowns:
+                            c *= l if x == u else hi[x]
+                        at_l -= vals[k] - c
+                    else:
+                        for x in unknowns:
+                            c *= h if x == u else lo[x]
+                        at_h -= vals[k] - c
+                if at_l >= 0 and at_h >= 0:
+                    continue
+                if at_l < 0:
+                    lo[u] = l = l + 1
+                if at_h < 0:
+                    hi[u] = h = h - 1
+                if l > h:
+                    return False
+                pending.update(watch[u])
+        return True
+
+    def _narrow(
+        self, lo: list[int], hi: list[int], s: slice, low: Sequence[int], high: Sequence[int]
+    ) -> Optional[tuple[list[int], list[int]]]:
+        """A propagated copy of the box with the unknowns s in low..high, or
+        None when propagation empties it."""
+        self._node()
+        lo, hi = lo[:], hi[:]
+        lo[s], hi[s] = low, high
+        queue = {ci for w in self.watch[s] for ci in w}
+        return (lo, hi) if self._propagate(lo, hi, queue) else None
+
+    def _witness(self, lo: list[int], hi: list[int]) -> Optional[list[int]]:
+        """Some solution in a propagated box, or None if it has none.
+
+        Depth first, with the branch u = lo[u] before u in lo[u]+1..hi[u];
+        each branch is narrowed only when it is taken.
+        """
+        todo: list[tuple[list[int], list[int], Optional[tuple]]] = [(lo, hi, None)]
+        while todo:
+            lo, hi, branch = todo.pop()
+            if branch is not None:
+                box = self._narrow(lo, hi, *branch)
+                if box is None:
+                    continue
+                lo, hi = box
+            open_ = [u for u in self.constrained if lo[u] < hi[u]]
+            if not open_:
+                return lo
+            u = min(open_, key=lambda x: hi[x] - lo[x])
+            s = slice(u, u + 1)
+            todo.append((lo, hi, (s, (lo[u] + 1,), (hi[u],))))
+            todo.append((lo, hi, (s, (lo[u],), (lo[u],))))
         return None
 
-    return search(0)
+    def first_solution(self) -> Optional[PolyInterp]:
+        lo, hi = self.lo[:], self.hi[:]
+        if not (
+            all(l <= h for l, h in zip(lo, hi))
+            and self._propagate(lo, hi, range(len(self.cons)))
+        ):
+            return None
+        witness = self._witness(lo, hi)
+        if witness is None:
+            return None
+        # fix the symbols in order, each to its first candidate that leaves
+        # the rest satisfiable; the witness's own values always do
+        for sym in self.order:
+            s = self.slots[sym]
+            target = tuple(witness[s])
+            for cand in _candidates(lo[s], hi[s]):
+                box = self._narrow(lo, hi, s, cand, cand)
+                if box is None:
+                    continue
+                if cand != target:
+                    found = self._witness(*box)
+                    if found is None:
+                        continue
+                    witness = found
+                lo, hi = box
+                break
+        entries = {}
+        for sym in self.order:
+            vals = lo[self.slots[sym]]
+            n = sym.arity
+            entries[sym] = SymbolPoly(tuple(vals[n : 2 * n]), tuple(vals[:n]), vals[2 * n])
+        return PolyInterp(entries)
+
+
+def _value(terms: Sequence[tuple[int, tuple[int, ...]]], pos: list[int], neg: list[int]) -> int:
+    """Sum of the terms, positive ones at the bounds pos, negative at neg."""
+    total = 0
+    for c, unknowns in terms:
+        bound = pos if c > 0 else neg
+        for u in unknowns:
+            c *= bound[u]
+        total += c
+    return total
+
+
+def _candidates(lo: list[int], hi: list[int]) -> list[tuple[int, ...]]:
+    """The vectors of the box lo..hi by sum, then lexicographically."""
+    box = itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+    return sorted(box, key=lambda v: (sum(v), v))

@@ -393,7 +393,7 @@ def _try_complexity_pair(
         for coeff_max in range(1, cfg.coeff_max + 1):
             if st.timed_out():
                 return None
-            interp = synthesize(p, degree, coeff_max)
+            interp = synthesize(p, degree, coeff_max, deadline=st.deadline)
             if interp is None:
                 continue
             params = {

@@ -9,6 +9,7 @@ dictionaries referencing rules by label.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
@@ -138,10 +139,24 @@ def _render_params(params: dict[str, Any]) -> str:
 # --- JSON serialization -----------------------------------------------------
 
 
+def _decoder(decode):
+    """Make decode report JSON of the wrong shape as ValueError."""
+
+    @functools.wraps(decode)
+    def checked(obj: Any):
+        try:
+            return decode(obj)
+        except (AttributeError, KeyError, TypeError) as e:
+            raise ValueError(f"malformed JSON in {decode.__name__}: {e!r}") from e
+
+    return checked
+
+
 def bound_to_json(b: Bound) -> Any:
     return {"degree": b.degree}
 
 
+@_decoder
 def bound_from_json(obj: Any) -> Bound:
     return Bound(obj["degree"])
 
@@ -150,6 +165,7 @@ def symbol_to_json(s: Symbol) -> Any:
     return {"name": s.name, "arity": s.arity, "kind": s.kind.value}
 
 
+@_decoder
 def symbol_from_json(obj: Any) -> Symbol:
     return Symbol(obj["name"], obj["arity"], SymbolKind(obj["kind"]))
 
@@ -163,6 +179,7 @@ def term_to_json(t: Term) -> Any:
     }
 
 
+@_decoder
 def term_from_json(obj: Any) -> Term:
     if "var" in obj:
         return Var(obj["var"])
@@ -180,6 +197,7 @@ def rule_to_json(r: Rule) -> Any:
     }
 
 
+@_decoder
 def rule_from_json(obj: Any) -> Rule:
     lhs = term_from_json(obj["lhs"])
     return Rule(lhs, term_from_json(obj["rhs"]), obj["label"], is_dp=obj["dp"])
@@ -200,6 +218,7 @@ def problem_to_json(p: Problem) -> Any:
     }
 
 
+@_decoder
 def problem_from_json(obj: Any) -> Problem:
     return Problem(
         strict_dps=tuple(rule_from_json(r) for r in obj["strict_dps"]),
@@ -216,6 +235,7 @@ def judgement_to_json(j: Judgement) -> Any:
     return {"problem": problem_to_json(j.problem), "bound": bound_to_json(j.bound)}
 
 
+@_decoder
 def judgement_from_json(obj: Any) -> Judgement:
     return Judgement(problem_from_json(obj["problem"]), bound_from_json(obj["bound"]))
 
@@ -242,6 +262,7 @@ def _node_to_json(tree: ProofTree) -> Any:
     }
 
 
+@_decoder
 def proof_from_json(obj: Any) -> ProofTree:
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported proof schema: {obj.get('schema')!r}")

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 import pytest
 
+from polytrs.dependency_pairs import dt_problem, wdp_problem
 from polytrs.framework import Bound, Problem, StartKind
 from polytrs.interpretations import (
     PolyInterp,
@@ -16,12 +19,14 @@ from polytrs.interpretations import (
     needs_monotone,
     orients_strictly,
     orients_weakly,
-    strongly_linear_poly,
+    search_interpretation,
     synthesize,
     term_polynomial,
 )
+from polytrs.parsing import parse_problem
+from polytrs.processors import apply_processor
 from polytrs.rewriting import Rule
-from polytrs.terms import App, Symbol, SymbolKind, Var
+from polytrs.terms import App, Symbol, SymbolKind, Var, symbols_of
 
 
 X = Polynomial.var("x")
@@ -78,7 +83,7 @@ class TestSymbolPoly:
         assert SymbolPoly((0, 0), (0, 1), 0).degree == 2
 
     def test_strongly_linear(self):
-        assert strongly_linear_poly(2, 3).strongly_linear
+        assert SymbolPoly((1, 1), (0, 0), 3).strongly_linear
         assert not SymbolPoly((1, 2), (0, 0), 0).strongly_linear
         assert not SymbolPoly((1, 1), (1, 0), 0).strongly_linear
 
@@ -154,6 +159,19 @@ def relative_problem(strict_labels: set[str]) -> Problem:
         weak_trs=weak,
         q=(),
         start_terms=StartKind.BASIC,
+        signature=SIGNATURE,
+    )
+
+
+def descending_problem() -> Problem:
+    """plus(s(x), y) -> plus(x, y) alone, on all terms."""
+    return Problem(
+        strict_dps=(),
+        strict_trs=(MULT_RULES[1],),
+        weak_dps=(),
+        weak_trs=(),
+        q=(),
+        start_terms=StartKind.ALL,
         signature=SIGNATURE,
     )
 
@@ -313,15 +331,7 @@ class TestInducedBound:
 
 class TestSynthesize:
     def test_finds_pair_for_descending_rule(self):
-        p = Problem(
-            strict_dps=(),
-            strict_trs=(MULT_RULES[1],),
-            weak_dps=(),
-            weak_trs=(),
-            q=(),
-            start_terms=StartKind.ALL,
-            signature=SIGNATURE,
-        )
+        p = descending_problem()
         interp = synthesize(p, 1, 1)
         assert interp is not None
         assert check_orientation(interp, p)
@@ -354,8 +364,202 @@ class TestSynthesize:
             synthesize(relative_problem({"c"}), 3, 1)
 
     def test_search_limit_gives_up(self):
-        p = relative_problem({"b"})
+        p = descending_problem()
         assert synthesize(p, 1, 3, search_limit=1) is None
+        assert search_interpretation(p, 1, 3, search_limit=1).outcome == "budget"
+        assert synthesize(p, 1, 3) is not None
+
+    def test_deadline_gives_up(self):
+        got = search_interpretation(descending_problem(), 2, 3, deadline=time.monotonic() - 1)
+        assert (got.interp, got.outcome) == (None, "deadline")
+
+    def test_refutation_is_exhaustive(self):
+        # absolute positiveness rules the box out by propagation alone
+        got = search_interpretation(relative_problem({"b"}), 1, 3, search_limit=1)
+        assert (got.interp, got.outcome, got.nodes) == (None, "refuted", 0)
+
+    def test_acceptance_03_down_set_is_refuted(self, exp_dt):
+        # the sub-problem of ACCEPTANCE 03 has no interpretation of either
+        # degree with coefficients up to 3; the search proves it
+        subs, _ = apply_processor("predecessor_estimation", {"rules": ["1", "3"]}, exp_dt)
+        subs, _ = apply_processor("remove_weak_suffix", {"rules": ["1", "3"]}, subs[0])
+        (_, p_down), _ = apply_processor(
+            "dependency_graph_decomposition",
+            {"strict_down": ["2"], "weak_down": []},
+            subs[0],
+        )
+        for degree in (1, 2):
+            got = search_interpretation(p_down, degree, 3)
+            assert (got.interp, got.outcome) == (None, "refuted")
+            assert got.nodes < 100
+
+
+def enumerate_first(p: Problem, degree: int, coeff_max: int):
+    """Reference search: every candidate of every symbol, in order.
+
+    The candidates of a symbol come from itertools.product, sorted by
+    coefficient sum, then (sq, lin, const); symbols are taken by (kind,
+    arity, name).  Walking the product of all symbols flatly would take up
+    to 10^10 steps here, so a prefix is dropped as soon as a rule whose
+    symbols are all assigned fails term_polynomial's orientation check,
+    which no extension can repair.  Nothing else is pruned.
+    """
+    rank = {
+        SymbolKind.CONSTRUCTOR: 0,
+        SymbolKind.COMPOUND: 0,
+        SymbolKind.DEFINED: 1,
+        SymbolKind.MARKED: 2,
+    }
+    used = {r: symbols_of(r.lhs) | symbols_of(r.rhs) for r in p.all_rules}
+    order = sorted(set().union(*used.values()), key=lambda s: (rank[s.kind], s.arity, s.name))
+
+    def candidates(sym):
+        n = sym.arity
+        if rank[sym.kind] == 0:
+            return [SymbolPoly((1,) * n, (0,) * n, c) for c in range(coeff_max + 1)]
+        lin_lo = 1 if needs_monotone(p, sym) else 0
+        sqs = itertools.product(range(coeff_max + 1), repeat=n if degree == 2 else 0)
+        out = [
+            SymbolPoly(lin, sq or (0,) * n, c)
+            for sq in sqs
+            for lin in itertools.product(range(lin_lo, coeff_max + 1), repeat=n)
+            for c in range(coeff_max + 1)
+        ]
+        return sorted(out, key=lambda sp: (sum(sp.lin + sp.sq) + sp.const, sp.sq, sp.lin, sp.const))
+
+    # a rule is checked at the position of its last symbol
+    checks: list[list[tuple[Rule, bool]]] = [[] for _ in order]
+    for rule in p.all_rules:
+        used[rule] = sorted(used[rule], key=order.index)
+        checks[order.index(used[rule][-1])].append((rule, rule in p.strict))
+    seen: dict[tuple, bool] = {}
+
+    def holds(rule: Rule, strict: bool, assignment: dict) -> bool:
+        key = (rule, strict, tuple(assignment[s] for s in used[rule]))
+        if key not in seen:
+            orients = orients_strictly if strict else orients_weakly
+            seen[key] = orients(PolyInterp(assignment), rule)
+        return seen[key]
+
+    def first(k: int, assignment: dict):
+        if k == len(order):
+            return PolyInterp(dict(assignment))
+        for cand in candidates(order[k]):
+            assignment[order[k]] = cand
+            if all(holds(r, strict, assignment) for r, strict in checks[k]):
+                found = first(k + 1, assignment)
+                if found is not None:
+                    return found
+        del assignment[order[k]]
+        return None
+
+    return first(0, {})
+
+
+HALF = """(VAR x)
+(RULES
+  half(0) -> 0
+  half(s(0)) -> 0
+  half(s(s(x))) -> s(half(x))
+  double(0) -> 0
+  double(s(x)) -> s(s(double(x)))
+)
+(STRATEGY INNERMOST)
+(STARTTERM CONSTRUCTOR-BASED)
+"""
+
+PLUS_WDP = """(VAR x y)
+(RULES
+  plus(0, y) -> y
+  plus(s(x), y) -> s(plus(x, y))
+)
+(STARTTERM CONSTRUCTOR-BASED)
+"""
+
+LEN_APP = """(VAR x xs ys)
+(RULES
+  len(nil) -> 0
+  len(cons(x, xs)) -> s(len(xs))
+  app(nil, ys) ->= ys
+  app(cons(x, xs), ys) ->= cons(x, app(xs, ys))
+)
+(STRATEGY INNERMOST)
+(STARTTERM CONSTRUCTOR-BASED)
+"""
+
+BOXES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+DP_PROBLEMS = {
+    "half_dt": lambda: dt_problem(parse_problem(HALF)),
+    "half_wdp": lambda: wdp_problem(parse_problem(HALF)),
+    "plus_wdp": lambda: wdp_problem(parse_problem(PLUS_WDP)),
+    "len_app_dt": lambda: dt_problem(parse_problem(LEN_APP)),
+    "len_app_wdp": lambda: wdp_problem(parse_problem(LEN_APP)),
+}
+# every split of the mult rules into strict and weak; the box (2, 2) is left
+# out, where the reference takes several seconds per split
+RELATIVE = [
+    "".join(labels)
+    for k in range(5)
+    for labels in itertools.combinations("abcd", k)
+]
+
+
+class TestSolverAgainstEnumeration:
+    @pytest.mark.parametrize("box", BOXES, ids=lambda b: f"{b[0]}-{b[1]}")
+    @pytest.mark.parametrize("name", list(DP_PROBLEMS))
+    def test_dp_problems(self, name, box):
+        p = DP_PROBLEMS[name]()
+        got = search_interpretation(p, *box)
+        assert got.outcome in ("found", "refuted")
+        assert got.interp == enumerate_first(p, *box)
+
+    def test_candidates_by_sum_first(self):
+        # s needs a positive constant for g's pair; f then fits with lin 1,
+        # const 0 (sum 1) and with lin 0, const 2 (sum 2)
+        p = dt_problem(
+            parse_problem(
+                "(VAR x)\n(RULES\n  g(s(x)) -> g(x)\n  f(s(s(x))) ->= s(s(0))\n)\n"
+                "(STRATEGY INNERMOST)\n(STARTTERM CONSTRUCTOR-BASED)\n"
+            )
+        )
+        got = search_interpretation(p, 1, 2)
+        assert got.interp == enumerate_first(p, 1, 2)
+        f = next(s for s in got.interp.entries if s.name == "f" and s.kind is SymbolKind.DEFINED)
+        assert got.interp.for_symbol(f) == SymbolPoly((1,), (0,), 0)
+
+    def test_candidate_with_only_a_bounds_consistent_rest(self):
+        # [k] = 1 and [a] + [b] + [d] + 2[c] = 1 with [b] = [d].  With [a] = 0
+        # every domain end of b and d has support, yet b + d = 1 has no
+        # solution with b = d: only the search refutes that candidate.
+        z = Symbol("z", 0, SymbolKind.CONSTRUCTOR)
+        c = Symbol("c", 2, SymbolKind.CONSTRUCTOR)
+        a, b, d, k = (App(Symbol(n, 0, SymbolKind.DEFINED)) for n in "abdk")
+        total = App(c, (a, App(c, (b, d))))
+        p = Problem(
+            strict_dps=(),
+            strict_trs=(Rule(k, App(z), "1"),),
+            weak_dps=(),
+            weak_trs=(
+                Rule(b, d, "2"),
+                Rule(d, b, "3"),
+                Rule(k, total, "4"),
+                Rule(total, k, "5"),
+            ),
+            q=(),
+            start_terms=StartKind.ALL,
+            signature=frozenset(),
+        )
+        got = search_interpretation(p, 1, 1)
+        assert got.interp == enumerate_first(p, 1, 1)
+        assert got.interp.for_symbol(a.sym).const == 1
+
+    @pytest.mark.parametrize("box", BOXES[:3], ids=lambda b: f"{b[0]}-{b[1]}")
+    @pytest.mark.parametrize("strict", RELATIVE, ids=lambda s: f"strict_{s or 'none'}")
+    def test_relative_problems(self, strict, box):
+        p = relative_problem(set(strict))
+        got = search_interpretation(p, *box)
+        assert got.outcome in ("found", "refuted")
+        assert got.interp == enumerate_first(p, *box)
 
 
 class TestSynthesizedPairSemantics:

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -22,7 +23,9 @@ from polytrs.framework import (
     problems_equal,
 )
 from polytrs.interpretations import synthesize
+from polytrs.parsing import parse_problem
 from polytrs.processors import (
+    StrategyConfig,
     apply_processor,
     default_strategy,
     interp_from_json,
@@ -479,6 +482,22 @@ class TestDefaultStrategy:
         assert isinstance(proof, Assumption)
         assert proof.note == "step budget exhausted"
         assert "[open" in render_proof(proof)
+
+    def test_timeout_bounds_wall_time(self, mult_problem):
+        start = time.monotonic()
+        default_strategy(mult_problem, StrategyConfig(timeout=0.5))
+        assert time.monotonic() - start < 0.7
+
+    def test_timeout_stops_interpretation_search(self):
+        # expanding six nested degree-2 interpretations takes tens of seconds
+        nested = "f(f(f(f(f(f(x))))))"
+        p = parse_problem(
+            f"(VAR x)\n(RULES\n  g(s(x)) -> {nested}\n  f(s(x)) -> s(f(x))\n)\n"
+        )
+        start = time.monotonic()
+        proof = default_strategy(p, StrategyConfig(timeout=0.5))
+        assert time.monotonic() - start < 0.7
+        assert "[open: timeout]" in render_proof(proof)
 
     def test_proof_bytes_independent_of_hash_seed(self, tmp_path):
         # f -> g -> f on FULL start terms closes at degree 1, cap 1 only by

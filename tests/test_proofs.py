@@ -162,6 +162,22 @@ class TestJsonRoundtrip:
         with pytest.raises(ValueError):
             proof_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda node: node["conclusion"]["problem"].update(start_terms="basic"),
+            lambda node: node["conclusion"]["problem"].update(start_terms=None),
+            lambda node: node["conclusion"]["problem"].update(start_terms={}),
+            lambda node: node.pop("premises"),
+        ],
+        ids=["start_terms_string", "start_terms_null", "start_terms_empty", "no_premises"],
+    )
+    def test_wrong_shape_is_a_value_error(self, mult_proof, tamper):
+        obj = proof_to_json(mult_proof)
+        tamper(obj["proof"])
+        with pytest.raises(ValueError):
+            proof_from_json(obj)
+
     def test_variable_lhs_is_rejected(self, mult_problem):
         obj = proof_to_json(Axiom(Judgement(empty_problem(mult_problem), Bound.poly(0))))
         obj["proof"]["conclusion"]["problem"]["weak_trs"][0]["lhs"] = {"var": "y"}
@@ -189,3 +205,18 @@ class TestComponentSerializers:
     def test_problem(self, mult_dt, exp_problem):
         for p in (mult_dt, exp_problem):
             assert problems_equal(problem_from_json(problem_to_json(p)), p)
+
+    @pytest.mark.parametrize(
+        "decode, obj",
+        [
+            (bound_from_json, []),
+            (term_from_json, None),
+            (term_from_json, {"sym": {"name": "s", "arity": 1}, "args": []}),
+            (rule_from_json, {"label": "1"}),
+            (problem_from_json, {"strict_dps": 3}),
+            (proof_from_json, []),
+        ],
+    )
+    def test_wrong_shape_is_a_value_error(self, decode, obj):
+        with pytest.raises(ValueError):
+            decode(obj)
