@@ -17,7 +17,7 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .depgraph import DepGraph, estimate_dg, to_dot
-from .framework import cc_oracle
+from .framework import cc_rows
 from .parsing import ParseError, parse_file
 from .processors import StrategyConfig, default_strategy
 from .proofs import is_closed, iter_nodes, proof_to_json, render_proof
@@ -138,9 +138,11 @@ def _run_analyze(args: argparse.Namespace) -> int:
 def _run_oracle(args: argparse.Namespace) -> int:
     problem = parse_file(args.file)
     print("n\tcc")
+    n = 0  # rows printed, and the size being explored
     try:
-        for n in range(args.size + 1):
-            print(f"{n}\t{cc_oracle(problem, n, args.budget)}")
+        for row in cc_rows(problem, args.size, args.budget):
+            print(f"{n}\t{row}")
+            n += 1
     except RecursionError:
         # reachable terms, not the input, outgrew the recursive term walks
         print(

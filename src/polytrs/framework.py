@@ -10,11 +10,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from typing import Iterator, Optional
 
 from . import rewriting
 from .rewriting import OracleResult, Rule, check_labels, strict_step_oracle
-from .terms import Symbol, SymbolKind, Term, components, match_term, symbols_of, unmark
+from .terms import (
+    Symbol,
+    SymbolKind,
+    Term,
+    components,
+    match_term,
+    size,
+    symbols_of,
+    unmark,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -179,14 +189,29 @@ def start_terms_up_to(p: Problem, n: int, cap: int = 200_000) -> list[Term]:
     )
 
 
+def cc_rows(p: Problem, n: int, budget: int) -> Iterator[OracleResult]:
+    """cc_oracle(p, k, budget) for k = 0..n, each start term explored once.
+
+    Start terms are explored in size order, and row k is yielded as soon as
+    every term of size at most k is done.  At the first truncated exploration,
+    at size k, rows k..n are AtLeast(budget), as each of them would be.
+    """
+    strict, weak, q = p.strict, p.weak, p.q
+    best = 0
+    done = 0  # rows yielded so far
+    for t in sorted(start_terms_up_to(p, n) if strict else (), key=size):
+        k = size(t)
+        yield from repeat(OracleResult.exactly(best), k - done)
+        done = k
+        r = strict_step_oracle(t, strict, weak, q, budget)
+        if not r.exact:
+            yield from repeat(r, n + 1 - done)
+            return
+        best = max(best, r.value)
+    yield from repeat(OracleResult.exactly(best), n + 1 - done)
+
+
 def cc_oracle(p: Problem, n: int, budget: int) -> OracleResult:
     """Worst number of strict steps over all start terms of size at most n."""
-    if not p.strict:
-        return OracleResult.exactly(0)
-    best = 0
-    for t in start_terms_up_to(p, n):
-        r = strict_step_oracle(t, p.strict, p.weak, p.q, budget)
-        if not r.exact:
-            return r
-        best = max(best, r.value)
-    return OracleResult.exactly(best)
+    *_, last = cc_rows(p, n, budget)
+    return last

@@ -7,8 +7,9 @@ to the rule set gives innermost rewriting.
 The oracles answer "how many (strict) steps can a derivation from t take" by
 exploring the reachable term graph up to a depth budget and taking longest
 paths over its strongly connected components.  They exist to cross-check the
-proof machinery on small inputs, so they favour being obviously correct over
-being fast.
+proof machinery on small inputs.  Successors are found in one walk per term
+and memoised; the tests keep the obvious definitions (each position addressed
+from the root, the runtime table recomputed for every size) as references.
 """
 
 from __future__ import annotations
@@ -26,11 +27,8 @@ from .terms import (
     Var,
     apply_subst,
     match_term,
-    positions,
     render,
-    replace_at,
     size as term_size,
-    subterm_at,
     variables,
 )
 
@@ -63,13 +61,30 @@ def check_labels(rules: Iterable[Rule]) -> None:
         seen.add(r.label)
 
 
-@functools.lru_cache(maxsize=200_000)
+@functools.lru_cache(maxsize=64)
+def _redex_memo(q: tuple[Rule, ...]) -> dict[Term, bool]:
+    """Per-Q memo of _has_redex, cleared with the other functools caches."""
+    return {}
+
+
 def _has_redex(t: Term, q: tuple[Rule, ...]) -> bool:
-    if isinstance(t, Var):
-        return False
-    if any(match_term(r.lhs, t) is not None for r in q):
-        return True
-    return any(_has_redex(a, q) for a in t.args)
+    memo = _redex_memo(q)
+    if len(memo) > 200_000:
+        memo.clear()
+    # post-order: a node is decided by its root match, else by its children
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        s, expanded = stack.pop()
+        if s.__class__ is Var or s in memo:
+            continue
+        if expanded:
+            memo[s] = any(a.__class__ is App and memo[a] for a in s.args)
+        elif any(match_term(r.lhs, s) is not None for r in q):
+            memo[s] = True
+        else:
+            stack.append((s, True))
+            stack.extend((a, False) for a in s.args)
+    return t.__class__ is App and memo[t]
 
 
 def is_q_normal_form(t: Term, q: Sequence[Rule]) -> bool:
@@ -85,18 +100,36 @@ def q_successors(
     A rule fires at p only when its lhs matches and every argument of the
     matched instance is a normal form of q.
     """
-    q = tuple(q)
+    return _successors(t, tuple(rules), tuple(q))
+
+
+@functools.lru_cache(maxsize=200_000)
+def _successors(
+    t: Term, rules: tuple[Rule, ...], q: tuple[Rule, ...]
+) -> tuple[tuple[Position, Rule, Term], ...]:
+    by_root: dict[Symbol, list[Rule]] = {}
+    for rule in rules:
+        by_root.setdefault(rule.lhs.sym, []).append(rule)
     out: list[tuple[Position, Rule, Term]] = []
-    for p in positions(t):
-        sub = subterm_at(t, p)
-        if not isinstance(sub, App):
+    # preorder, each subterm with its position and the terms above it, so a
+    # reduct is rebuilt along that path only
+    stack: list[tuple[Term, Position, tuple[App, ...]]] = [(t, (), ())]
+    while stack:
+        sub, pos, above = stack.pop()
+        if sub.__class__ is Var:
             continue
-        for rule in rules:
+        for rule in by_root.get(sub.sym, ()):
             sigma = match_term(rule.lhs, sub)
-            if sigma is None:
+            if sigma is None or any(_has_redex(a, q) for a in sub.args):
                 continue
-            if all(is_q_normal_form(a, q) for a in sub.args):
-                out.append((p, rule, replace_at(t, p, apply_subst(rule.rhs, sigma))))
+            reduct = apply_subst(rule.rhs, sigma)
+            for parent, i in zip(reversed(above), reversed(pos)):
+                args = parent.args
+                reduct = App(parent.sym, args[: i - 1] + (reduct,) + args[i:])
+            out.append((pos, rule, reduct))
+        above += (sub,)
+        for i in range(len(sub.args), 0, -1):
+            stack.append((sub.args[i - 1], pos + (i,), above))
     return tuple(out)
 
 

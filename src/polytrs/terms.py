@@ -9,7 +9,7 @@ pairs, and basic terms are defined roots over constructor arguments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Union
 
@@ -43,10 +43,19 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class App:
+    """A symbol applied to arguments.
+
+    The hash is computed once, from the children's cached hashes, and
+    equality walks with an explicit stack, so neither is bounded by the
+    recursion limit (after Filliatre and Conchon, "Type-safe modular
+    hash-consing", 2006).
+    """
+
     sym: Symbol
     args: tuple["Term", ...] = ()
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.args) != self.sym.arity:
@@ -54,6 +63,34 @@ class App:
                 f"{self.sym.display_name} expects {self.sym.arity} arguments, "
                 f"got {len(self.args)}"
             )
+        object.__setattr__(self, "_hash", hash((self.sym, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # rebuild on unpickling: string hashes, and so the cached one, are
+        # salted per process
+        return App, (self.sym, self.args)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not App:
+            return NotImplemented
+        stack: list[tuple[Term, Term]] = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ is Var:
+                if a.name != b.name:
+                    return False
+            elif a._hash != b._hash or (a.sym is not b.sym and a.sym != b.sym):
+                return False
+            else:
+                stack.extend(zip(a.args, b.args))
+        return True
 
     def __str__(self) -> str:
         return render(self)

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from polytrs import framework
 from polytrs.cli import main
 from polytrs.proofs import proof_from_json, validate_proof
+from polytrs.terms import size
 from tests.conftest import ROOT
 
 MULT = str(ROOT / "problems" / "mult.trs")
@@ -90,6 +92,49 @@ class TestOracle:
         ]
 
 
+class TestDeepOracle:
+    """Reached terms nested far deeper than the recursion limit are explored."""
+
+    def run_at_low_limit(self, argv):
+        script = (
+            "import sys\n"
+            "from polytrs.cli import main\n"
+            "sys.setrecursionlimit(150)\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_growing_term(self, tmp_path):
+        grow = tmp_path / "grow.trs"
+        grow.write_text("(VAR x)\n(RULES\n  f(x) -> f(s(x))\n  g(0) -> 0\n)\n")
+        # f(s(...s(0)...)) grows one level per step, to depth 300
+        run = self.run_at_low_limit(["oracle", str(grow), "--size", "4", "--budget", "300"])
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [
+            "n\tcc",
+            "0\tExact(0)",
+            "1\tExact(0)",
+            "2\tAtLeast(300)",
+            "3\tAtLeast(300)",
+            "4\tAtLeast(300)",
+        ]
+
+    def test_exp_closed_form(self):
+        run = self.run_at_low_limit(["oracle", EXP, "--size", "11", "--budget", "600"])
+        assert run.returncode == 0, run.stderr
+        rows = [line.split("\t") for line in run.stdout.splitlines()[1:]]
+        assert rows == [
+            [str(n), f"Exact({2 ** (n - 2) + 2 * (n - 2) if n >= 2 else 0})"]
+            for n in range(12)
+        ]
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code = main(["analyze", "no/such/file.trs"])
@@ -128,30 +173,22 @@ class TestErrors:
         assert captured.out == ""
         assert f"argument {option[1]}:" in captured.err
 
-    def test_oracle_depth_names_the_size(self, tmp_path):
-        grow = tmp_path / "grow.trs"
-        grow.write_text("(VAR x)\n(RULES\n  f(x) -> f(s(x))\n  g(0) -> 0\n)\n")
-        # f(s(...s(0)...)) grows one level per step; a low recursion limit
-        # makes its exploration overflow within milliseconds
-        script = (
-            "import sys\n"
-            "from polytrs.cli import main\n"
-            "sys.setrecursionlimit(150)\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        argv = ["oracle", str(grow), "--size", "4", "--budget", "300"]
-        run = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert run.returncode == 2
-        assert run.stdout.splitlines() == ["n\tcc", "0\tExact(0)", "1\tExact(0)"]
-        assert run.stderr.startswith("error:")
-        assert "size 2" in run.stderr and "--budget" in run.stderr
-        assert "input" not in run.stderr
+    def test_oracle_depth_names_the_size(self, capsys, monkeypatch):
+        real = framework.strict_step_oracle
+
+        def overflow_at_size_2(t, *args):
+            if size(t) == 2:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(t, *args)
+
+        monkeypatch.setattr(framework, "strict_step_oracle", overflow_at_size_2)
+        code = main(["oracle", EXP, "--size", "4", "--budget", "300"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines() == ["n\tcc", "0\tExact(0)", "1\tExact(0)"]
+        assert captured.err.startswith("error:")
+        assert "size 2" in captured.err and "--budget" in captured.err
+        assert "input" not in captured.err
 
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.trs"

@@ -10,11 +10,13 @@ from polytrs.framework import (
     bound_add,
     bound_mul,
     cc_oracle,
+    cc_rows,
     is_innermost,
     problems_equal,
     start_terms_up_to,
 )
-from polytrs.rewriting import OracleResult
+from polytrs.parsing import parse_problem
+from polytrs.rewriting import OracleResult, strict_step_oracle
 from polytrs.terms import SymbolKind
 
 bounds = st.one_of(
@@ -137,6 +139,73 @@ class TestCcOracle:
     def test_small_sizes(self, mult_problem):
         assert cc_oracle(mult_problem, 1, 50) == OracleResult.exactly(0)
         assert cc_oracle(mult_problem, 3, 50) == OracleResult.exactly(1)
+
+
+PLUS = """
+(VAR x y)
+(RULES
+  plus(0, y) -> y
+  plus(s(x), y) -> s(plus(x, y))
+)
+"""
+LEN_APP = """
+(VAR x xs ys)
+(RULES
+  len(nil) -> 0
+  len(cons(x, xs)) -> s(len(xs))
+  app(nil, ys) ->= ys
+  app(cons(x, xs), ys) ->= cons(x, app(xs, ys))
+)
+(STRATEGY INNERMOST)
+(STARTTERM CONSTRUCTOR-BASED)
+"""
+
+INLINE = {
+    "plus_full": PLUS + "(STARTTERM FULL)",
+    "len_app": LEN_APP,
+    "plus_wdp": PLUS + "(STARTTERM CONSTRUCTOR-BASED)",
+}
+
+
+def reference_rows(p, n, budget):
+    """Row k is the worst strict_step_oracle over the start terms of size at
+    most k, or the first truncated result among them."""
+    rows = []
+    for k in range(n + 1):
+        best = OracleResult.exactly(0)
+        for t in start_terms_up_to(p, k) if p.strict else ():
+            r = strict_step_oracle(t, p.strict, p.weak, p.q, budget)
+            if not r.exact:
+                best = r
+                break
+            best = OracleResult.exactly(max(best.value, r.value))
+        rows.append(best)
+    return rows
+
+
+class TestCcRows:
+    @pytest.mark.parametrize(
+        "name, n, budget",
+        [
+            ("mult", 7, 60),
+            ("exp", 10, 200),  # row 10 is cut by the budget
+            ("plus_full", 7, 60),  # all ground terms
+            ("len_app", 7, 60),  # relative: weak app rules
+            ("plus_wdp", 8, 60),  # Q empty
+        ],
+    )
+    def test_rows_match_per_row_definition(self, request, name, n, budget):
+        if name in INLINE:
+            p = parse_problem(INLINE[name])
+        else:
+            p = request.getfixturevalue(f"{name}_problem")
+        rows = list(cc_rows(p, n, budget))
+        assert rows == reference_rows(p, n, budget)
+        assert cc_oracle(p, n, budget) == rows[-1]
+        if name == "exp":
+            assert rows[-1] == OracleResult.at_least(200)
+        if name == "plus_wdp":
+            assert not p.q
 
 
 class TestProblemsEqual:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from polytrs.framework import start_terms_up_to
+from polytrs.parsing import parse_problem
 from polytrs.rewriting import (
     OracleResult,
     Rule,
@@ -13,7 +15,18 @@ from polytrs.rewriting import (
     q_successors,
     strict_step_oracle,
 )
-from polytrs.terms import App, Symbol, SymbolKind, Var, subterm_at
+from polytrs.terms import (
+    App,
+    Symbol,
+    SymbolKind,
+    Var,
+    apply_subst,
+    match_term,
+    positions,
+    replace_at,
+    subterm_at,
+    subterms,
+)
 
 ZERO = Symbol("0", 0, SymbolKind.CONSTRUCTOR)
 S = Symbol("s", 1, SymbolKind.CONSTRUCTOR)
@@ -97,6 +110,69 @@ class TestQSuccessors:
         t = times(num(2), num(1))
         for pos, _, reduct in q_successors(t, MULT_RULES, ()):
             assert subterm_at(t, pos) != subterm_at(reduct, pos)
+
+
+PLUS_FULL = """
+(VAR x y)
+(RULES
+  plus(0, y) -> y
+  plus(s(x), y) -> s(plus(x, y))
+)
+(STARTTERM FULL)
+"""
+
+# every f-term is a redex of both f-rules, so their order shows in the output
+OVERLAP = """
+(VAR x y)
+(RULES
+  f(x, y) -> x
+  f(x, y) -> y
+  f(s(x), 0) -> f(x, s(0))
+)
+(STARTTERM FULL)
+"""
+
+
+def reference_successors(t, rules, q):
+    """q_successors by its definition, each position addressed from the root."""
+    out = []
+    for p in positions(t):
+        sub = subterm_at(t, p)
+        if isinstance(sub, Var):
+            continue
+        normal_args = all(
+            match_term(r.lhs, s) is None for a in sub.args for s in subterms(a) for r in q
+        )
+        for rule in rules:
+            sigma = match_term(rule.lhs, sub)
+            if sigma is not None and normal_args:
+                out.append((p, rule, replace_at(t, p, apply_subst(rule.rhs, sigma))))
+    return tuple(out)
+
+
+class TestSuccessorsAgainstReference:
+    @pytest.mark.parametrize(
+        "name, innermost",
+        [("mult", True), ("mult", False), ("plus_full", False), ("overlap", True)],
+    )
+    def test_every_reached_term(self, request, name, innermost):
+        if name == "mult":
+            p = request.getfixturevalue("mult_problem")
+        else:
+            p = parse_problem(PLUS_FULL if name == "plus_full" else OVERLAP)
+        rules = p.all_rules
+        q = rules if innermost else ()
+        todo = list(start_terms_up_to(p, 8))
+        seen = set()
+        while todo:
+            t = todo.pop()
+            if t in seen:
+                continue
+            seen.add(t)
+            want = reference_successors(t, rules, q)
+            assert q_successors(t, rules, q) == want
+            todo.extend(v for _, _, v in want)
+        assert len(seen) > 100
 
 
 class TestOracles:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -95,6 +98,64 @@ class TestStructure:
     @given(term_strategy())
     def test_size_counts_positions(self, t):
         assert size(t) == len(positions(t))
+
+
+class TestEqualityAndHash:
+    DEPTH = 100_000
+
+    def test_deep_equal_terms(self):
+        a, b = num(self.DEPTH), num(self.DEPTH)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert not a != b
+
+    def test_deep_leaf_difference(self):
+        deep_var = X
+        for _ in range(self.DEPTH):
+            deep_var = App(S, (deep_var,))
+        assert num(self.DEPTH) != deep_var
+
+    def test_equality_does_not_trust_the_hash(self):
+        def colliding(a, b):
+            object.__setattr__(b, "_hash", a._hash)
+            return a, b
+
+        a, b = colliding(App(PLUS, (X, Y)), App(TIMES, (X, Y)))
+        assert a != b
+        a, b = colliding(App(S, (X,)), App(S, (Y,)))
+        assert a != b
+        a, b = colliding(App(PLUS, (num(self.DEPTH), X)), App(PLUS, (num(self.DEPTH), Y)))
+        assert a != b
+
+    def test_app_never_equals_var(self):
+        assert App(ZERO) != Var("0")
+        assert Var("0") != App(ZERO)
+        assert App(S, (X,)) != X
+
+    @given(term_strategy(), term_strategy())
+    def test_equality_is_structural(self, a, b):
+        assert (a == b) == (repr(a) == repr(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_unpickling_recomputes_the_hash(self):
+        t = App(PLUS, (num(2), X))
+        stale = App(PLUS, (num(2), X))
+        object.__setattr__(stale, "_hash", t._hash + 1)
+        u = pickle.loads(pickle.dumps(stale))
+        assert u == t and hash(u) == hash(t)
+
+    def test_repr_and_replace(self):
+        t = App(S, (X,))
+        assert repr(t) == (
+            "App(sym=Symbol(name='s', arity=1, "
+            "kind=<SymbolKind.CONSTRUCTOR: 'constructor'>), args=(Var(name='x'),))"
+        )
+        u = dataclasses.replace(t, args=(Y,))
+        assert u == App(S, (Y,)) and hash(u) == hash(App(S, (Y,)))
+        assert dataclasses.replace(t, sym=PLUS, args=(X, Y)) == App(PLUS, (X, Y))
+        with pytest.raises(ValueError):
+            dataclasses.replace(t, args=())
 
 
 class TestMarking:
