@@ -21,6 +21,7 @@ from .framework import cc_rows
 from .parsing import ParseError, parse_file
 from .processors import StrategyConfig, default_strategy
 from .proofs import is_closed, iter_nodes, proof_to_json, render_proof
+from .rewriting import TooLargeError
 
 
 def _at_least(low: int) -> Callable[[str], int]:
@@ -148,6 +149,12 @@ def _run_oracle(args: argparse.Namespace) -> int:
         print(
             f"error: terms reached from start terms of size {n} are nested too "
             "deeply to explore; try a smaller --budget or --size",
+            file=sys.stderr,
+        )
+        return 2
+    except TooLargeError as err:
+        print(
+            f"error: {err} up to size {args.size}; try a smaller --size",
             file=sys.stderr,
         )
         return 2

@@ -7,16 +7,18 @@ to the rule set gives innermost rewriting.
 The oracles answer "how many (strict) steps can a derivation from t take" by
 exploring the reachable term graph up to a depth budget and taking longest
 paths over its strongly connected components.  They exist to cross-check the
-proof machinery on small inputs.  Successors are found in one walk per term
-and memoised; the tests keep the obvious definitions (each position addressed
-from the root, the runtime table recomputed for every size) as references.
+proof machinery on small inputs.  One shared system per (rules, Q) memoises
+the steps of every subterm, assembled from its arguments' steps, and numbers
+the reached terms, so that exploration runs over integers.  The tests keep
+the obvious definitions (each position addressed from the root, the runtime
+table recomputed for every size) as references.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .terms import (
     App,
@@ -61,35 +63,99 @@ def check_labels(rules: Iterable[Rule]) -> None:
         seen.add(r.label)
 
 
-@functools.lru_cache(maxsize=64)
-def _redex_memo(q: tuple[Rule, ...]) -> dict[Term, bool]:
-    """Per-Q memo of _has_redex, cleared with the other functools caches."""
-    return {}
+# A step's position as a link (i, inner) into argument i (0-based), None at
+# the root: the steps of a term share the links of its arguments' steps.
+Step = tuple[Optional[tuple], Rule, Term]
+
+_MEMO_CAP = 200_000
 
 
-def _has_redex(t: Term, q: tuple[Rule, ...]) -> bool:
-    memo = _redex_memo(q)
-    if len(memo) > 200_000:
-        memo.clear()
-    # post-order: a node is decided by its root match, else by its children
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        s, expanded = stack.pop()
-        if s.__class__ is Var or s in memo:
-            continue
-        if expanded:
-            memo[s] = any(a.__class__ is App and memo[a] for a in s.args)
-        elif any(match_term(r.lhs, s) is not None for r in q):
-            memo[s] = True
-        else:
-            stack.append((s, True))
-            stack.extend((a, False) for a in s.args)
-    return t.__class__ is App and memo[t]
+class _System:
+    """The rewrite relation of (rules, q): per subterm, whether it has a
+    Q-redex and its one-step reducts; reached terms numbered, with edges."""
+
+    def __init__(self, rules: tuple[Rule, ...], q: tuple[Rule, ...]) -> None:
+        self.rules = rules
+        # per root symbol, each left-hand side to match: the rules' in rule
+        # order, then Q's other ones; (lhs, rule or None, lhs is Q's)
+        q_lhss = {r.lhs for r in q}
+        q_only = [r.lhs for r in q if r.lhs not in {x.lhs for x in rules}]
+        self.by_root: dict[Symbol, list[tuple[App, Optional[Rule], bool]]] = {}
+        for lhs, r in [(r.lhs, r) for r in rules] + [(lhs, None) for lhs in q_only]:
+            self.by_root.setdefault(lhs.sym, []).append((lhs, r, lhs in q_lhss))
+        # per subterm (has a Q-redex, link, rule, reduct, link, rule, ...),
+        # flat to stay small: there is one per subterm of every reached term
+        self.memo: dict[App, tuple] = {}
+        self.forget()
+
+    def forget(self) -> None:
+        self.ids: dict[Term, int] = {}
+        # term i, replaced by its edges once they are computed
+        self.nodes: list[Union[Term, tuple[tuple[int, Rule], ...]]] = []
+
+    def steps(self, t: Term) -> Iterator[Step]:
+        """One-step reducts of t in leftmost-outermost order, rules in order:
+        the root steps (when every argument is Q-normal), then each
+        argument's steps in place."""
+        memo = self.memo
+        if len(memo) > _MEMO_CAP:
+            memo.clear()
+        # post-order, so that each node's arguments are done before it
+        stack: list[tuple[App, bool]] = [(t, False)] if t.__class__ is App else []
+        while stack:
+            s, expanded = stack.pop()
+            if s in memo:
+                continue
+            args = s.args
+            if not expanded:
+                stack.append((s, True))
+                stack.extend((a, False) for a in args if a.__class__ is App)
+                continue
+            hit = any(a.__class__ is App and memo[a][0] for a in args)
+            out: list = []
+            if not hit:  # every argument is Q-normal
+                for lhs, rule, in_q in self.by_root.get(s.sym, ()):
+                    sigma = match_term(lhs, s)
+                    if sigma is not None:
+                        hit = hit or in_q
+                        if rule is not None:
+                            out += (None, rule, apply_subst(rule.rhs, sigma))
+            for i, a in enumerate(args):
+                if a.__class__ is App:
+                    for link, rule, r in _triples(memo[a]):
+                        r = App(s.sym, args[:i] + (r,) + args[i + 1 :])
+                        out += ((i, link), rule, r)
+            memo[s] = (hit, *out)
+        return _triples(memo[t]) if t.__class__ is App else iter(())
+
+    def number(self, t: Term) -> int:
+        i = self.ids.setdefault(t, len(self.nodes))
+        if i == len(self.nodes):
+            self.nodes.append(t)
+        return i
+
+    def edges(self, i: int) -> tuple[tuple[int, Rule], ...]:
+        """(number of the reduct, rule) per step of term i."""
+        e = self.nodes[i]
+        if e.__class__ is not tuple:
+            steps = self.steps(e)
+            e = self.nodes[i] = tuple((self.number(r), rule) for _, rule, r in steps)
+        return e
+
+
+def _triples(v: tuple) -> Iterator[Step]:
+    return zip(v[1::3], v[2::3], v[3::3])
+
+
+# one shared system per (rules, q), cleared with the other functools caches
+_system = functools.lru_cache(maxsize=16)(_System)
 
 
 def is_q_normal_form(t: Term, q: Sequence[Rule]) -> bool:
     """No left-hand side of q matches any subterm of t."""
-    return not _has_redex(t, tuple(q))
+    system = _system((), tuple(q))
+    system.steps(t)  # fills system.memo for t
+    return t.__class__ is Var or not system.memo[t][0]
 
 
 def q_successors(
@@ -100,36 +166,13 @@ def q_successors(
     A rule fires at p only when its lhs matches and every argument of the
     matched instance is a normal form of q.
     """
-    return _successors(t, tuple(rules), tuple(q))
-
-
-@functools.lru_cache(maxsize=200_000)
-def _successors(
-    t: Term, rules: tuple[Rule, ...], q: tuple[Rule, ...]
-) -> tuple[tuple[Position, Rule, Term], ...]:
-    by_root: dict[Symbol, list[Rule]] = {}
-    for rule in rules:
-        by_root.setdefault(rule.lhs.sym, []).append(rule)
-    out: list[tuple[Position, Rule, Term]] = []
-    # preorder, each subterm with its position and the terms above it, so a
-    # reduct is rebuilt along that path only
-    stack: list[tuple[Term, Position, tuple[App, ...]]] = [(t, (), ())]
-    while stack:
-        sub, pos, above = stack.pop()
-        if sub.__class__ is Var:
-            continue
-        for rule in by_root.get(sub.sym, ()):
-            sigma = match_term(rule.lhs, sub)
-            if sigma is None or any(_has_redex(a, q) for a in sub.args):
-                continue
-            reduct = apply_subst(rule.rhs, sigma)
-            for parent, i in zip(reversed(above), reversed(pos)):
-                args = parent.args
-                reduct = App(parent.sym, args[: i - 1] + (reduct,) + args[i:])
-            out.append((pos, rule, reduct))
-        above += (sub,)
-        for i in range(len(sub.args), 0, -1):
-            stack.append((sub.args[i - 1], pos + (i,), above))
+    out = []
+    for link, rule, reduct in _system(tuple(rules), tuple(q)).steps(t):
+        pos: list[int] = []
+        while link is not None:
+            i, link = link
+            pos.append(i + 1)
+        out.append((tuple(pos), rule, reduct))
     return tuple(out)
 
 
@@ -157,35 +200,38 @@ class TooLargeError(RuntimeError):
 
 
 def _explore(
-    t: Term, rules: tuple[Rule, ...], q: tuple[Rule, ...], budget: int
-) -> tuple[dict[Term, int], list[tuple[int, Rule, int]], bool]:
-    """Breadth-first reachable region up to distance budget.
-
-    Returns (node index map, edges, truncated).  truncated means some node on
-    the budget frontier has a successor outside the region.
-    """
-    index: dict[Term, int] = {t: 0}
-    edges: list[tuple[int, Rule, int]] = []
-    frontier = [t]
+    system: _System, t: Term, budget: int, counted: set[int]
+) -> tuple[list[list[int]], list[tuple[int, int, int]], bool]:
+    """Breadth-first reachable region from t (node 0) up to distance budget:
+    successor lists, edges (u, v, 1 for a counted rule else 0), and whether
+    a node on the budget frontier has a successor outside the region."""
+    if len(system.nodes) > _MEMO_CAP:
+        system.forget()  # between explorations only: edges hold numbers
+    start = system.number(t)
+    index: dict[int, int] = {start: 0}
+    succ: list[list[int]] = [[]]
+    edges: list[tuple[int, int, int]] = []
+    frontier = [start]
     truncated = False
     depth = 0
     while frontier:
-        nxt: list[Term] = []
+        nxt: list[int] = []
         for u in frontier:
             ui = index[u]
-            for _, rule, v in q_successors(u, rules, q):
+            for v, rule in system.edges(u):
                 vi = index.get(v)
                 if vi is None:
                     if depth >= budget:
                         truncated = True
                         continue
-                    vi = len(index)
-                    index[v] = vi
+                    vi = index[v] = len(succ)
+                    succ.append([])
                     nxt.append(v)
-                edges.append((ui, rule, vi))
+                succ[ui].append(vi)
+                edges.append((ui, vi, 1 if id(rule) in counted else 0))
         frontier = nxt
         depth += 1
-    return index, edges, truncated
+    return succ, edges, truncated
 
 
 def _sccs(n: int, succ: list[list[int]]) -> list[int]:
@@ -249,32 +295,26 @@ def strict_step_oracle(
     strict = tuple(strict)
     if not strict:
         return OracleResult.exactly(0)
-    weak = tuple(weak)
-    q = tuple(q)
+    system = _system(strict + tuple(weak), tuple(q))
+    # the system is shared by equal rule tuples and by every strict/weak
+    # split of them, so strictness is decided on its own rule objects
     strict_set = set(strict)
-    index, edges, truncated = _explore(t, strict + weak, q, budget)
+    counted = {id(r) for r in system.rules if r in strict_set}
+    succ, edges, truncated = _explore(system, t, budget, counted)
     if truncated:
         return OracleResult.at_least(budget)
-    n = len(index)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    weighted: list[tuple[int, int, int]] = []
-    for ui, rule, vi in edges:
-        succ[ui].append(vi)
-        weighted.append((ui, vi, 1 if rule in strict_set else 0))
-    comp = _sccs(n, succ)
-    for ui, vi, w in weighted:
-        if comp[ui] == comp[vi] and w == 1:
-            return OracleResult.at_least(budget)
+    comp = _sccs(len(succ), succ)
+    if any(w and comp[ui] == comp[vi] for ui, vi, w in edges):
+        return OracleResult.at_least(budget)
     # Longest path over the component DAG; component ids are already in
     # reverse topological order, so a single sweep suffices.
-    ncomp = max(comp) + 1 if n else 0
-    best = [0] * ncomp
-    for ui, vi, w in sorted(weighted, key=lambda e: comp[e[0]]):
+    best = [0] * (max(comp) + 1)
+    for ui, vi, w in sorted(edges, key=lambda e: comp[e[0]]):
         cu, cv = comp[ui], comp[vi]
         if cu != cv:
             best[cu] = max(best[cu], w + best[cv])
         # same-component edges are weight 0 here and contribute nothing
-    return OracleResult.exactly(best[comp[0]] if n else 0)
+    return OracleResult.exactly(best[comp[0]])
 
 
 def dh_oracle(t: Term, rules: Sequence[Rule], q: Sequence[Rule], budget: int) -> OracleResult:

@@ -190,6 +190,20 @@ class TestErrors:
         assert "size 2" in captured.err and "--budget" in captured.err
         assert "input" not in captured.err
 
+    def test_oracle_too_many_start_terms(self, capsys, tmp_path):
+        plus_full = tmp_path / "plus_full.trs"
+        plus_full.write_text(
+            "(VAR x y)\n(RULES\n  plus(0, y) -> y\n"
+            "  plus(s(x), y) -> s(plus(x, y))\n)\n(STARTTERM FULL)\n"
+        )
+        code = main(["oracle", str(plus_full), "--size", "16", "--budget", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "n\tcc\n"
+        assert captured.err == (
+            "error: more than 200000 start terms up to size 16; try a smaller --size\n"
+        )
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.trs"
         bad.write_text("(RULES f(x) -> )\n(VAR x)")

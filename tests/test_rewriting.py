@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from polytrs.framework import start_terms_up_to
+from polytrs import rewriting
+from polytrs.framework import cc_rows, start_terms_up_to
 from polytrs.parsing import parse_problem
 from polytrs.rewriting import (
     OracleResult,
@@ -133,6 +134,22 @@ OVERLAP = """
 """
 
 
+# relative: the app rules are weak
+LEN_APP = """
+(VAR x xs ys)
+(RULES
+  len(nil) -> 0
+  len(cons(x, xs)) -> s(len(xs))
+  app(nil, ys) ->= ys
+  app(cons(x, xs), ys) ->= cons(x, app(xs, ys))
+)
+(STRATEGY INNERMOST)
+(STARTTERM CONSTRUCTOR-BASED)
+"""
+
+INLINE = {"plus_full": PLUS_FULL, "overlap": OVERLAP, "len_app": LEN_APP}
+
+
 def reference_successors(t, rules, q):
     """q_successors by its definition, each position addressed from the root."""
     out = []
@@ -153,16 +170,24 @@ def reference_successors(t, rules, q):
 class TestSuccessorsAgainstReference:
     @pytest.mark.parametrize(
         "name, innermost",
-        [("mult", True), ("mult", False), ("plus_full", False), ("overlap", True)],
+        [
+            ("mult", True),
+            ("mult", False),
+            ("plus_full", False),
+            ("overlap", True),
+            ("len_app", True),
+            ("exp", True),
+        ],
     )
     def test_every_reached_term(self, request, name, innermost):
-        if name == "mult":
-            p = request.getfixturevalue("mult_problem")
+        if name in INLINE:
+            p = parse_problem(INLINE[name])
         else:
-            p = parse_problem(PLUS_FULL if name == "plus_full" else OVERLAP)
+            p = request.getfixturevalue(f"{name}_problem")
         rules = p.all_rules
         q = rules if innermost else ()
-        todo = list(start_terms_up_to(p, 8))
+        # exp's reached terms grow exponentially with the start size
+        todo = list(start_terms_up_to(p, 7 if name == "exp" else 8))
         seen = set()
         while todo:
             t = todo.pop()
@@ -173,6 +198,36 @@ class TestSuccessorsAgainstReference:
             assert q_successors(t, rules, q) == want
             todo.extend(v for _, _, v in want)
         assert len(seen) > 100
+
+
+class TestSharedSystem:
+    """Equal rule tuples share one memoised system, whatever the split into
+    strict and weak rules and whichever rule objects built it."""
+
+    def test_each_split_counts_its_own_strict_rules(self):
+        a, b = MULT_RULES[0], MULT_RULES[1]
+        t = plus(num(2), num(0))  # b, b, then a
+        calls = {
+            "b strict": lambda: strict_step_oracle(t, (b,), (a,), (b, a), 10),
+            "both strict": lambda: strict_step_oracle(t, (b, a), (), (b, a), 10),
+        }
+        want = {"b strict": OracleResult.exactly(2), "both strict": OracleResult.exactly(3)}
+        for order in (["b strict", "both strict"], ["both strict", "b strict"]):
+            rewriting._system.cache_clear()
+            assert {name: calls[name]() for name in order} == want
+            assert rewriting._system.cache_info().misses == 1
+
+    def test_equal_rules_of_another_parse_give_the_cold_table(self):
+        first, second = parse_problem(LEN_APP), parse_problem(LEN_APP)
+        assert first.strict == second.strict
+        assert first.strict[0] is not second.strict[0]
+        rewriting._system.cache_clear()
+        cold = list(cc_rows(second, 7, 60))
+        assert cold[-1] == OracleResult.exactly(3)
+        rewriting._system.cache_clear()
+        list(cc_rows(first, 7, 60))
+        assert list(cc_rows(second, 7, 60)) == cold
+        assert rewriting._system.cache_info().misses == 1
 
 
 class TestOracles:

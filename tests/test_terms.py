@@ -115,6 +115,9 @@ class TestEqualityAndHash:
             deep_var = App(S, (deep_var,))
         assert num(self.DEPTH) != deep_var
 
+    def test_size_of_deep_term(self):
+        assert size(num(self.DEPTH)) == self.DEPTH + 1
+
     def test_equality_does_not_trust_the_hash(self):
         def colliding(a, b):
             object.__setattr__(b, "_hash", a._hash)
@@ -153,7 +156,9 @@ class TestEqualityAndHash:
         )
         u = dataclasses.replace(t, args=(Y,))
         assert u == App(S, (Y,)) and hash(u) == hash(App(S, (Y,)))
-        assert dataclasses.replace(t, sym=PLUS, args=(X, Y)) == App(PLUS, (X, Y))
+        assert size(dataclasses.replace(t, args=(num(2),))) == 4
+        v = dataclasses.replace(t, sym=PLUS, args=(X, Y))
+        assert v == App(PLUS, (X, Y)) and size(v) == 3
         with pytest.raises(ValueError):
             dataclasses.replace(t, args=())
 
