@@ -132,7 +132,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     if args.proof == "text":
         print(render_proof(tree))
     elif args.proof == "json":
-        print(json.dumps(proof_to_json(tree), indent=2, sort_keys=True))
+        print(json.dumps(proof_to_json(tree), sort_keys=True, separators=(",", ":")))
     return 0 if closed and not bound.is_unknown else 1
 
 

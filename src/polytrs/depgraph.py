@@ -18,13 +18,17 @@ from .rewriting import Rule
 from .terms import App, Term, Var, components, fresh_var, rename_apart, unify_terms
 
 
-def tcap(t: Term, rules: Sequence[Rule]) -> Term:
-    """Cap t from below: fresh variable wherever a root step is possible."""
+def tcap(t: Term, lhss: Sequence[Term]) -> Term:
+    """Cap t from below: fresh variable wherever a root step is possible.
+
+    lhss are left-hand sides renamed apart once: the capped term has only
+    variables made after them, and each unification keeps its own bindings.
+    """
     if isinstance(t, Var):
         return fresh_var()
-    capped = App(t.sym, tuple(tcap(a, rules) for a in t.args))
-    for r in rules:
-        if unify_terms(capped, rename_apart(r.lhs)) is not None:
+    capped = App(t.sym, tuple(tcap(a, lhss) for a in t.args))
+    for lhs in lhss:
+        if unify_terms(capped, lhs) is not None:
             return fresh_var()
     return capped
 
@@ -68,13 +72,14 @@ def estimate_dg(p: Problem) -> DepGraph:
     if not p.is_dp_problem():
         raise ValueError("dependency graph needs a DP problem")
     dps = p.dps
-    base = p.strict_trs + p.weak_trs
+    base = [rename_apart(r.lhs) for r in p.strict_trs + p.weak_trs]
+    targets = [(d2, rename_apart(d2.lhs)) for d2 in dps]
     edges = set()
     for d1 in dps:
         for i, comp in enumerate(components(d1.rhs), start=1):
             capped = tcap(comp, base)
-            for d2 in dps:
-                if unify_terms(capped, rename_apart(d2.lhs)) is not None:
+            for d2, lhs in targets:
+                if unify_terms(capped, lhs) is not None:
                     edges.add((d1, d2, i))
     return DepGraph(dps, frozenset(edges))
 

@@ -245,35 +245,59 @@ def match_term(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
     return sigma if walk(pattern, subject) else None
 
 
-def _occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    return any(_occurs(name, a) for a in t.args)
-
-
 def unify_terms(s: Term, t: Term) -> Optional[dict[str, Term]]:
-    """Most general unifier of s and t (with occurs check), or None."""
+    """Most general unifier of s and t (with occurs check), or None.
+
+    s and t share their variables, so callers rename apart.  The result is
+    idempotent.  Bindings stay triangular, are looked up only when a
+    variable is met and are resolved once at the end (Baader and Snyder,
+    "Unification Theory", 2001).
+    """
     sigma: dict[str, Term] = {}
+
+    def deref(u: Term) -> Term:
+        while u.__class__ is Var and u.name in sigma:
+            u = sigma[u.name]
+        return u
+
+    def occurs(name: str, u: Term) -> bool:
+        stack, seen = [u], set()
+        while stack:
+            u = stack.pop()
+            if u.__class__ is App:
+                stack.extend(u.args)
+            elif u.name == name:
+                return True
+            elif u.name in sigma and u.name not in seen:
+                seen.add(u.name)
+                stack.append(sigma[u.name])
+        return False
+
     work = [(s, t)]
     while work:
-        a, b = work.pop()
-        a = apply_subst(a, sigma)
-        b = apply_subst(b, sigma)
-        if a == b:
-            continue
-        if isinstance(a, Var):
-            if _occurs(a.name, b):
+        a, b = map(deref, work.pop())
+        if a.__class__ is Var:
+            if b.__class__ is Var and a.name == b.name:
+                continue
+            if occurs(a.name, b):
                 return None
-            bind = {a.name: b}
-            sigma = {k: apply_subst(v, bind) for k, v in sigma.items()}
             sigma[a.name] = b
-        elif isinstance(b, Var):
+        elif b.__class__ is Var:
             work.append((b, a))
         elif a.sym == b.sym:
             work.extend(zip(a.args, b.args))
         else:
             return None
-    return sigma
+    done: dict[str, Term] = {}
+
+    def resolve(u: Term) -> Term:
+        if u.__class__ is App:
+            return App(u.sym, tuple(resolve(a) for a in u.args))
+        if u.name in sigma and u.name not in done:
+            done[u.name] = resolve(sigma[u.name])
+        return done.get(u.name, u)
+
+    return {x: resolve(v) for x, v in sigma.items()}
 
 
 _fresh_counter = itertools.count(1)

@@ -9,7 +9,7 @@ import pytest
 
 from polytrs import framework
 from polytrs.cli import main
-from polytrs.proofs import proof_from_json, validate_proof
+from polytrs.proofs import proof_from_json, proof_to_json, validate_proof
 from polytrs.terms import size
 from tests.conftest import ROOT
 
@@ -18,15 +18,20 @@ EXP = str(ROOT / "problems" / "exp.trs")
 
 
 class TestAnalyze:
-    def test_mult_is_quadratic(self, capsys, tmp_path):
+    def test_mult_is_quadratic(self, capsys, tmp_path, mult_proof):
         dot_file = tmp_path / "dg.dot"
         code = main(["analyze", MULT, "--proof", "json", "--dot-dg", str(dot_file)])
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert code == 0
+        assert len(lines) == 2
         assert lines[0] == "WORST_CASE(?, O(n^2))"
 
-        proof = proof_from_json(json.loads("\n".join(lines[1:])))
+        # one line of compact JSON with sorted keys, the library's certificate
+        cert = proof_to_json(mult_proof)
+        assert lines[1] == json.dumps(cert, sort_keys=True, separators=(",", ":"))
+        proof = proof_from_json(json.loads(lines[1]))
+        assert proof_to_json(proof) == cert
         assert validate_proof(proof).ok
 
         dot = dot_file.read_text()

@@ -5,8 +5,20 @@ import pytest
 from polytrs.dependency_pairs import enumerate_derivation_trees, leaf
 from polytrs.depgraph import DepGraph, chains_of, estimate_dg, sep, tcap, to_dot
 from polytrs.framework import Problem
-from polytrs.terms import App, SymbolKind, Var, render
-from tests.conftest import constructor, marked_sym
+from polytrs.parsing import parse_file
+from polytrs.processors import StrategyConfig, default_strategy
+from polytrs.proofs import iter_nodes
+from polytrs.terms import (
+    App,
+    SymbolKind,
+    Var,
+    components,
+    fresh_var,
+    rename_apart,
+    render,
+)
+from tests.conftest import ROOT, constructor, marked_sym
+from tests.test_terms import reference_unify
 
 
 def num(p, n):
@@ -25,20 +37,54 @@ def edge_labels(g):
     return {(src.label, dst.label) for src, dst, _ in g.edges}
 
 
+def lhss(rules):
+    return [rename_apart(r.lhs) for r in rules]
+
+
+# The per-pair-renaming tcap and estimate_dg over the substitute-every-step
+# unifier, kept as the reference for the estimate's edges.
+def reference_tcap(t, rules):
+    if isinstance(t, Var):
+        return fresh_var()
+    capped = App(t.sym, tuple(reference_tcap(a, rules) for a in t.args))
+    for r in rules:
+        if reference_unify(capped, rename_apart(r.lhs)) is not None:
+            return fresh_var()
+    return capped
+
+
+def reference_edges(p):
+    dps = p.dps
+    base = p.strict_trs + p.weak_trs
+    edges = set()
+    for d1 in dps:
+        for i, comp in enumerate(components(d1.rhs), start=1):
+            capped = reference_tcap(comp, base)
+            for d2 in dps:
+                if reference_unify(capped, rename_apart(d2.lhs)) is not None:
+                    edges.add((d1, d2, i))
+    return frozenset(edges)
+
+
+CORPUS = sorted((ROOT / "bench" / "problems").glob("*.trs")) + sorted(
+    (ROOT / "problems").glob("*.trs")
+)
+
+
 class TestTcap:
     def test_redex_shaped_term_collapses(self, mult_problem):
         rules = mult_problem.strict_trs
         t = App(defined_times(mult_problem), (Var("x"), Var("y")))
-        assert isinstance(tcap(t, rules), Var)
+        assert isinstance(tcap(t, lhss(rules)), Var)
 
     def test_constructor_spine_survives(self, mult_problem):
         rules = mult_problem.strict_trs
-        capped = tcap(num_term(mult_problem, 1), rules)
+        capped = tcap(num_term(mult_problem, 1), lhss(rules))
         assert isinstance(capped, App) and capped.sym.name == "s"
         assert isinstance(capped.args[0], App) and capped.args[0].sym.name == "0"
 
     def test_variables_are_refreshed(self, mult_problem):
-        capped = tcap(Var("x"), mult_problem.strict_trs)
+        capped = tcap(Var("x"), lhss(mult_problem.strict_trs))
         assert isinstance(capped, Var) and capped != Var("x")
 
     def test_marked_root_keeps_shape_caps_arguments(self, mult_dt):
@@ -46,13 +92,13 @@ class TestTcap:
             marked_sym(mult_dt, "plus"),
             (Var("y"), App(defined_times(mult_dt), (Var("x"), Var("y")))),
         )
-        capped = tcap(t, mult_dt.weak_trs)
+        capped = tcap(t, lhss(mult_dt.weak_trs))
         assert isinstance(capped, App) and capped.sym.kind is SymbolKind.MARKED
         assert all(isinstance(a, Var) for a in capped.args)
 
     def test_ground_redex_collapses(self, mult_problem):
         t = App(defined_plus(mult_problem), (num_term(mult_problem, 0),) * 2)
-        assert isinstance(tcap(t, mult_problem.strict_trs), Var)
+        assert isinstance(tcap(t, lhss(mult_problem.strict_trs)), Var)
 
 
 def defined_times(p):
@@ -116,6 +162,27 @@ class TestEstimate:
             ("4", "2"),
             ("4", "4"),
         }
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "path", CORPUS, ids=lambda path: str(path.relative_to(ROOT))
+    )
+    def test_corpus_proof_problems(self, path):
+        # every DP problem of the degree-1/cap-1 proof, as the replay checks it
+        config = StrategyConfig(degree_max=1, coeff_max=1)
+        tree = default_strategy(parse_file(str(path)), config)
+        problems = [
+            node.judgement.problem
+            for node in iter_nodes(tree)
+            if node.judgement.problem.is_dp_problem()
+        ]
+        # plus_full starts from all terms: its proof is derivational, DP-free
+        assert problems or path.name == "plus_full.trs"
+        for p in problems:
+            g = estimate_dg(p)
+            assert g.nodes == p.dps
+            assert g.edges == reference_edges(p)
 
 
 class TestGraphQueries:

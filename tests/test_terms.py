@@ -4,7 +4,7 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polytrs.interpretations import needs_monotone
 from polytrs.terms import (
@@ -67,6 +67,57 @@ def subst_strategy():
     return st.fixed_dictionaries(
         {}, optional={"x": term_strategy(), "y": term_strategy()}
     )
+
+
+# pairs of small terms over the variables x, y, z: both sides draw from the
+# same names (shared, often repeated: nonlinear) unless the flag renames the
+# right side's variables to u, v, w (disjoint)
+def unify_pair_strategy():
+    names = ["x", "y", "z"]
+    leaves = st.one_of(st.just(App(ZERO)), st.sampled_from(names).map(Var))
+    small = st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(lambda a: App(S, (a,)), sub),
+            st.builds(lambda a, b: App(PLUS, (a, b)), sub, sub),
+        ),
+        max_leaves=6,
+    )
+    disjoint = {n: Var(m) for n, m in zip(names, ["u", "v", "w"])}
+    return st.tuples(small, small, st.booleans()).map(
+        lambda c: (c[0], apply_subst(c[1], disjoint) if c[2] else c[1])
+    )
+
+
+def _occurs(name, t):
+    if isinstance(t, Var):
+        return t.name == name
+    return any(_occurs(name, a) for a in t.args)
+
+
+def reference_unify(s, t):
+    """The substitute-every-step unifier, kept as the tests' reference."""
+    sigma = {}
+    work = [(s, t)]
+    while work:
+        a, b = work.pop()
+        a = apply_subst(a, sigma)
+        b = apply_subst(b, sigma)
+        if a == b:
+            continue
+        if isinstance(a, Var):
+            if _occurs(a.name, b):
+                return None
+            bind = {a.name: b}
+            sigma = {k: apply_subst(v, bind) for k, v in sigma.items()}
+            sigma[a.name] = b
+        elif isinstance(b, Var):
+            work.append((b, a))
+        elif a.sym == b.sym:
+            work.extend(zip(a.args, b.args))
+        else:
+            return None
+    return sigma
 
 
 class TestStructure:
@@ -211,6 +262,19 @@ class TestSubstitution:
 
     def test_unify_occurs_check(self):
         assert unify_terms(X, App(S, (X,))) is None
+
+    @settings(derandomize=True, max_examples=400)
+    @given(unify_pair_strategy())
+    # nonlinear, and the occurs check reached through a binding
+    @example((App(PLUS, (X, X)), App(PLUS, (App(S, (Y,)), App(S, (num(0),))))))
+    @example((App(PLUS, (X, Y)), App(PLUS, (App(S, (Y,)), X))))
+    def test_unify_agrees_with_reference(self, pair):
+        s, t = pair
+        sigma = unify_terms(s, t)
+        assert (sigma is None) == (reference_unify(s, t) is None)
+        if sigma is not None:
+            assert apply_subst(s, sigma) == apply_subst(t, sigma)
+            assert all(apply_subst(v, sigma) == v for v in sigma.values())
 
     def test_match_is_one_way(self):
         assert match_term(App(S, (X,)), App(S, (num(0),))) == {"x": num(0)}
