@@ -57,16 +57,17 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--degree-max",
         type=_at_least(1),
-        default=3,
-        help="largest interpretation degree to search (above 2 counts as 2); "
+        default=2,
+        help="largest interpretation degree to search, one complete search "
+        "per degree (above 2 counts as 2; all ground start terms use degree 1); "
         "combined proofs may still conclude a higher bound",
     )
     analyze.add_argument(
         "--coeff-max",
         type=_at_least(1),
         default=3,
-        help="largest interpretation coefficient to search; each box up to "
-        "these limits is searched completely",
+        help="largest interpretation coefficient to search; a certificate "
+        "records the largest coefficient it uses",
     )
     analyze.add_argument(
         "--timeout", type=_seconds, default=None, help="time limit in seconds"

@@ -100,6 +100,11 @@ def _empty(params: dict, p: Problem):
 
 def _complexity_pair(params: dict, p: Problem):
     interp = interp_from_json(params["interpretation"])
+    degree, cap = params["degree"], params["coeff_max"]
+    if type(degree) is not int or type(cap) is not int:  # rejects bools too
+        return None
+    if degree < interp.degree or cap < interp.largest_coefficient:
+        return None
     if not mu_monotone(interp, p) or not check_orientation(interp, p):
         return None
     bound = induced_bound(interp, p)
@@ -239,7 +244,7 @@ _STEP_CAP = 500
 
 @dataclass
 class StrategyConfig:
-    degree_max: int = 3
+    degree_max: int = 2
     coeff_max: int = 3
     timeout: Optional[float] = None
 
@@ -384,26 +389,24 @@ def _dgd_candidates(p: Problem, g: DepGraph) -> list[tuple[list[str], list[str]]
 def _try_complexity_pair(
     p: Problem, cfg: StrategyConfig, st: _SearchState
 ) -> Optional[Inference]:
-    """CP attempts at increasing degree and coefficient range.
+    """One complete interpretation search per degree, lowest first.
 
-    Small coefficient caps go first: they are searched orders of magnitude
-    faster and yield simpler certificates.
+    For all ground start terms every symbol is strongly linear, so the box
+    of degree 2 is the box of degree 1.  The certificate records the
+    interpretation's largest coefficient as its coeff_max.
     """
-    for degree in range(1, min(cfg.degree_max, 2) + 1):
-        for coeff_max in range(1, cfg.coeff_max + 1):
-            if st.timed_out():
-                return None
-            interp = synthesize(p, degree, coeff_max, deadline=st.deadline)
-            if interp is None:
-                continue
+    top = 1 if p.start_terms is StartKind.ALL else min(cfg.degree_max, 2)
+    for degree in range(1, top + 1):
+        if st.timed_out():
+            return None
+        interp = synthesize(p, degree, cfg.coeff_max, deadline=st.deadline)
+        if interp is not None:
             params = {
                 "degree": degree,
-                "coeff_max": coeff_max,
+                "coeff_max": max(interp.largest_coefficient, 1),
                 "interpretation": interp_to_json(interp),
             }
-            node = _chain("complexity_pair", params, p, cfg, st)
-            if node is not None and not node.judgement.bound.is_unknown:
-                return node
+            return _chain("complexity_pair", params, p, cfg, st)
     return None
 
 

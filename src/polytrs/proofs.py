@@ -158,7 +158,10 @@ def bound_to_json(b: Bound) -> Any:
 
 @_decoder
 def bound_from_json(obj: Any) -> Bound:
-    return Bound(obj["degree"])
+    degree = obj["degree"]
+    if degree is not None and type(degree) is not int:  # also rejects bool
+        raise ValueError(f"bound degree {degree!r} is neither null nor an integer")
+    return Bound.unknown() if degree is None else Bound.poly(degree)
 
 
 def symbol_to_json(s: Symbol) -> Any:

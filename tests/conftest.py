@@ -11,6 +11,17 @@ from polytrs.terms import SymbolKind
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# On all ground terms every symbol needs [f](x1..xn) = x1 + ... + xn + c.
+# Without that shape, one search at cap 3 picks [f] = x, [g] = 3x + 3,
+# which bounds no derivation, and the proof is lost.
+FULL_START = """(VAR x)
+(RULES
+  g(c(f(x), f(z))) -> c(z, s(s(x)))
+  g(s(f(x))) -> s(s(g(z)))
+)
+(STARTTERM FULL)
+"""
+
 
 def sym(problem, name, kind):
     for s in problem.signature:

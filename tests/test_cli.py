@@ -11,7 +11,7 @@ from polytrs import framework
 from polytrs.cli import main
 from polytrs.proofs import proof_from_json, proof_to_json, validate_proof
 from polytrs.terms import size
-from tests.conftest import ROOT
+from tests.conftest import FULL_START, ROOT
 
 MULT = str(ROOT / "problems" / "mult.trs")
 EXP = str(ROOT / "problems" / "exp.trs")
@@ -37,6 +37,16 @@ class TestAnalyze:
         dot = dot_file.read_text()
         assert dot.startswith("digraph")
         assert '"4" -> "3"' in dot
+
+    def test_all_start_terms_prove_linear_at_defaults(self, capsys, tmp_path):
+        full = tmp_path / "full.trs"
+        full.write_text(FULL_START)
+        code = main(["analyze", str(full), "--proof", "json"])
+        verdict, cert = capsys.readouterr().out.splitlines()
+        assert (code, verdict) == (0, "WORST_CASE(?, O(n^1))")
+        proof = proof_from_json(json.loads(cert))
+        assert validate_proof(proof).ok
+        assert (proof.processor, proof.params["degree"]) == ("complexity_pair", 1)
 
     def test_exp_stays_open(self, capsys):
         code = main(["analyze", EXP])

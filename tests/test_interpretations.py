@@ -27,6 +27,7 @@ from polytrs.parsing import parse_problem
 from polytrs.processors import apply_processor
 from polytrs.rewriting import Rule
 from polytrs.terms import App, Symbol, SymbolKind, Var, symbols_of
+from tests.conftest import FULL_START
 
 
 X = Polynomial.var("x")
@@ -378,6 +379,16 @@ class TestSynthesize:
         got = search_interpretation(relative_problem({"b"}), 1, 3, search_limit=1)
         assert (got.interp, got.outcome, got.nodes) == (None, "refuted", 0)
 
+    def test_answer_depends_on_the_cap(self):
+        # the first interpretation of a box need not lie in a smaller box
+        # that holds one too: a larger cap can change the answer, not only
+        # add answers where a smaller cap has none
+        p = parse_problem("(VAR x)\n(RULES\n  g(s(x)) -> x\n  h(x) -> g(x)\n  h(g(x)) -> g(z)\n)\n")
+        small, large = synthesize(p, 1, 1), synthesize(p, 1, 3)
+        assert small != large
+        assert small.largest_coefficient == 1 and large.largest_coefficient == 2
+        assert induced_bound(small, p) == induced_bound(large, p) == Bound.poly(1)
+
     def test_acceptance_03_down_set_is_refuted(self, exp_dt):
         # the sub-problem of ACCEPTANCE 03 has no interpretation of either
         # degree with coefficients up to 3; the search proves it
@@ -399,10 +410,12 @@ def enumerate_first(p: Problem, degree: int, coeff_max: int):
 
     The candidates of a symbol come from itertools.product, sorted by
     coefficient sum, then (sq, lin, const); symbols are taken by (kind,
-    arity, name).  Walking the product of all symbols flatly would take up
-    to 10^10 steps here, so a prefix is dropped as soon as a rule whose
-    symbols are all assigned fails term_polynomial's orientation check,
-    which no extension can repair.  Nothing else is pruned.
+    arity, name).  Constructor and compound symbols, and every symbol when
+    the start terms are all ground terms, take x1 + ... + xn + c.  Walking
+    the product of all symbols flatly would take up to 10^10 steps here, so
+    a prefix is dropped as soon as a rule whose symbols are all assigned
+    fails term_polynomial's orientation check, which no extension can
+    repair.  Nothing else is pruned.
     """
     rank = {
         SymbolKind.CONSTRUCTOR: 0,
@@ -415,7 +428,7 @@ def enumerate_first(p: Problem, degree: int, coeff_max: int):
 
     def candidates(sym):
         n = sym.arity
-        if rank[sym.kind] == 0:
+        if rank[sym.kind] == 0 or p.start_terms is StartKind.ALL:
             return [SymbolPoly((1,) * n, (0,) * n, c) for c in range(coeff_max + 1)]
         lin_lo = 1 if needs_monotone(p, sym) else 0
         sqs = itertools.product(range(coeff_max + 1), repeat=n if degree == 2 else 0)
@@ -512,6 +525,14 @@ class TestSolverAgainstEnumeration:
         got = search_interpretation(p, *box)
         assert got.outcome in ("found", "refuted")
         assert got.interp == enumerate_first(p, *box)
+
+    @pytest.mark.parametrize("box", BOXES + [(1, 3), (2, 3)], ids=lambda b: f"{b[0]}-{b[1]}")
+    def test_all_start_terms(self, box):
+        p = parse_problem(FULL_START)
+        got = search_interpretation(p, *box)
+        assert got.outcome == "found"
+        assert got.interp == enumerate_first(p, *box)
+        assert induced_bound(got.interp, p) == Bound.poly(1)
 
     def test_candidates_by_sum_first(self):
         # s needs a positive constant for g's pair; f then fits with lin 1,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -31,7 +32,16 @@ from polytrs.processors import (
     interp_from_json,
     interp_to_json,
 )
-from polytrs.proofs import Assumption, Axiom, render_proof
+from polytrs.proofs import (
+    Assumption,
+    Axiom,
+    Inference,
+    iter_nodes,
+    proof_from_json,
+    proof_to_json,
+    render_proof,
+    validate_proof,
+)
 from polytrs.terms import App, components
 from tests.conftest import ROOT, constructor, marked_sym
 
@@ -48,6 +58,12 @@ def num(p, n):
     return t
 
 
+def cp_params(interpretation, degree=2, coeff_max=3) -> dict:
+    """complexity_pair parameters; the default box holds every test's
+    interpretation, so a rejection comes from another side condition."""
+    return {"degree": degree, "coeff_max": coeff_max, "interpretation": interpretation}
+
+
 def strict_labels(p: Problem) -> list[str]:
     return [r.label for r in p.strict]
 
@@ -62,13 +78,13 @@ class TestCombine:
     def test_const(self, mult_dt):
         p = plus_only(mult_dt)
         obj = interp_to_json(synthesize(p, 1, 1))
-        _, bound_of = apply_processor("complexity_pair", {"interpretation": obj}, p)
+        _, bound_of = apply_processor("complexity_pair", cp_params(obj), p)
         assert bound_of([]) == P1
         assert bound_of([P2, UNK]) == P1
         # [s](x) = 2x + 1 still orients, but [s^n(0)] grows exponentially in n
         (s_entry,) = (e for e in obj if e["symbol"]["name"] == "s")
         s_entry["lin"] = [2]
-        _, bound_of = apply_processor("complexity_pair", {"interpretation": obj}, p)
+        _, bound_of = apply_processor("complexity_pair", cp_params(obj), p)
         assert bound_of([P1]) == UNK
 
     def test_identity(self, mult_problem):
@@ -147,8 +163,7 @@ class TestDispatch:
             {"symbol": plus, "lin": None, "sq": [0, 0], "const": 0},
             {"symbol": c2, "lin": [], "sq": [], "const": 0},
         ):
-            params = {"interpretation": [entry]}
-            assert apply_processor("complexity_pair", params, mult_dt) is None
+            assert apply_processor("complexity_pair", cp_params([entry]), mult_dt) is None
 
     def test_input_problem_unchanged(self, mult_dt):
         snapshot = Problem(
@@ -419,7 +434,7 @@ class TestComplexityPairProcessor:
     def test_accepts_synthesized_pair(self, mult_dt):
         p = plus_only(mult_dt)
         interp = synthesize(p, 1, 1)
-        params = {"interpretation": interp_to_json(interp)}
+        params = cp_params(interp_to_json(interp), 1, 1)
         subs, bound_of = apply_processor("complexity_pair", params, p)
         assert subs == []
         assert bound_of([]) == P1
@@ -432,7 +447,7 @@ class TestComplexityPairProcessor:
             entry["lin"] = [0] * len(entry["lin"])
             entry["const"] = 0
         assert (
-            apply_processor("complexity_pair", {"interpretation": obj}, p) is None
+            apply_processor("complexity_pair", cp_params(obj), p) is None
         )
 
     def test_rejects_non_monotone_interp(self, mult_problem):
@@ -458,7 +473,7 @@ class TestComplexityPairProcessor:
             {"symbol": times, "lin": [0, 0], "sq": [0, 0], "const": 1},
         ]
         assert (
-            apply_processor("complexity_pair", {"interpretation": interp}, p) is None
+            apply_processor("complexity_pair", cp_params(interp), p) is None
         )
 
     def test_missing_entry_rejects(self, mult_dt):
@@ -466,8 +481,65 @@ class TestComplexityPairProcessor:
         interp = synthesize(p, 1, 1)
         obj = interp_to_json(interp)[:-1]
         assert (
-            apply_processor("complexity_pair", {"interpretation": obj}, p) is None
+            apply_processor("complexity_pair", cp_params(obj), p) is None
         )
+
+
+def cp_nodes(proof) -> list[Inference]:
+    return [
+        n
+        for n in iter_nodes(proof)
+        if isinstance(n, Inference) and n.processor == "complexity_pair"
+    ]
+
+
+class TestComplexityPairParameters:
+    """The checker verifies the search box a certificate records."""
+
+    def test_mult_records_the_smallest_box(self, mult_proof):
+        got = [(n.params["degree"], n.params["coeff_max"]) for n in cp_nodes(mult_proof)]
+        assert got == [(1, 1), (1, 1)]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("degree", 0),
+            ("coeff_max", 0),
+            ("degree", 1.0),
+            ("coeff_max", 1.0),
+            ("degree", True),
+            ("coeff_max", True),
+            ("degree", "1"),
+            ("coeff_max", None),
+        ],
+    )
+    def test_tampered_parameter_is_rejected(self, mult_proof, key, value):
+        for node in cp_nodes(mult_proof):
+            p = node.judgement.problem
+            assert apply_processor("complexity_pair", node.params, p) is not None
+            tampered = dict(node.params, **{key: value})
+            assert apply_processor("complexity_pair", tampered, p) is None
+
+    def test_tampered_certificate_fails_validation(self, mult_proof):
+        for key in ("degree", "coeff_max"):
+            obj = json.loads(json.dumps(proof_to_json(mult_proof)))
+            todo = [obj["proof"]]
+            while todo:
+                node = todo.pop()
+                if node.get("processor") == "complexity_pair":
+                    break
+                todo += node.get("premises", [])
+            node["params"][key] = 0
+            assert not validate_proof(proof_from_json(obj)).ok
+
+    def test_recorded_cap_is_the_largest_coefficient(self):
+        # h's rule needs [s] = x + 1, g's then [g] = x + 2; the search
+        # goes up to 3 and records 2
+        p = parse_problem(
+            "(VAR x)\n(RULES\n  h(s(x)) -> h(x)\n  g(x) -> s(x)\n)\n(STARTTERM FULL)\n"
+        )
+        (node,) = cp_nodes(default_strategy(p))
+        assert (node.params["degree"], node.params["coeff_max"]) == (1, 2)
 
 
 class TestDefaultStrategy:

@@ -169,8 +169,16 @@ class TestJsonRoundtrip:
             lambda node: node["conclusion"]["problem"].update(start_terms=None),
             lambda node: node["conclusion"]["problem"].update(start_terms={}),
             lambda node: node.pop("premises"),
+            # a degree of 2.0 used to validate and render as O(n^2.0)
+            lambda node: node["conclusion"]["bound"].update(degree=2.0),
         ],
-        ids=["start_terms_string", "start_terms_null", "start_terms_empty", "no_premises"],
+        ids=[
+            "start_terms_string",
+            "start_terms_null",
+            "start_terms_empty",
+            "no_premises",
+            "float_bound",
+        ],
     )
     def test_wrong_shape_is_a_value_error(self, mult_proof, tamper):
         obj = proof_to_json(mult_proof)
@@ -215,6 +223,10 @@ class TestComponentSerializers:
             (rule_from_json, {"label": "1"}),
             (problem_from_json, {"strict_dps": 3}),
             (proof_from_json, []),
+            (bound_from_json, {"degree": 2.0}),
+            (bound_from_json, {"degree": True}),
+            (bound_from_json, {"degree": -1}),
+            (bound_from_json, {"degree": "2"}),
         ],
     )
     def test_wrong_shape_is_a_value_error(self, decode, obj):
