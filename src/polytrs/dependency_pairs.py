@@ -172,7 +172,7 @@ def enumerate_derivation_trees(
             return hit
         out: dict[DerivationTree, None] = {leaf(u): None}
         if b >= 1:
-            for _, rule, v in q_successors(u, rules, q):
+            for rule, v in q_successors(u, rules, q):
                 for forest in forests(components(v), b - 1):
                     out.setdefault(DerivationTree(u, rule, forest), None)
         result = tuple(out)

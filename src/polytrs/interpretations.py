@@ -11,10 +11,9 @@ searches the box of one degree and coefficient cap completely.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .framework import Bound, Problem, StartKind
 from .rewriting import Rule
@@ -570,7 +569,20 @@ def _value(terms: Sequence[tuple[int, tuple[int, ...]]], pos: list[int], neg: li
     return total
 
 
-def _candidates(lo: list[int], hi: list[int]) -> list[tuple[int, ...]]:
-    """The vectors of the box lo..hi by sum, then lexicographically."""
-    box = itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-    return sorted(box, key=lambda v: (sum(v), v))
+def _candidates(lo: list[int], hi: list[int]) -> Iterator[tuple[int, ...]]:
+    """The vectors of the box lo..hi by sum, then lexicographically, one at a
+    time: the box can be far larger than the part extraction tries."""
+    for total in range(sum(lo), sum(hi) + 1):
+        yield from _with_sum(lo, hi, total)
+
+
+def _with_sum(lo: list[int], hi: list[int], total: int) -> Iterator[tuple[int, ...]]:
+    """The vectors of the box lo..hi whose entries sum to total, in
+    lexicographic order."""
+    if not lo:
+        yield ()
+        return
+    rest_lo, rest_hi = sum(lo[1:]), sum(hi[1:])
+    for x in range(max(lo[0], total - rest_hi), min(hi[0], total - rest_lo) + 1):
+        for rest in _with_sum(lo[1:], hi[1:], total - x):
+            yield (x, *rest)

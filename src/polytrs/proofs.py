@@ -9,6 +9,7 @@ dictionaries referencing rules by label.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 from dataclasses import dataclass, field
@@ -259,7 +260,8 @@ def _node_to_json(tree: ProofTree) -> Any:
     return {
         "node": "inference",
         "processor": tree.processor,
-        "params": tree.params,
+        # a copy, so that editing the JSON leaves the tree as it is
+        "params": copy.deepcopy(tree.params),
         "conclusion": judgement_to_json(tree.judgement),
         "premises": [_node_to_json(pr) for pr in tree.premises],
     }
@@ -282,7 +284,7 @@ def _node_from_json(obj: Any) -> ProofTree:
     if kind == "inference":
         return Inference(
             processor=obj["processor"],
-            params=obj["params"],
+            params=copy.deepcopy(obj["params"]),
             judgement=judgement,
             premises=tuple(_node_from_json(pr) for pr in obj["premises"]),
         )

@@ -9,9 +9,10 @@ exploring the reachable term graph up to a depth budget and taking longest
 paths over its strongly connected components.  They exist to cross-check the
 proof machinery on small inputs.  One shared system per (rules, Q) memoises
 the steps of every subterm, assembled from its arguments' steps, and numbers
-the reached terms, so that exploration runs over integers.  The tests keep
-the obvious definitions (each position addressed from the root, the runtime
-table recomputed for every size) as references.
+the reached terms, so that exploration runs over integers.  Steps carry no
+position: the oracles only count them.  The position-based definition (each
+position addressed from the root) and the runtime table recomputed for every
+size live in the tests, as references.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .terms import (
     App,
-    Position,
     Symbol,
     SymbolKind,
     Term,
@@ -63,9 +63,7 @@ def check_labels(rules: Iterable[Rule]) -> None:
         seen.add(r.label)
 
 
-# A step's position as a link (i, inner) into argument i (0-based), None at
-# the root: the steps of a term share the links of its arguments' steps.
-Step = tuple[Optional[tuple], Rule, Term]
+Step = tuple[Rule, Term]
 
 _MEMO_CAP = 200_000
 
@@ -83,15 +81,15 @@ class _System:
         self.by_root: dict[Symbol, list[tuple[App, Optional[Rule], bool]]] = {}
         for lhs, r in [(r.lhs, r) for r in rules] + [(lhs, None) for lhs in q_only]:
             self.by_root.setdefault(lhs.sym, []).append((lhs, r, lhs in q_lhss))
-        # per subterm (has a Q-redex, link, rule, reduct, link, rule, ...),
-        # flat to stay small: there is one per subterm of every reached term
+        # per subterm (has a Q-redex, rule, reduct, rule, reduct, ...), flat
+        # to stay small: there is one per subterm of every reached term
         self.memo: dict[App, tuple] = {}
         self.forget()
 
     def forget(self) -> None:
         self.ids: dict[Term, int] = {}
         # term i, replaced by its edges once they are computed
-        self.nodes: list[Union[Term, tuple[tuple[int, Rule], ...]]] = []
+        self.nodes: list[Union[Term, tuple[tuple[Rule, int], ...]]] = []
 
     def steps(self, t: Term) -> Iterator[Step]:
         """One-step reducts of t in leftmost-outermost order, rules in order:
@@ -119,14 +117,13 @@ class _System:
                     if sigma is not None:
                         hit = hit or in_q
                         if rule is not None:
-                            out += (None, rule, apply_subst(rule.rhs, sigma))
+                            out += (rule, apply_subst(rule.rhs, sigma))
             for i, a in enumerate(args):
                 if a.__class__ is App:
-                    for link, rule, r in _triples(memo[a]):
-                        r = App(s.sym, args[:i] + (r,) + args[i + 1 :])
-                        out += ((i, link), rule, r)
+                    for rule, r in _pairs(memo[a]):
+                        out += (rule, App(s.sym, args[:i] + (r,) + args[i + 1 :]))
             memo[s] = (hit, *out)
-        return _triples(memo[t]) if t.__class__ is App else iter(())
+        return _pairs(memo[t]) if t.__class__ is App else iter(())
 
     def number(self, t: Term) -> int:
         i = self.ids.setdefault(t, len(self.nodes))
@@ -134,17 +131,17 @@ class _System:
             self.nodes.append(t)
         return i
 
-    def edges(self, i: int) -> tuple[tuple[int, Rule], ...]:
-        """(number of the reduct, rule) per step of term i."""
+    def edges(self, i: int) -> tuple[tuple[Rule, int], ...]:
+        """(rule, number of the reduct) per step of term i."""
         e = self.nodes[i]
         if e.__class__ is not tuple:
             steps = self.steps(e)
-            e = self.nodes[i] = tuple((self.number(r), rule) for _, rule, r in steps)
+            e = self.nodes[i] = tuple((rule, self.number(r)) for rule, r in steps)
         return e
 
 
-def _triples(v: tuple) -> Iterator[Step]:
-    return zip(v[1::3], v[2::3], v[3::3])
+def _pairs(v: tuple) -> Iterator[Step]:
+    return zip(v[1::2], v[2::2])
 
 
 # one shared system per (rules, q), cleared with the other functools caches
@@ -158,22 +155,14 @@ def is_q_normal_form(t: Term, q: Sequence[Rule]) -> bool:
     return t.__class__ is Var or not system.memo[t][0]
 
 
-def q_successors(
-    t: Term, rules: Sequence[Rule], q: Sequence[Rule]
-) -> tuple[tuple[Position, Rule, Term], ...]:
-    """All one-step reducts of t, leftmost-outermost positions, rules in order.
+def q_successors(t: Term, rules: Sequence[Rule], q: Sequence[Rule]) -> tuple[Step, ...]:
+    """All one-step reducts of t as (rule, reduct): leftmost-outermost, rules
+    in order.
 
-    A rule fires at p only when its lhs matches and every argument of the
-    matched instance is a normal form of q.
+    A rule fires at a subterm only when its lhs matches and every argument of
+    the matched instance is a normal form of q.
     """
-    out = []
-    for link, rule, reduct in _system(tuple(rules), tuple(q)).steps(t):
-        pos: list[int] = []
-        while link is not None:
-            i, link = link
-            pos.append(i + 1)
-        out.append((tuple(pos), rule, reduct))
-    return tuple(out)
+    return tuple(_system(tuple(rules), tuple(q)).steps(t))
 
 
 @dataclass(frozen=True)
@@ -218,7 +207,7 @@ def _explore(
         nxt: list[int] = []
         for u in frontier:
             ui = index[u]
-            for v, rule in system.edges(u):
+            for rule, v in system.edges(u):
                 vi = index.get(v)
                 if vi is None:
                     if depth >= budget:

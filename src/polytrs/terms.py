@@ -103,14 +103,7 @@ class App:
 
 Term = Union[Var, App]
 
-# Positions address subterms by 1-based argument indices; () is the root.
-Position = tuple[int, ...]
-
 Substitution = Mapping[str, Term]
-
-
-class InvalidPositionError(ValueError):
-    pass
 
 
 def compound(n: int) -> Symbol:
@@ -167,39 +160,6 @@ def subterms(t: Term) -> Iterator[Term]:
     if isinstance(t, App):
         for a in t.args:
             yield from subterms(a)
-
-
-def positions(t: Term) -> list[Position]:
-    """All positions in leftmost-outermost (preorder) order."""
-    out: list[Position] = []
-
-    def walk(s: Term, p: Position) -> None:
-        out.append(p)
-        if isinstance(s, App):
-            for i, a in enumerate(s.args, start=1):
-                walk(a, p + (i,))
-
-    walk(t, ())
-    return out
-
-
-def subterm_at(t: Term, p: Position) -> Term:
-    for i in p:
-        if not isinstance(t, App) or not 1 <= i <= len(t.args):
-            raise InvalidPositionError(f"position {p} not in {render(t)}")
-        t = t.args[i - 1]
-    return t
-
-
-def replace_at(t: Term, p: Position, s: Term) -> Term:
-    if not p:
-        return s
-    if not isinstance(t, App) or not 1 <= p[0] <= len(t.args):
-        raise InvalidPositionError(f"position {p} not in {render(t)}")
-    i = p[0]
-    args = list(t.args)
-    args[i - 1] = replace_at(args[i - 1], p[1:], s)
-    return App(t.sym, tuple(args))
 
 
 def variables(t: Term) -> tuple[str, ...]:

@@ -7,7 +7,7 @@ import pytest
 from polytrs.dependency_pairs import dt_problem
 from polytrs.parsing import parse_file
 from polytrs.processors import default_strategy
-from polytrs.terms import SymbolKind
+from polytrs.terms import App, SymbolKind, Term, render
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -21,6 +21,48 @@ FULL_START = """(VAR x)
 )
 (STARTTERM FULL)
 """
+
+
+# Positions address subterms by 1-based argument indices; () is the root.
+# The library's steps carry no position; these are the tests' reference.
+Position = tuple[int, ...]
+
+
+class InvalidPositionError(ValueError):
+    pass
+
+
+def positions(t: Term) -> list[Position]:
+    """All positions in leftmost-outermost (preorder) order."""
+    out: list[Position] = []
+
+    def walk(s: Term, p: Position) -> None:
+        out.append(p)
+        if isinstance(s, App):
+            for i, a in enumerate(s.args, start=1):
+                walk(a, p + (i,))
+
+    walk(t, ())
+    return out
+
+
+def subterm_at(t: Term, p: Position) -> Term:
+    for i in p:
+        if not isinstance(t, App) or not 1 <= i <= len(t.args):
+            raise InvalidPositionError(f"position {p} not in {render(t)}")
+        t = t.args[i - 1]
+    return t
+
+
+def replace_at(t: Term, p: Position, s: Term) -> Term:
+    if not p:
+        return s
+    if not isinstance(t, App) or not 1 <= p[0] <= len(t.args):
+        raise InvalidPositionError(f"position {p} not in {render(t)}")
+    i = p[0]
+    args = list(t.args)
+    args[i - 1] = replace_at(args[i - 1], p[1:], s)
+    return App(t.sym, tuple(args))
 
 
 def sym(problem, name, kind):

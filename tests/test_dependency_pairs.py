@@ -183,7 +183,7 @@ class TestDerivationTrees:
                 return
             reducts = {
                 v
-                for _, rule, v in q_successors(node.label, mult_dt.all_rules, mult_dt.q)
+                for rule, v in q_successors(node.label, mult_dt.all_rules, mult_dt.q)
                 if rule == node.rule
             }
             assert com(tuple(c.label for c in node.children)) in reducts

@@ -3,8 +3,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polytrs.dependency_pairs import dt_problem, wdp_problem
 from polytrs.framework import Bound, Problem, StartKind
@@ -12,6 +14,7 @@ from polytrs.interpretations import (
     PolyInterp,
     Polynomial,
     SymbolPoly,
+    _candidates,
     check_orientation,
     eval_term,
     induced_bound,
@@ -581,6 +584,30 @@ class TestSolverAgainstEnumeration:
         got = search_interpretation(p, *box)
         assert got.outcome in ("found", "refuted")
         assert got.interp == enumerate_first(p, *box)
+
+
+class TestCandidateOrder:
+    @settings(derandomize=True, max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5))
+    def test_lazy_order_is_the_sorted_box(self, bounds):
+        lo = [l for l, _ in bounds]
+        hi = [l + w for l, w in bounds]
+        box = itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+        assert list(_candidates(lo, hi)) == sorted(box, key=lambda v: (sum(v), v))
+
+    def test_wide_box_is_not_built(self):
+        # at degree 2, cap 3, the box of g/5 holds up to 4^11 vectors, and
+        # extraction tries only the first few
+        xs = ", ".join(f"x{i}" for i in range(5))
+        p = parse_problem(f"(VAR {xs.replace(',', '')})(RULES g({xs}) -> x0)")
+        tracemalloc.start()
+        try:
+            got = search_interpretation(p, 2, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.outcome == "found"
+        assert peak < 20_000_000
 
 
 class TestSynthesizedPairSemantics:

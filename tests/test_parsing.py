@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polytrs.framework import StartKind, is_innermost, problems_equal
+from polytrs.framework import Problem, StartKind, is_innermost, problems_equal
 from polytrs.parsing import ParseError, parse_problem, print_problem
 from polytrs.terms import SymbolKind, Var, render
 
@@ -147,3 +148,42 @@ class TestRoundtrip:
     def test_rejects_dp_problems(self, mult_dt):
         with pytest.raises(ValueError):
             print_problem(mult_dt)
+
+
+# the format's tokens, and terms, rules and sections made of them, so that
+# inputs get past the section structure to every kind of parse error
+TOKENS = [
+    *"(),", "->", "->=", "x", "y", "f", "g", "s", "0", "\n",
+    "VAR", "RULES", "STRATEGY", "INNERMOST", "STARTTERM", "CONSTRUCTOR-BASED",
+    "FULL", "COMMENT",
+]
+TERMS = ["x", "y", "0", "f(x)", "g(x, y)", "s(0)", "f(s(x))", "f(x, y)", "x(0)"]
+
+
+def flat(parts):
+    return [t for part in parts for t in part]
+
+
+BODIES = st.lists(st.sampled_from(TOKENS), max_size=10)
+RULES = st.lists(
+    st.tuples(st.sampled_from(TERMS), st.sampled_from(["->", "->="]), st.sampled_from(TERMS)),
+    max_size=3,
+).map(flat)
+SECTIONS = st.one_of(
+    st.just(["(", "VAR", "x", "y", ")"]),
+    st.tuples(
+        st.sampled_from(["VAR", "RULES", "STRATEGY", "STARTTERM", "COMMENT", "x"]),
+        st.one_of(BODIES, RULES),
+    ).map(lambda s: ["(", s[0], *s[1], ")"]),
+)
+INPUTS = st.lists(SECTIONS, max_size=3).map(flat)
+
+
+class TestFuzz:
+    @settings(derandomize=True, database=None, max_examples=500)
+    @given(INPUTS, st.sampled_from([" ", "", "\n"]))
+    def test_tokens_give_a_problem_or_a_parse_error(self, tokens, sep):
+        try:
+            assert isinstance(parse_problem(sep.join(tokens)), Problem)
+        except ParseError:
+            pass

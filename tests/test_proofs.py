@@ -134,6 +134,25 @@ class TestJsonRoundtrip:
         assert problems_equal(back.judgement.problem, mult_proof.judgement.problem)
         assert render_proof(back) == render_proof(mult_proof)
 
+    @staticmethod
+    def edit_params(obj):
+        # a list inside the params and the params themselves
+        params = obj["proof"]["premises"][0]["params"]
+        params["rules"].append("9")
+        params[f"key{len(params)}"] = ["9"]
+
+    def test_editing_the_json_leaves_the_tree(self, mult_proof):
+        want = json.dumps(mult_proof.premises[0].params)
+        self.edit_params(proof_to_json(mult_proof))
+        assert json.dumps(mult_proof.premises[0].params) == want
+
+    def test_editing_the_json_leaves_the_decoded_tree(self, mult_proof):
+        obj = json.loads(json.dumps(proof_to_json(mult_proof)))
+        back = proof_from_json(obj)
+        want = json.dumps(back.premises[0].params)
+        self.edit_params(obj)
+        assert json.dumps(back.premises[0].params) == want
+
     def test_open_proof_roundtrip_keeps_note(self, mult_problem):
         tree = Assumption(Judgement(mult_problem, Bound.unknown()), "why not")
         back = proof_from_json(proof_to_json(tree))

@@ -1,32 +1,60 @@
-"""Complexity-pair certificates of the corpus against the step oracle.
+"""Complexity-pair certificates against the step oracle.
 
 A complexity pair is sound only if the number of strict steps from a start
 term is at most the term's interpretation.  For every complexity_pair node
 of the default proofs of bench/problems, and of a system on all ground
 terms, this checks that inequality on every start term of size up to 7.
+A fuzz over small constructor-based systems checks it, up to size 5, on
+every closed proof, after the proof has gone through JSON and the
+validator.
 """
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polytrs.framework import start_terms_up_to
 from polytrs.interpretations import eval_term
 from polytrs.parsing import parse_file, parse_problem
-from polytrs.processors import default_strategy, interp_from_json
-from polytrs.proofs import Inference, is_closed, iter_nodes
+from polytrs.processors import StrategyConfig, default_strategy, interp_from_json
+from polytrs.proofs import (
+    Inference,
+    is_closed,
+    iter_nodes,
+    proof_from_json,
+    proof_to_json,
+    validate_proof,
+)
 from polytrs.rewriting import strict_step_oracle
 from tests.conftest import FULL_START, ROOT
 
 PROBLEMS = sorted((ROOT / "bench" / "problems").glob("*.trs"))
 
 
-def complexity_pairs(proof) -> list[Inference]:
-    return [
+def check_complexity_pairs(proof, size: int) -> int:
+    """Check the inequality at every complexity_pair node of proof, on its
+    start terms up to size; the number of such nodes."""
+    nodes = [
         n
         for n in iter_nodes(proof)
         if isinstance(n, Inference) and n.processor == "complexity_pair"
     ]
+    for node in nodes:
+        sub = node.judgement.problem
+        interp = interp_from_json(node.params["interpretation"])
+        for t in start_terms_up_to(sub, size):
+            steps = strict_step_oracle(t, sub.strict, sub.weak, sub.q, 200)
+            assert steps.exact, t
+            if t.sym in interp.entries:
+                assert steps.value <= eval_term(interp, t, {}), t
+            else:
+                # a symbol without rules, like len_app's app#, takes no step
+                assert steps.value == 0, t
+    return len(nodes)
 
 
 @pytest.mark.parametrize(
@@ -35,16 +63,65 @@ def complexity_pairs(proof) -> list[Inference]:
 def test_strict_steps_bounded_by_interpretation(source):
     p = parse_problem(source) if source is FULL_START else parse_file(str(source))
     proof = default_strategy(p)
-    nodes = complexity_pairs(proof)
-    assert nodes or not is_closed(proof)
-    for node in nodes:
-        sub = node.judgement.problem
-        interp = interp_from_json(node.params["interpretation"])
-        for t in start_terms_up_to(sub, 7):
-            steps = strict_step_oracle(t, sub.strict, sub.weak, sub.q, 200)
-            assert steps.exact, t
-            if t.sym in interp.entries:
-                assert steps.value <= eval_term(interp, t, {}), t
-            else:
-                # a symbol without rules, like len_app's app#, takes no step
-                assert steps.value == 0, t
+    assert check_complexity_pairs(proof, 7) or not is_closed(proof)
+
+
+CONSTRUCTORS = {"s": 1, "cons": 2}  # and the constants 0 and nil
+DEFINED = {"f": 1, "g": 2, "h": 1}
+
+
+def terms(leaves: list[str], arities: dict[str, int]) -> st.SearchStrategy[str]:
+    """Small terms over the leaves and the symbols of the given arities, as
+    text."""
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            *(
+                st.tuples(*[inner] * n).map(lambda args, f=f: f"{f}({', '.join(args)})")
+                for f, n in arities.items()
+            )
+        ),
+        max_leaves=4,
+    )
+
+
+PATTERNS = terms(["x", "y", "0", "nil"], CONSTRUCTORS)
+# per set of left-hand side variables
+RIGHT_SIDES = {
+    vs: terms([*vs, "0", "nil"], {**CONSTRUCTORS, **DEFINED})
+    for vs in [(), ("x",), ("y",), ("x", "y")]
+}
+
+
+@st.composite
+def rule_texts(draw) -> str:
+    root = draw(st.sampled_from(sorted(DEFINED)))
+    args = [draw(PATTERNS) for _ in range(DEFINED[root])]
+    variables = tuple(sorted({v for a in args for v in re.findall(r"\b[xy]\b", a)}))
+    return f"{root}({', '.join(args)}) -> {draw(RIGHT_SIDES[variables])}"
+
+
+@st.composite
+def systems(draw) -> str:
+    rules = draw(st.lists(rule_texts(), min_size=1, max_size=3))
+    strategy = "(STRATEGY INNERMOST)" if draw(st.booleans()) else ""
+    return f"(VAR x y)(RULES {' '.join(rules)}){strategy}(STARTTERM CONSTRUCTOR-BASED)"
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(systems())
+def test_fuzzed_proofs_replay_and_bound_strict_steps(text):
+    proof = default_strategy(parse_problem(text), StrategyConfig(timeout=2.0))
+    if not is_closed(proof):
+        return
+    blob = json.dumps(proof_to_json(proof), sort_keys=True)
+    back = proof_from_json(json.loads(blob))
+    assert json.dumps(proof_to_json(back), sort_keys=True) == blob
+    assert validate_proof(back).ok
+    check_complexity_pairs(back, 5)

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from polytrs.interpretations import needs_monotone
 from polytrs.terms import (
     App,
-    InvalidPositionError,
     Symbol,
     SymbolKind,
     Var,
@@ -19,12 +18,9 @@ from polytrs.terms import (
     mark,
     marked,
     match_term,
-    positions,
     rename_apart,
     render,
-    replace_at,
     size,
-    subterm_at,
     subterms,
     symbols_of,
     unify_terms,
@@ -32,6 +28,7 @@ from polytrs.terms import (
     unmarked,
     variables,
 )
+from tests.conftest import InvalidPositionError, positions, replace_at, subterm_at
 
 ZERO = Symbol("0", 0, SymbolKind.CONSTRUCTOR)
 S = Symbol("s", 1, SymbolKind.CONSTRUCTOR)
