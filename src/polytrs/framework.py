@@ -14,7 +14,7 @@ from itertools import repeat
 from typing import Iterator, Optional
 
 from . import rewriting
-from .rewriting import OracleResult, Rule, check_labels, strict_step_oracle
+from .rewriting import Heights, OracleResult, Rule, check_labels
 from .terms import (
     Symbol,
     SymbolKind,
@@ -190,20 +190,20 @@ def start_terms_up_to(p: Problem, n: int, cap: int = 200_000) -> list[Term]:
 
 
 def cc_rows(p: Problem, n: int, budget: int) -> Iterator[OracleResult]:
-    """cc_oracle(p, k, budget) for k = 0..n, each start term explored once.
+    """cc_oracle(p, k, budget) for k = 0..n, each reached term solved once.
 
     Start terms are explored in size order, and row k is yielded as soon as
     every term of size at most k is done.  At the first truncated exploration,
     at size k, rows k..n are AtLeast(budget), as each of them would be.
     """
-    strict, weak, q = p.strict, p.weak, p.q
+    heights = Heights(p.strict, p.weak, p.q, budget)
     best = 0
     done = 0  # rows yielded so far
-    for t in sorted(start_terms_up_to(p, n) if strict else (), key=size):
+    for t in sorted(start_terms_up_to(p, n) if p.strict else (), key=size):
         k = size(t)
         yield from repeat(OracleResult.exactly(best), k - done)
         done = k
-        r = strict_step_oracle(t, strict, weak, q, budget)
+        r = heights(t)
         if not r.exact:
             yield from repeat(r, n + 1 - done)
             return

@@ -4,15 +4,18 @@ A rule applies at a position only if the instantiated arguments of its
 left-hand side are normal forms of Q.  Q empty gives plain rewriting, Q equal
 to the rule set gives innermost rewriting.
 
-The oracles answer "how many (strict) steps can a derivation from t take" by
-exploring the reachable term graph up to a depth budget and taking longest
-paths over its strongly connected components.  They exist to cross-check the
-proof machinery on small inputs.  One shared system per (rules, Q) memoises
-the steps of every subterm, assembled from its arguments' steps, and numbers
-the reached terms, so that exploration runs over integers.  Steps carry no
-position: the oracles only count them.  The position-based definition (each
-position addressed from the root) and the runtime table recomputed for every
-size live in the tests, as references.
+The oracles, which cross-check the proof machinery on small inputs, answer
+"how many (strict) steps can a derivation from t take" by exploring the
+reachable term graph breadth-first up to a depth budget and taking longest
+paths over its strongly connected components.  Heights answers the start
+terms of one table together: it memoises the derivation height of each
+reached term, and explores a term breadth-first only when its region has a
+cycle or a path longer than the budget.  One shared system per (rules, Q)
+memoises the steps of every subterm, assembled from its arguments' steps,
+and numbers the reached terms, so that exploration runs over integers.
+Steps carry no position: the oracles only count them.  The references (each
+position addressed from the root, the table recomputed for every size) live
+in the tests.
 """
 
 from __future__ import annotations
@@ -309,6 +312,62 @@ def strict_step_oracle(
 def dh_oracle(t: Term, rules: Sequence[Rule], q: Sequence[Rule], budget: int) -> OracleResult:
     """Maximum derivation length from t, every step counted."""
     return strict_step_oracle(t, rules, (), q, budget)
+
+
+class Heights:
+    """strict_step_oracle(t, strict, weak, q, budget) for many t, each reached
+    term solved once.  A node whose longest derivation is at most budget has a
+    finite acyclic region within breadth-first distance budget, so its most
+    strict steps are what strict_step_oracle counts; the other nodes (on a
+    cycle, or with a longer derivation) go to strict_step_oracle."""
+
+    def __init__(self, strict, weak, q, budget: int) -> None:
+        self.args = (tuple(strict), tuple(weak), tuple(q), budget)
+        self.system = _system(self.args[0] + self.args[1], self.args[2])
+        self.counted = {id(r) for r in self.system.rules if r in self.args[0]}
+        self.nodes, self.memo = None, {}
+
+    def __call__(self, t: Term) -> OracleResult:
+        if len(self.system.nodes) > _MEMO_CAP:
+            self.system.forget()
+        if self.system.nodes is not self.nodes:  # renumbered: the records are void
+            self.nodes, self.memo = self.system.nodes, {}
+        h = self._solve(self.system.number(t))
+        return strict_step_oracle(t, *self.args) if h is None else OracleResult.exactly(h[1])
+
+    def _solve(self, start: int) -> Optional[tuple[int, int]]:
+        # memo: node -> (longest, strict), None when given up, () on the path
+        memo, edges, counted, budget = self.memo, self.system.edges, self.counted, self.args[3]
+        if start in memo:
+            return memo[start]
+        memo[start] = ()
+        path, todo = [start], [iter(edges(start))]  # each node a successor of the last
+        while path:
+            for _, v in todo[-1]:
+                if v not in memo:
+                    if len(path) > budget:  # start goes too deep; the others may not
+                        return self._give_up(path, 1)
+                    memo[v] = ()
+                    path.append(v)
+                    todo.append(iter(edges(v)))
+                    break
+                if not memo[v]:  # given up, or a cycle
+                    return self._give_up(path, len(path))
+            else:  # every successor is solved
+                longest = strict = 0
+                for rule, v in edges(path[-1]):
+                    n, s = memo[v]
+                    longest, strict = max(longest, n + 1), max(strict, s + (id(rule) in counted))
+                if longest > budget:
+                    return self._give_up(path, len(path))
+                memo[path.pop()] = (longest, strict)
+                todo.pop()
+        return memo[start]
+
+    def _give_up(self, path: list[int], known: int) -> None:
+        for u in path[known:]:  # unsolved
+            del self.memo[u]
+        self.memo.update(dict.fromkeys(path[:known]))
 
 
 def ground_terms(symbols: Iterable[Symbol], max_size: int, cap: int) -> list[Term]:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pathlib
+import re
+from typing import Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 from polytrs.dependency_pairs import dt_problem
 from polytrs.parsing import parse_file
@@ -112,3 +115,52 @@ def mult_proof(mult_problem):
 @pytest.fixture(scope="session")
 def exp_proof(exp_problem):
     return default_strategy(exp_problem)
+
+
+# Small constructor-based systems, as text, for the fuzzers.
+CONSTRUCTORS = {"s": 1, "cons": 2}  # and the constants 0 and nil
+DEFINED = {"f": 1, "g": 2, "h": 1}
+
+
+def terms(leaves: list[str], arities: dict[str, int]) -> st.SearchStrategy[str]:
+    """Small terms over the leaves and the symbols of the given arities, as
+    text."""
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            *(
+                st.tuples(*[inner] * n).map(lambda args, f=f: f"{f}({', '.join(args)})")
+                for f, n in arities.items()
+            )
+        ),
+        max_leaves=4,
+    )
+
+
+PATTERNS = terms(["x", "y", "0", "nil"], CONSTRUCTORS)
+# per set of left-hand side variables
+RIGHT_SIDES = {
+    vs: terms([*vs, "0", "nil"], {**CONSTRUCTORS, **DEFINED})
+    for vs in [(), ("x",), ("y",), ("x", "y")]
+}
+
+
+@st.composite
+def rule_texts(draw) -> str:
+    root = draw(st.sampled_from(sorted(DEFINED)))
+    args = [draw(PATTERNS) for _ in range(DEFINED[root])]
+    variables = tuple(sorted({v for a in args for v in re.findall(r"\b[xy]\b", a)}))
+    return f"{root}({', '.join(args)}) -> {draw(RIGHT_SIDES[variables])}"
+
+
+@st.composite
+def systems(draw, weak: bool = False, extra: Sequence[str] = ()) -> str:
+    """Innermost or not; up to two rules of extra beside the drawn ones; with
+    weak, each rule is weak or strict."""
+    rules = draw(st.lists(rule_texts(), min_size=1, max_size=3))
+    if extra:
+        rules += draw(st.lists(st.sampled_from(extra), max_size=2))
+    if weak:
+        rules = [r.replace(" -> ", " ->= ") if draw(st.booleans()) else r for r in rules]
+    strategy = "(STRATEGY INNERMOST)" if draw(st.booleans()) else ""
+    return f"(VAR x y)(RULES {' '.join(rules)}){strategy}(STARTTERM CONSTRUCTOR-BASED)"

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from polytrs import framework
 from polytrs.cli import main
 from polytrs.proofs import proof_from_json, proof_to_json, validate_proof
+from polytrs.rewriting import Heights
 from polytrs.terms import size
 from tests.conftest import FULL_START, ROOT
 
@@ -189,14 +189,15 @@ class TestErrors:
         assert f"argument {option[1]}:" in captured.err
 
     def test_oracle_depth_names_the_size(self, capsys, monkeypatch):
-        real = framework.strict_step_oracle
+        # the oracle table answers each start term through Heights
+        real = Heights.__call__
 
-        def overflow_at_size_2(t, *args):
+        def overflow_at_size_2(self, t):
             if size(t) == 2:
                 raise RecursionError("maximum recursion depth exceeded")
-            return real(t, *args)
+            return real(self, t)
 
-        monkeypatch.setattr(framework, "strict_step_oracle", overflow_at_size_2)
+        monkeypatch.setattr(Heights, "__call__", overflow_at_size_2)
         code = main(["oracle", EXP, "--size", "4", "--budget", "300"])
         captured = capsys.readouterr()
         assert code == 2

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from polytrs import rewriting
 from polytrs.framework import (
     Bound,
     Problem,
@@ -18,6 +19,7 @@ from polytrs.framework import (
 from polytrs.parsing import parse_problem
 from polytrs.rewriting import OracleResult, strict_step_oracle
 from polytrs.terms import SymbolKind
+from tests.conftest import systems
 
 bounds = st.one_of(
     st.just(Bound.unknown()), st.integers(min_value=0, max_value=6).map(Bound.poly)
@@ -165,6 +167,36 @@ INLINE = {
     "len_app": LEN_APP,
     "plus_wdp": PLUS + "(STARTTERM CONSTRUCTOR-BASED)",
 }
+# a -> ci for each i, and c1 -> c2 -> ... -> c5: a's longest derivation has 5
+# steps, and every term a reaches is at breadth-first distance 1
+CHAIN = """
+(RULES
+  a -> c1  a -> c2  a -> c3  a -> c4  a -> c5
+  c1 -> c2  c2 -> c3  c3 -> c4  c4 -> c5
+)
+(STARTTERM FULL)
+"""
+# f(s^k(0)) and g(s^k(0)) form a cycle of weak steps only
+WEAK_CYCLE = """
+(VAR x)
+(RULES
+  f(0) -> 0
+  f(s(x)) -> f(x)
+  f(x) ->= g(x)
+  g(x) ->= f(x)
+)
+(STARTTERM CONSTRUCTOR-BASED)
+"""
+# g(0) -> f(s(0)) -> g(0), both steps strict
+STRICT_CYCLE = """
+(VAR x)
+(RULES
+  f(0) -> 0
+  f(s(x)) -> g(x)
+  g(x) -> f(s(x))
+)
+(STARTTERM CONSTRUCTOR-BASED)
+"""
 
 
 def reference_rows(p, n, budget):
@@ -206,6 +238,61 @@ class TestCcRows:
             assert rows[-1] == OracleResult.at_least(200)
         if name == "plus_wdp":
             assert not p.q
+
+    def test_derivation_longer_than_budget_within_radius(self):
+        p = parse_problem(CHAIN)
+        rows = list(cc_rows(p, 2, 4))
+        assert rows == reference_rows(p, 2, 4)
+        assert rows[-1] == OracleResult.exactly(5)
+
+    def test_budget_cut_above_solved_successors(self):
+        # a, b and c are solved first; d's derivation is one step too long
+        p = parse_problem("(RULES d -> c c -> b b -> a)(STARTTERM FULL)")
+        rows = list(cc_rows(p, 1, 2))
+        assert rows == reference_rows(p, 1, 2)
+        assert rows[-1] == OracleResult.at_least(2)
+
+    def test_weak_cycle(self):
+        p = parse_problem(WEAK_CYCLE)
+        rows = list(cc_rows(p, 6, 30))
+        assert rows == reference_rows(p, 6, 30)
+        assert rows[-1] == OracleResult.exactly(5)
+
+    def test_strict_cycle(self):
+        p = parse_problem(STRICT_CYCLE)
+        rows = list(cc_rows(p, 4, 30))
+        assert rows == reference_rows(p, 4, 30)
+        assert rows[1:] == [OracleResult.exactly(0)] + [OracleResult.at_least(30)] * 3
+
+    def test_nodes_renumbered_during_a_table(self, monkeypatch, mult_problem):
+        monkeypatch.setattr(rewriting, "_MEMO_CAP", 50)
+        for p in (mult_problem, parse_problem(INLINE["plus_full"])):
+            assert list(cc_rows(p, 7, 60)) == reference_rows(p, 7, 60)
+
+
+# rules that recurse, loop or grow, so that derivations outrun small budgets
+RECURSIVE = [
+    "f(s(x)) -> f(x)",
+    "g(s(x), y) -> g(x, s(y))",
+    "f(cons(x, y)) -> g(f(x), f(y))",
+    "h(s(x)) -> h(h(x))",
+    "h(x) -> s(h(x))",
+    "g(x, y) -> g(y, x)",
+    "f(x) -> f(x)",
+]
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(systems(weak=True, extra=RECURSIVE), st.integers(min_value=1, max_value=6))
+def test_fuzzed_rows_match_per_row_definition(text, budget):
+    p = parse_problem(text)
+    assert list(cc_rows(p, 5, budget)) == reference_rows(p, 5, budget)
 
 
 class TestProblemsEqual:

@@ -12,10 +12,9 @@ validator.
 from __future__ import annotations
 
 import json
-import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from polytrs.framework import start_terms_up_to
 from polytrs.interpretations import eval_term
@@ -30,7 +29,7 @@ from polytrs.proofs import (
     validate_proof,
 )
 from polytrs.rewriting import strict_step_oracle
-from tests.conftest import FULL_START, ROOT
+from tests.conftest import FULL_START, ROOT, systems
 
 PROBLEMS = sorted((ROOT / "bench" / "problems").glob("*.trs"))
 
@@ -64,48 +63,6 @@ def test_strict_steps_bounded_by_interpretation(source):
     p = parse_problem(source) if source is FULL_START else parse_file(str(source))
     proof = default_strategy(p)
     assert check_complexity_pairs(proof, 7) or not is_closed(proof)
-
-
-CONSTRUCTORS = {"s": 1, "cons": 2}  # and the constants 0 and nil
-DEFINED = {"f": 1, "g": 2, "h": 1}
-
-
-def terms(leaves: list[str], arities: dict[str, int]) -> st.SearchStrategy[str]:
-    """Small terms over the leaves and the symbols of the given arities, as
-    text."""
-    return st.recursive(
-        st.sampled_from(leaves),
-        lambda inner: st.one_of(
-            *(
-                st.tuples(*[inner] * n).map(lambda args, f=f: f"{f}({', '.join(args)})")
-                for f, n in arities.items()
-            )
-        ),
-        max_leaves=4,
-    )
-
-
-PATTERNS = terms(["x", "y", "0", "nil"], CONSTRUCTORS)
-# per set of left-hand side variables
-RIGHT_SIDES = {
-    vs: terms([*vs, "0", "nil"], {**CONSTRUCTORS, **DEFINED})
-    for vs in [(), ("x",), ("y",), ("x", "y")]
-}
-
-
-@st.composite
-def rule_texts(draw) -> str:
-    root = draw(st.sampled_from(sorted(DEFINED)))
-    args = [draw(PATTERNS) for _ in range(DEFINED[root])]
-    variables = tuple(sorted({v for a in args for v in re.findall(r"\b[xy]\b", a)}))
-    return f"{root}({', '.join(args)}) -> {draw(RIGHT_SIDES[variables])}"
-
-
-@st.composite
-def systems(draw) -> str:
-    rules = draw(st.lists(rule_texts(), min_size=1, max_size=3))
-    strategy = "(STRATEGY INNERMOST)" if draw(st.booleans()) else ""
-    return f"(VAR x y)(RULES {' '.join(rules)}){strategy}(STARTTERM CONSTRUCTOR-BASED)"
 
 
 @settings(
