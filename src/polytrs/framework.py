@@ -100,7 +100,8 @@ class Problem:
                 raise ValueError(f"rule {r.label} in a DP slot is not dp-flagged")
             if not is_well_formed_dp(r):
                 raise ValueError(f"rule {r.label} is not a well-formed DP")
-        for r in self.strict_trs + self.weak_trs:
+        # Q too: certificates imply the flag from the slot
+        for r in self.strict_trs + self.weak_trs + self.q:
             if r.is_dp:
                 raise ValueError(f"dp-flagged rule {r.label} in a plain slot")
 

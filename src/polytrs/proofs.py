@@ -5,6 +5,13 @@ problems with an empty strict component or open assumptions; inner nodes
 name a processor together with the parameters it was applied with, so a
 checker can replay every step.  Parameters are kept as plain JSON-ready
 dictionaries referencing rules by label.
+
+The JSON form is schema 2.  A symbol is the one string name/arity/kind, a
+variable is a bare string and an application is {"sym": ..., "args": [...]}.
+Rules carry no DP flag: the problem slot a rule sits in implies it (*_dps
+true; *_trs and q false).  proof_from_json rejects any other schema,
+schema 1 among them, and decodes each distinct symbol string once per
+certificate.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
@@ -19,7 +27,7 @@ from .framework import Bound, Judgement, Problem, StartKind, problems_equal
 from .rewriting import Rule
 from .terms import App, Symbol, SymbolKind, Term, Var
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -144,9 +152,9 @@ def _decoder(decode):
     """Make decode report JSON of the wrong shape as ValueError."""
 
     @functools.wraps(decode)
-    def checked(obj: Any):
+    def checked(obj: Any, *args: Any, **kwargs: Any):
         try:
-            return decode(obj)
+            return decode(obj, *args, **kwargs)
         except (AttributeError, KeyError, TypeError) as e:
             raise ValueError(f"malformed JSON in {decode.__name__}: {e!r}") from e
 
@@ -165,73 +173,95 @@ def bound_from_json(obj: Any) -> Bound:
     return Bound.unknown() if degree is None else Bound.poly(degree)
 
 
-def symbol_to_json(s: Symbol) -> Any:
-    return {"name": s.name, "arity": s.arity, "kind": s.kind.value}
+def symbol_to_json(s: Symbol) -> str:
+    return f"{s.name}/{s.arity}/{s.kind.value}"
 
 
-@_decoder
+# the name may itself contain slashes; the arity is written as str(int) does
+_SYMBOL = re.compile(
+    rf"(.*)/(0|[1-9][0-9]*)/({'|'.join(k.value for k in SymbolKind)})", re.DOTALL
+)
+
+
 def symbol_from_json(obj: Any) -> Symbol:
-    return Symbol(obj["name"], obj["arity"], SymbolKind(obj["kind"]))
+    """Inverts symbol_to_json."""
+    match = _SYMBOL.fullmatch(obj) if type(obj) is str else None
+    if match is None:
+        raise ValueError(f"symbol {obj!r} is not a string name/arity/kind")
+    name, arity, kind = match.groups()
+    return Symbol(name, int(arity), SymbolKind(kind))
 
 
 def term_to_json(t: Term) -> Any:
-    if isinstance(t, Var):
-        return {"var": t.name}
-    return {
-        "sym": symbol_to_json(t.sym),
-        "args": [term_to_json(a) for a in t.args],
-    }
+    if t.__class__ is Var:
+        return t.name
+    return {"sym": symbol_to_json(t.sym), "args": [term_to_json(a) for a in t.args]}
+
+
+# The decoders below take an optional memo from symbol strings to symbols,
+# which proof_from_json shares across a whole certificate.
+
+
+def _symbol(text: Any, symbols: dict[str, Symbol]) -> Symbol:
+    sym = symbols.get(text)
+    if sym is None:
+        sym = symbols[text] = symbol_from_json(text)
+    return sym
 
 
 @_decoder
-def term_from_json(obj: Any) -> Term:
-    if "var" in obj:
-        return Var(obj["var"])
-    sym = symbol_from_json(obj["sym"])
-    args = tuple(term_from_json(a) for a in obj["args"])
-    return App(sym, args)
+def term_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Term:
+    return _term(obj, {} if symbols is None else symbols)
+
+
+def _term(obj: Any, symbols: dict[str, Symbol]) -> Term:
+    if obj.__class__ is str:
+        return Var(obj)
+    sym, args = _symbol(obj["sym"], symbols), obj["args"]
+    if args.__class__ is not list:
+        raise ValueError(f"arguments of {obj['sym']} are not a list")
+    return App(sym, tuple([_term(a, symbols) for a in args]))
 
 
 def rule_to_json(r: Rule) -> Any:
-    return {
-        "label": r.label,
-        "lhs": term_to_json(r.lhs),
-        "rhs": term_to_json(r.rhs),
-        "dp": r.is_dp,
-    }
+    """Without the DP flag: the problem slot a rule sits in implies it."""
+    return {"label": r.label, "lhs": term_to_json(r.lhs), "rhs": term_to_json(r.rhs)}
 
 
 @_decoder
-def rule_from_json(obj: Any) -> Rule:
-    lhs = term_from_json(obj["lhs"])
-    return Rule(lhs, term_from_json(obj["rhs"]), obj["label"], is_dp=obj["dp"])
+def rule_from_json(
+    obj: Any, is_dp: bool, symbols: Optional[dict[str, Symbol]] = None
+) -> Rule:
+    symbols = {} if symbols is None else symbols
+    lhs = _term(obj["lhs"], symbols)
+    return Rule(lhs, _term(obj["rhs"], symbols), obj["label"], is_dp=is_dp)
+
+
+# the rule lists of a problem; the rules of the *_dps ones are dependency pairs
+_RULE_SLOTS = ("strict_dps", "strict_trs", "weak_dps", "weak_trs", "q")
 
 
 def problem_to_json(p: Problem) -> Any:
-    return {
-        "strict_dps": [rule_to_json(r) for r in p.strict_dps],
-        "strict_trs": [rule_to_json(r) for r in p.strict_trs],
-        "weak_dps": [rule_to_json(r) for r in p.weak_dps],
-        "weak_trs": [rule_to_json(r) for r in p.weak_trs],
-        "q": [rule_to_json(r) for r in p.q],
-        "start_terms": {"kind": p.start_terms.value},
-        "signature": [
-            symbol_to_json(s)
-            for s in sorted(p.signature, key=lambda s: (s.name, s.kind.value))
-        ],
+    out: dict[str, Any] = {
+        slot: [rule_to_json(r) for r in getattr(p, slot)] for slot in _RULE_SLOTS
     }
+    out["start_terms"] = {"kind": p.start_terms.value}
+    out["signature"] = [
+        symbol_to_json(s) for s in sorted(p.signature, key=lambda s: (s.name, s.kind.value))
+    ]
+    return out
 
 
 @_decoder
-def problem_from_json(obj: Any) -> Problem:
+def problem_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Problem:
+    symbols = {} if symbols is None else symbols
     return Problem(
-        strict_dps=tuple(rule_from_json(r) for r in obj["strict_dps"]),
-        strict_trs=tuple(rule_from_json(r) for r in obj["strict_trs"]),
-        weak_dps=tuple(rule_from_json(r) for r in obj["weak_dps"]),
-        weak_trs=tuple(rule_from_json(r) for r in obj["weak_trs"]),
-        q=tuple(rule_from_json(r) for r in obj["q"]),
+        **{
+            slot: tuple(rule_from_json(r, slot.endswith("_dps"), symbols) for r in obj[slot])
+            for slot in _RULE_SLOTS
+        },
         start_terms=StartKind(obj["start_terms"]["kind"]),
-        signature=frozenset(symbol_from_json(s) for s in obj["signature"]),
+        signature=frozenset(_symbol(s, symbols) for s in obj["signature"]),
     )
 
 
@@ -240,8 +270,9 @@ def judgement_to_json(j: Judgement) -> Any:
 
 
 @_decoder
-def judgement_from_json(obj: Any) -> Judgement:
-    return Judgement(problem_from_json(obj["problem"]), bound_from_json(obj["bound"]))
+def judgement_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Judgement:
+    problem = problem_from_json(obj["problem"], symbols)
+    return Judgement(problem, bound_from_json(obj["bound"]))
 
 
 def proof_to_json(tree: ProofTree) -> Any:
@@ -269,14 +300,18 @@ def _node_to_json(tree: ProofTree) -> Any:
 
 @_decoder
 def proof_from_json(obj: Any) -> ProofTree:
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported proof schema: {obj.get('schema')!r}")
-    return _node_from_json(obj["proof"])
+    schema = obj.get("schema")
+    if schema != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported proof schema {schema!r}; this version reads schema "
+            f"{SCHEMA_VERSION} only"
+        )
+    return _node_from_json(obj["proof"], {})
 
 
-def _node_from_json(obj: Any) -> ProofTree:
+def _node_from_json(obj: Any, symbols: dict[str, Symbol]) -> ProofTree:
     kind = obj["node"]
-    judgement = judgement_from_json(obj["conclusion"])
+    judgement = judgement_from_json(obj["conclusion"], symbols)
     if kind == "axiom":
         return Axiom(judgement)
     if kind == "assumption":
@@ -286,6 +321,6 @@ def _node_from_json(obj: Any) -> ProofTree:
             processor=obj["processor"],
             params=copy.deepcopy(obj["params"]),
             judgement=judgement,
-            premises=tuple(_node_from_json(pr) for pr in obj["premises"]),
+            premises=tuple(_node_from_json(pr, symbols) for pr in obj["premises"]),
         )
     raise ValueError(f"unknown proof node kind: {kind!r}")

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from polytrs.framework import Bound, Judgement, Problem, problems_equal
+from polytrs.framework import Bound, Judgement, Problem, StartKind, problems_equal
 from polytrs.proofs import (
     Assumption,
     Axiom,
@@ -20,11 +21,14 @@ from polytrs.proofs import (
     render_proof,
     rule_from_json,
     rule_to_json,
+    symbol_from_json,
+    symbol_to_json,
     term_from_json,
     term_to_json,
     validate_proof,
 )
-from polytrs.terms import App, Var
+from polytrs.rewriting import Rule
+from polytrs.terms import App, Symbol, SymbolKind, Var, compound
 from tests.conftest import constructor
 
 
@@ -207,8 +211,14 @@ class TestJsonRoundtrip:
 
     def test_variable_lhs_is_rejected(self, mult_problem):
         obj = proof_to_json(Axiom(Judgement(empty_problem(mult_problem), Bound.poly(0))))
-        obj["proof"]["conclusion"]["problem"]["weak_trs"][0]["lhs"] = {"var": "y"}
-        with pytest.raises(ValueError):
+        obj["proof"]["conclusion"]["problem"]["weak_trs"][0]["lhs"] = "y"
+        with pytest.raises(ValueError, match="left-hand side must not be a variable"):
+            proof_from_json(obj)
+
+    def test_schema_1_is_rejected_by_name(self, mult_proof):
+        obj = proof_to_json(mult_proof)
+        obj["schema"] = 1
+        with pytest.raises(ValueError, match=r"schema 1\b"):
             proof_from_json(obj)
 
 
@@ -227,7 +237,8 @@ class TestComponentSerializers:
 
     def test_rule(self, mult_dt):
         for rule in mult_dt.dps + mult_dt.weak_trs:
-            assert rule_from_json(rule_to_json(rule)) == rule
+            assert "dp" not in rule_to_json(rule)
+            assert rule_from_json(rule_to_json(rule), rule.is_dp) == rule
 
     def test_problem(self, mult_dt, exp_problem):
         for p in (mult_dt, exp_problem):
@@ -238,7 +249,7 @@ class TestComponentSerializers:
         [
             (bound_from_json, []),
             (term_from_json, None),
-            (term_from_json, {"sym": {"name": "s", "arity": 1}, "args": []}),
+            (term_from_json, {"sym": "s/1", "args": []}),
             (rule_from_json, {"label": "1"}),
             (problem_from_json, {"strict_dps": 3}),
             (proof_from_json, []),
@@ -246,8 +257,100 @@ class TestComponentSerializers:
             (bound_from_json, {"degree": True}),
             (bound_from_json, {"degree": -1}),
             (bound_from_json, {"degree": "2"}),
+            (term_from_json, {"sym": "s/1/constructor", "args": []}),
+            (term_from_json, {"sym": "s/1/constructor", "args": "x"}),
+            (term_from_json, {"var": "x"}),
         ],
     )
     def test_wrong_shape_is_a_value_error(self, decode, obj):
         with pytest.raises(ValueError):
             decode(obj)
+
+
+USER_C2 = Symbol("c_2", 2, SymbolKind.CONSTRUCTOR)
+
+
+class TestSymbolStrings:
+    """Schema 2 writes a symbol as the one string name/arity/kind."""
+
+    @pytest.mark.parametrize(
+        "sym",
+        [
+            Symbol("a/b", 2, SymbolKind.DEFINED),
+            Symbol("g/1/defined", 10, SymbolKind.DEFINED),
+            Symbol("f#", 1, SymbolKind.DEFINED),
+            Symbol("f", 1, SymbolKind.MARKED),
+            Symbol("0", 0, SymbolKind.CONSTRUCTOR),
+            USER_C2,
+            compound(2),
+        ],
+        ids=symbol_to_json,
+    )
+    def test_roundtrip(self, sym):
+        assert symbol_from_json(symbol_to_json(sym)) == sym
+
+    def test_user_constructor_beside_compound(self):
+        x, y = Var("x"), Var("y")
+        t = App(compound(2), (App(USER_C2, (x, y)), App(USER_C2, (y, x))))
+        assert symbol_to_json(USER_C2) != symbol_to_json(compound(2))
+        symbols: dict = {}
+        back = term_from_json(term_to_json(t), symbols)
+        assert back == t
+        assert back.sym.kind is SymbolKind.COMPOUND
+        assert back.args[0].sym.kind is SymbolKind.CONSTRUCTOR
+        # one decoded symbol per distinct string, shared by both occurrences
+        assert len(symbols) == 2 and back.args[0].sym is back.args[1].sym
+
+    def test_slashed_name_in_a_problem(self):
+        ab = Symbol("a/b", 2, SymbolKind.DEFINED)
+        rule = Rule(App(ab, (Var("x"), Var("y"))), App(USER_C2, (Var("y"), Var("x"))), "r")
+        p = Problem(
+            strict_dps=(),
+            strict_trs=(rule,),
+            weak_dps=(),
+            weak_trs=(),
+            q=(rule,),
+            start_terms=StartKind.BASIC,
+            signature=frozenset({ab, USER_C2}),
+        )
+        back = problem_from_json(json.loads(json.dumps(problem_to_json(p))))
+        assert problems_equal(back, p) and back.signature == p.signature
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            "s",
+            "s/1",
+            "s/x/constructor",
+            "s/-1/constructor",
+            "s/ 1/constructor",
+            "s/01/constructor",
+            "s/1/constructor\n",
+            "s/1/",
+            "s/1/bogus",
+            "s/1/Constructor",
+            None,
+            1,
+            ["s", 1, "constructor"],
+            {"name": "s", "arity": 1, "kind": "constructor"},
+        ],
+    )
+    def test_malformed_symbol_is_a_value_error(self, obj):
+        with pytest.raises(ValueError):
+            symbol_from_json(obj)
+        with pytest.raises(ValueError):
+            term_from_json({"sym": obj, "args": []})
+
+    def test_dp_flag_follows_the_slot(self, mult_dt):
+        obj = problem_to_json(mult_dt)
+        back = problem_from_json(obj)
+        assert all(r.is_dp for r in back.strict_dps + back.weak_dps)
+        assert not any(r.is_dp for r in back.strict_trs + back.weak_trs + back.q)
+        # a DP moved to a plain slot decodes unflagged, which is not the rule
+        obj["strict_trs"].append(obj["strict_dps"].pop())
+        assert not problems_equal(problem_from_json(obj), mult_dt)
+
+    def test_dp_rule_in_q_is_rejected(self, mult_dt):
+        # the slot implies the flag only while Q holds no DP
+        with pytest.raises(ValueError, match="plain slot"):
+            dataclasses.replace(mult_dt, q=mult_dt.q + mult_dt.dps[:1])
