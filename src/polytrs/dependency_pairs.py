@@ -26,7 +26,6 @@ from .terms import (
     marked,
     render,
     subterms,
-    symbols_of,
 )
 
 
@@ -54,7 +53,7 @@ def _marked_pair(
     rule: Rule, label: str, parts: Callable[[Term], list[Term]]
 ) -> Rule:
     rhs = com(tuple(mark(c) for c in parts(rule.rhs)))
-    return Rule(App(marked(rule.lhs.sym), rule.lhs.args), rhs, label, is_dp=True)
+    return Rule(App(marked(rule.lhs.sym), rule.lhs.args), rhs, label)
 
 
 def weak_dependency_pair(rule: Rule, label: str) -> Rule:
@@ -73,10 +72,6 @@ def _dp_problem(
     labels = map(str, itertools.count(1))
     strict_dps = tuple(pair(r, next(labels)) for r in p.strict)
     weak_dps = tuple(pair(r, next(labels)) for r in p.weak)
-    sig = set(p.signature)
-    sig.update(marked(s) for s in p.signature if s.kind is SymbolKind.DEFINED)
-    for r in strict_dps + weak_dps:
-        sig.update(symbols_of(r.lhs) | symbols_of(r.rhs))
     return replace(
         p,
         strict_dps=strict_dps,
@@ -84,7 +79,6 @@ def _dp_problem(
         weak_dps=weak_dps,
         weak_trs=p.weak if rules_stay_strict else p.strict + p.weak,
         start_terms=StartKind.MARKED_BASIC,
-        signature=frozenset(sig),
     )
 
 

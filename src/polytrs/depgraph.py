@@ -93,7 +93,7 @@ def sep(dps: Iterable[Rule]) -> tuple[Rule, ...]:
     out = []
     for d in dps:
         for comp, letter in zip(components(d.rhs), "abcdefghijklmnopqrstuvwxyz"):
-            out.append(Rule(d.lhs, comp, f"{d.label}{letter}", is_dp=True))
+            out.append(Rule(d.lhs, comp, f"{d.label}{letter}"))
     return tuple(out)
 
 

@@ -4,6 +4,10 @@ A problem is a pair of rule sets (strict rules to be counted, weak rules that
 are free), a set Q restricting where rules may fire, and a class of start
 terms.  The judgement "problem has bound f" says the longest derivation from
 any start term of size n contains O(f(n)) strict steps.
+
+A problem stores only its rule lists, Q and the kind of its start terms.  A
+rule is a dependency pair because it sits in a *_dps list, and the signature
+is the set of symbols its rules and Q use.
 """
 
 from __future__ import annotations
@@ -91,19 +95,12 @@ class Problem:
     weak_trs: tuple[Rule, ...]
     q: tuple[Rule, ...]
     start_terms: StartKind
-    signature: frozenset[Symbol]
 
     def __post_init__(self) -> None:
         check_labels(self.strict_dps + self.strict_trs + self.weak_dps + self.weak_trs)
         for r in self.strict_dps + self.weak_dps:
-            if not r.is_dp:
-                raise ValueError(f"rule {r.label} in a DP slot is not dp-flagged")
             if not is_well_formed_dp(r):
                 raise ValueError(f"rule {r.label} is not a well-formed DP")
-        # Q too: certificates imply the flag from the slot
-        for r in self.strict_trs + self.weak_trs + self.q:
-            if r.is_dp:
-                raise ValueError(f"dp-flagged rule {r.label} in a plain slot")
 
     @property
     def strict(self) -> tuple[Rule, ...]:
@@ -120,6 +117,13 @@ class Problem:
     @property
     def dps(self) -> tuple[Rule, ...]:
         return self.strict_dps + self.weak_dps
+
+    @property
+    def signature(self) -> frozenset[Symbol]:
+        """The symbols of the rules and Q, compound symbols included."""
+        return frozenset(
+            s for r in self.all_rules + self.q for s in symbols_of(r.lhs) | symbols_of(r.rhs)
+        )
 
     def is_dp_problem(self) -> bool:
         return self.start_terms is StartKind.MARKED_BASIC

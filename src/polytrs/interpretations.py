@@ -102,7 +102,8 @@ class SymbolPoly:
     def __post_init__(self) -> None:
         if len(self.lin) != len(self.sq):
             raise ValueError("coefficient vectors disagree on arity")
-        if any(c < 0 for c in self.lin + self.sq) or self.const < 0:
+        # type(c) is int rejects bools and floats, which certificates may hold
+        if any(type(c) is not int or c < 0 for c in self.lin + self.sq + (self.const,)):
             raise ValueError("coefficients must be natural numbers")
 
     @property
@@ -189,9 +190,7 @@ def needs_monotone(p: Problem, sym: Symbol) -> bool:
     problem every symbol needs it.  Weak rules need only weak monotonicity,
     which every interpretation over N has.
     """
-    return sym.kind is SymbolKind.COMPOUND or not (
-        p.is_dp_problem() and all(r.is_dp for r in p.strict)
-    )
+    return sym.kind is SymbolKind.COMPOUND or not (p.is_dp_problem() and not p.strict_trs)
 
 
 def orients_strictly(interp: PolyInterp, rule: Rule) -> bool:

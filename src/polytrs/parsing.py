@@ -260,7 +260,6 @@ def parse_problem(text: str) -> Problem:
         weak_trs=tuple(weak),
         q=all_rules if innermost else (),
         start_terms=start_kind,
-        signature=frozenset(symbols.values()),
     )
 
 

@@ -81,9 +81,12 @@ def interp_from_json(obj: Any) -> PolyInterp:
     return PolyInterp(entries)
 
 
-def _resolve(labels: Sequence[str], pool: Sequence[Rule]) -> Optional[tuple[Rule, ...]]:
-    """The pool rules named by labels, in pool order; None on bad input."""
-    if len(set(labels)) != len(labels):
+def _resolve(labels: list[str], pool: Sequence[Rule]) -> Optional[tuple[Rule, ...]]:
+    """The pool rules named by labels, in pool order; None on bad input.
+
+    labels must be a list of distinct labels: a string would be read as its
+    characters, and anything but a string names no rule."""
+    if type(labels) is not list or len(set(labels)) != len(labels):
         return None
     by_label = {r.label: r for r in pool}
     if any(lab not in by_label for lab in labels):
@@ -168,7 +171,7 @@ def _predecessor_estimation(params: dict, p: Problem):
 def _remove_weak_suffix(params: dict, p: Problem):
     if not p.is_dp_problem():
         return None
-    if not p.strict or any(not r.is_dp for r in p.strict):
+    if not p.strict_dps or p.strict_trs:
         return None
     w1 = _resolve(params["rules"], p.weak_dps)
     if not w1:
@@ -185,7 +188,7 @@ def _dg_decomposition(params: dict, p: Problem):
     if not p.is_dp_problem():
         return None
     s_down = _resolve(params["strict_down"], p.strict_dps)
-    w_down = _resolve(params.get("weak_down", ()), p.weak_dps)
+    w_down = _resolve(params.get("weak_down", []), p.weak_dps)
     if not s_down or w_down is None:
         return None
     if len(s_down) == len(p.strict_dps):
@@ -228,6 +231,8 @@ def apply_processor(
     fn = _PROCESSORS.get(proc)
     if fn is None:
         raise ValueError(f"unknown processor {proc!r}")
+    if type(params) is not dict:
+        return None
     try:
         return fn(params, p)
     except (KeyError, TypeError, ValueError):

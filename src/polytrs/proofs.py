@@ -6,12 +6,12 @@ name a processor together with the parameters it was applied with, so a
 checker can replay every step.  Parameters are kept as plain JSON-ready
 dictionaries referencing rules by label.
 
-The JSON form is schema 2.  A symbol is the one string name/arity/kind, a
+The JSON form is schema 3.  A symbol is the one string name/arity/kind, a
 variable is a bare string and an application is {"sym": ..., "args": [...]}.
-Rules carry no DP flag: the problem slot a rule sits in implies it (*_dps
-true; *_trs and q false).  proof_from_json rejects any other schema,
-schema 1 among them, and decodes each distinct symbol string once per
-certificate.
+A problem is its five rule lists and its start terms: no signature, and no
+DP flag on a rule, which is a dependency pair because it sits in a *_dps
+list.  proof_from_json rejects any other schema, schemas 1 and 2 among
+them, and decodes each distinct symbol string once per certificate.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .framework import Bound, Judgement, Problem, StartKind, problems_equal
 from .rewriting import Rule
 from .terms import App, Symbol, SymbolKind, Term, Var
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -202,13 +202,6 @@ def term_to_json(t: Term) -> Any:
 # which proof_from_json shares across a whole certificate.
 
 
-def _symbol(text: Any, symbols: dict[str, Symbol]) -> Symbol:
-    sym = symbols.get(text)
-    if sym is None:
-        sym = symbols[text] = symbol_from_json(text)
-    return sym
-
-
 @_decoder
 def term_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Term:
     return _term(obj, {} if symbols is None else symbols)
@@ -217,24 +210,24 @@ def term_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Ter
 def _term(obj: Any, symbols: dict[str, Symbol]) -> Term:
     if obj.__class__ is str:
         return Var(obj)
-    sym, args = _symbol(obj["sym"], symbols), obj["args"]
+    text, args = obj["sym"], obj["args"]
+    sym = symbols.get(text)
+    if sym is None:
+        sym = symbols[text] = symbol_from_json(text)
     if args.__class__ is not list:
-        raise ValueError(f"arguments of {obj['sym']} are not a list")
+        raise ValueError(f"arguments of {text} are not a list")
     return App(sym, tuple([_term(a, symbols) for a in args]))
 
 
 def rule_to_json(r: Rule) -> Any:
-    """Without the DP flag: the problem slot a rule sits in implies it."""
     return {"label": r.label, "lhs": term_to_json(r.lhs), "rhs": term_to_json(r.rhs)}
 
 
 @_decoder
-def rule_from_json(
-    obj: Any, is_dp: bool, symbols: Optional[dict[str, Symbol]] = None
-) -> Rule:
+def rule_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Rule:
     symbols = {} if symbols is None else symbols
     lhs = _term(obj["lhs"], symbols)
-    return Rule(lhs, _term(obj["rhs"], symbols), obj["label"], is_dp=is_dp)
+    return Rule(lhs, _term(obj["rhs"], symbols), obj["label"])
 
 
 # the rule lists of a problem; the rules of the *_dps ones are dependency pairs
@@ -242,26 +235,18 @@ _RULE_SLOTS = ("strict_dps", "strict_trs", "weak_dps", "weak_trs", "q")
 
 
 def problem_to_json(p: Problem) -> Any:
-    out: dict[str, Any] = {
-        slot: [rule_to_json(r) for r in getattr(p, slot)] for slot in _RULE_SLOTS
+    return {
+        **{slot: [rule_to_json(r) for r in getattr(p, slot)] for slot in _RULE_SLOTS},
+        "start_terms": {"kind": p.start_terms.value},
     }
-    out["start_terms"] = {"kind": p.start_terms.value}
-    out["signature"] = [
-        symbol_to_json(s) for s in sorted(p.signature, key=lambda s: (s.name, s.kind.value))
-    ]
-    return out
 
 
 @_decoder
 def problem_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Problem:
     symbols = {} if symbols is None else symbols
     return Problem(
-        **{
-            slot: tuple(rule_from_json(r, slot.endswith("_dps"), symbols) for r in obj[slot])
-            for slot in _RULE_SLOTS
-        },
+        **{slot: tuple(rule_from_json(r, symbols) for r in obj[slot]) for slot in _RULE_SLOTS},
         start_terms=StartKind(obj["start_terms"]["kind"]),
-        signature=frozenset(_symbol(s, symbols) for s in obj["signature"]),
     )
 
 

@@ -43,7 +43,6 @@ class Rule:
     lhs: App
     rhs: Term
     label: str
-    is_dp: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):

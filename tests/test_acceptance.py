@@ -320,7 +320,6 @@ def test_08_dependency_graph_fixtures(capsys, mult_dt, exp_dt):
         weak_trs=exp_dt.weak_trs,
         q=exp_dt.q,
         start_terms=exp_dt.start_terms,
-        signature=exp_dt.signature,
     )
     exp_edges = {
         (src.label, dst.label) for src, dst, _ in estimate_dg(trimmed).edges
@@ -349,10 +348,8 @@ def test_09_unsound_removals_rejected(capsys):
     g_mark = Symbol("g", 0, SymbolKind.MARKED)
     c0, c1, c2 = compound(0), compound(1), compound(2)
 
-    spawner = Rule(
-        App(f_mark), App(c2, (App(f_mark), App(g_mark))), "f1", is_dp=True
-    )
-    sink = Rule(App(g_mark), App(c0), "g1", is_dp=True)
+    spawner = Rule(App(f_mark), App(c2, (App(f_mark), App(g_mark))), "f1")
+    sink = Rule(App(g_mark), App(c0), "g1")
     infinite = Problem(
         strict_dps=(sink,),
         strict_trs=(),
@@ -360,7 +357,6 @@ def test_09_unsound_removals_rejected(capsys):
         weak_trs=(),
         q=(),
         start_terms=StartKind.MARKED_BASIC,
-        signature=frozenset({f_mark, g_mark, c0, c2}),
     )
     removal_refused = all(
         apply_processor("remove_weak_suffix", {"rules": labels}, infinite) is None
@@ -375,7 +371,7 @@ def test_09_unsound_removals_rejected(capsys):
     )
 
     g_def = Symbol("g", 0, SymbolKind.DEFINED)
-    caller = Rule(App(f_mark), App(c1, (App(g_def),)), "f1", is_dp=True)
+    caller = Rule(App(f_mark), App(c1, (App(g_def),)), "f1")
     looper = Rule(App(g_def), App(g_def), "g")
     looping = Problem(
         strict_dps=(caller,),
@@ -384,7 +380,6 @@ def test_09_unsound_removals_rejected(capsys):
         weak_trs=(),
         q=(),
         start_terms=StartKind.MARKED_BASIC,
-        signature=frozenset({f_mark, g_def, c1}),
     )
     suffix_refused = (
         apply_processor("remove_weak_suffix", {"rules": ["g"]}, looping) is None

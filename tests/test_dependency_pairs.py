@@ -65,7 +65,10 @@ class TestTransforms:
         dp = weak_dependency_pair(mult_problem.strict_trs[3], "w")
         assert render(dp.lhs) == "times#(s(x), y)"
         assert render(dp.rhs) == "plus#(y, times(x, y))"
-        assert dp.is_dp
+        # a DP by its slot: the transformed problem lists it among its strict DPs
+        assert weak_dependency_pair(mult_problem.strict_trs[3], "4") in (
+            wdp_problem(mult_problem).strict_dps
+        )
 
     def test_wdp_collapsing(self, mult_problem):
         dp = weak_dependency_pair(mult_problem.strict_trs[0], "w")
@@ -123,7 +126,6 @@ class TestProblemTransforms:
             weak_trs=(),
             q=(),
             start_terms=StartKind.ALL,
-            signature=mult_problem.signature,
         )
         with pytest.raises(ValueError):
             wdp_problem(derivational)
@@ -136,7 +138,6 @@ class TestProblemTransforms:
             weak_trs=(),
             q=(),
             start_terms=StartKind.BASIC,
-            signature=mult_problem.signature,
         )
         with pytest.raises(ValueError):
             dt_problem(full)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from polytrs.dependency_pairs import enumerate_derivation_trees, leaf
@@ -155,7 +157,6 @@ class TestEstimate:
             weak_trs=exp_dt.weak_trs,
             q=exp_dt.q,
             start_terms=exp_dt.start_terms,
-            signature=exp_dt.signature,
         )
         assert edge_labels(estimate_dg(trimmed)) == {
             ("2", "2"),
@@ -217,7 +218,9 @@ class TestSep:
             ("4a", "plus#(y, times(x, y))"),
             ("4b", "times#(x, y)"),
         ]
-        assert all(r.is_dp and render(r.lhs) == "times#(s(x), y)" for r in rules)
+        assert all(render(r.lhs) == "times#(s(x), y)" for r in rules)
+        # DPs by their slot: a problem accepts them as weak DPs
+        assert dataclasses.replace(mult_dt, weak_dps=rules).weak_dps == rules
 
     def test_nullary_compound_vanishes(self, mult_dt):
         assert sep(by_label(mult_dt, "1")) == ()

@@ -69,7 +69,6 @@ class TestProblemValidation:
                 weak_trs=(),
                 q=(),
                 start_terms=StartKind.BASIC,
-                signature=mult_problem.signature,
             )
 
     def test_duplicate_labels_rejected(self, mult_problem):
@@ -82,7 +81,6 @@ class TestProblemValidation:
                 weak_trs=(rule,),
                 q=(),
                 start_terms=StartKind.BASIC,
-                signature=mult_problem.signature,
             )
 
     def test_is_dp_problem_variants(self, mult_dt):
@@ -106,7 +104,6 @@ class TestInnermost:
             weak_trs=(),
             q=(),
             start_terms=StartKind.BASIC,
-            signature=mult_problem.signature,
         )
         assert not is_innermost(full)
 
@@ -134,7 +131,6 @@ class TestCcOracle:
             weak_trs=mult_problem.strict_trs,
             q=mult_problem.q,
             start_terms=StartKind.BASIC,
-            signature=mult_problem.signature,
         )
         assert cc_oracle(p, 6, 50) == OracleResult.exactly(0)
 

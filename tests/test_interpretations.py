@@ -150,9 +150,6 @@ MULT_RULES = (
     ),
 )
 
-SIGNATURE = frozenset({ZERO, S, PLUS, TIMES})
-
-
 def relative_problem(strict_labels: set[str]) -> Problem:
     strict = tuple(r for r in MULT_RULES if r.label in strict_labels)
     weak = tuple(r for r in MULT_RULES if r.label not in strict_labels)
@@ -163,7 +160,6 @@ def relative_problem(strict_labels: set[str]) -> Problem:
         weak_trs=weak,
         q=(),
         start_terms=StartKind.BASIC,
-        signature=SIGNATURE,
     )
 
 
@@ -176,7 +172,6 @@ def descending_problem() -> Problem:
         weak_trs=(),
         q=(),
         start_terms=StartKind.ALL,
-        signature=SIGNATURE,
     )
 
 
@@ -261,7 +256,6 @@ class TestReplacementMaps:
             weak_trs=mult_dt.weak_trs[1:],
             q=mult_dt.q,
             start_terms=mult_dt.start_terms,
-            signature=mult_dt.signature,
         )
         assert all(needs_monotone(with_rule, s) for s in mult_dt.signature)
 
@@ -289,7 +283,6 @@ class TestInducedBound:
             weak_trs=(),
             q=(),
             start_terms=starts,
-            signature=SIGNATURE,
         )
         return induced_bound(interp, p)
 
@@ -352,7 +345,6 @@ class TestSynthesize:
             weak_trs=(),
             q=(),
             start_terms=StartKind.BASIC,
-            signature=frozenset({g, S, ZERO}),
         )
         assert synthesize(p, 2, 2) is None
 
@@ -571,7 +563,6 @@ class TestSolverAgainstEnumeration:
             ),
             q=(),
             start_terms=StartKind.ALL,
-            signature=frozenset(),
         )
         got = search_interpretation(p, 1, 1)
         assert got.interp == enumerate_first(p, 1, 1)
@@ -620,7 +611,6 @@ class TestSynthesizedPairSemantics:
             weak_trs=(),
             q=mult_dt.q,
             start_terms=mult_dt.start_terms,
-            signature=mult_dt.signature,
         )
         interp = synthesize(p, 1, 1)
         assert interp is not None and check_orientation(interp, p)

@@ -121,7 +121,6 @@ class TestInterpJson:
                 weak_trs=(),
                 q=mult_dt.q,
                 start_terms=mult_dt.start_terms,
-                signature=mult_dt.signature,
             ),
             1,
             1,
@@ -139,7 +138,6 @@ class TestInterpJson:
                 weak_trs=(),
                 q=mult_dt.q,
                 start_terms=mult_dt.start_terms,
-                signature=mult_dt.signature,
             ),
             1,
             1,
@@ -155,7 +153,7 @@ class TestDispatch:
         with pytest.raises(ValueError):
             apply_processor("shrink", {}, mult_problem)
 
-    def test_malformed_params_reject(self, mult_dt):
+    def test_malformed_params_reject(self, mult_dt, mult_proof):
         assert apply_processor("predecessor_estimation", {}, mult_dt) is None
         assert apply_processor("complexity_pair", {}, mult_dt) is None
         assert apply_processor("predecessor_estimation", {"rules": 5}, mult_dt) is None
@@ -166,6 +164,25 @@ class TestDispatch:
             # each is rejected for its shape, not for its symbol
             assert len(interp_from_json([dict(entry, lin=[0, 0], sq=[0, 0])]).entries) == 1
             assert apply_processor("complexity_pair", cp_params([entry]), mult_dt) is None
+        # on mult's certificate, each of these edits used to validate
+        def dgd(proof):
+            return proof["premises"][0]["premises"][0]["premises"][0]
+
+        def s_entry(proof):
+            interp = dgd(proof)["premises"][0]["params"]["interpretation"]
+            (e,) = [e for e in interp if e["symbol"] == "s/1/constructor"]
+            return e
+
+        for edit in (
+            lambda proof: proof.update(params="junk"),
+            # read as its characters, "12" would name the rules 1 and 2
+            lambda proof: dgd(proof)["params"].update(strict_down="2"),
+            lambda proof: s_entry(proof).update(const=1.0),
+            lambda proof: s_entry(proof).update(const=True),
+        ):
+            obj = proof_to_json(mult_proof)
+            edit(obj["proof"])
+            assert not validate_proof(proof_from_json(obj)).ok
 
     def test_input_problem_unchanged(self, mult_dt):
         snapshot = Problem(
@@ -175,7 +192,6 @@ class TestDispatch:
             weak_trs=mult_dt.weak_trs,
             q=mult_dt.q,
             start_terms=mult_dt.start_terms,
-            signature=mult_dt.signature,
         )
         apply_processor("predecessor_estimation", {"rules": ["1", "3"]}, mult_dt)
         assert problems_equal(mult_dt, snapshot)
@@ -189,7 +205,6 @@ def no_strict(p: Problem) -> Problem:
         weak_trs=p.strict_trs,
         q=p.q,
         start_terms=p.start_terms,
-        signature=p.signature,
     )
 
 
@@ -248,7 +263,6 @@ class TestDpTransforms:
             weak_trs=(),
             q=(),
             start_terms=StartKind.BASIC,
-            signature=mult_problem.signature,
         )
         assert apply_processor("dependency_tuples", {}, full) is None
         subs, _ = apply_processor("weak_dependency_pairs", {}, full)
@@ -316,7 +330,6 @@ class TestRemoveWeakSuffix:
             weak_trs=mult_dt.weak_trs,
             q=mult_dt.q,
             start_terms=mult_dt.start_terms,
-            signature=mult_dt.signature,
         )
         assert (
             apply_processor("remove_weak_suffix", {"rules": ["4"]}, shuffled) is None
@@ -428,7 +441,6 @@ def plus_only(mult_dt: Problem) -> Problem:
         weak_trs=(),
         q=mult_dt.q,
         start_terms=mult_dt.start_terms,
-        signature=mult_dt.signature,
     )
 
 
@@ -462,7 +474,6 @@ class TestComplexityPairProcessor:
             weak_trs=tuple(r for r in mult_problem.strict_trs if r.label != "c"),
             q=mult_problem.q,
             start_terms=mult_problem.start_terms,
-            signature=mult_problem.signature,
         )
         interp = [
             {"symbol": "0/0/constructor", "lin": [], "sq": [], "const": 0},
@@ -607,9 +618,9 @@ class TestDefaultStrategy:
         # pinned certificates: a refactor of the search or of the processors
         # must leave these bytes unchanged
         assert digests == [
-            "72ff256b1a28934b1ef4f11bf03109d9d7493e1722d3f71181371b9185d63ff5",
-            "8274d0667e995cc92886b2b3c214b5a5264b53e81ac1386f14aa56ecf6daf29d",
-            "b450419f65b3eca36fa64a909f78beebb3e9cc872ad4dd6f1cf9551474bd48b7",
+            "fc3442a0c85805a9c9b8e9b5c21207d5ae5ff502c7f94c6d5fc688387e28276f",
+            "3bcf577708fbe8726f956a79b0bd76fcc1e451c9de88ede02c76368469fac70d",
+            "84ea2be6c82f866768e06a6d46dc56809c176032834d50e0dcb08e81f26529ab",
         ]
         # pinned renderings, which name rules by label only, so a change of
         # the certificate schema leaves them as they are

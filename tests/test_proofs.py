@@ -1,11 +1,12 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
 from polytrs.framework import Bound, Judgement, Problem, StartKind, problems_equal
+from polytrs.parsing import parse_file
+from polytrs.processors import default_strategy
 from polytrs.proofs import (
     Assumption,
     Axiom,
@@ -29,7 +30,8 @@ from polytrs.proofs import (
 )
 from polytrs.rewriting import Rule
 from polytrs.terms import App, Symbol, SymbolKind, Var, compound
-from tests.conftest import constructor
+from tests.conftest import ROOT, constructor
+from tests.test_depgraph import CORPUS
 
 
 def empty_problem(template: Problem) -> Problem:
@@ -40,7 +42,6 @@ def empty_problem(template: Problem) -> Problem:
         weak_trs=template.strict_trs,
         q=template.q,
         start_terms=template.start_terms,
-        signature=template.signature,
     )
 
 
@@ -215,14 +216,26 @@ class TestJsonRoundtrip:
         with pytest.raises(ValueError, match="left-hand side must not be a variable"):
             proof_from_json(obj)
 
-    def test_schema_1_is_rejected_by_name(self, mult_proof):
-        obj = proof_to_json(mult_proof)
-        obj["schema"] = 1
-        with pytest.raises(ValueError, match=r"schema 1\b"):
-            proof_from_json(obj)
+    def test_schemas_1_and_2_are_rejected_by_name(self, mult_proof):
+        for schema in (1, 2):
+            obj = proof_to_json(mult_proof)
+            obj["schema"] = schema
+            with pytest.raises(ValueError, match=rf"schema {schema}\b"):
+                proof_from_json(obj)
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda path: str(path.relative_to(ROOT)))
+    def test_corpus_problems_hold_rule_lists_and_start_terms_only(self, path):
+        # a field the checker would ignore, such as a signature, fails this
+        fields = {"strict_dps", "strict_trs", "weak_dps", "weak_trs", "q", "start_terms"}
+        todo = [proof_to_json(default_strategy(parse_file(str(path))))["proof"]]
+        while todo:
+            node = todo.pop()
+            assert set(node["conclusion"]["problem"]) == fields
+            todo.extend(node.get("premises", ()))
 
 
 class TestComponentSerializers:
+
     def test_bound(self):
         for b in (Bound.poly(0), Bound.poly(3), Bound.unknown()):
             assert bound_from_json(bound_to_json(b)) == b
@@ -238,7 +251,7 @@ class TestComponentSerializers:
     def test_rule(self, mult_dt):
         for rule in mult_dt.dps + mult_dt.weak_trs:
             assert "dp" not in rule_to_json(rule)
-            assert rule_from_json(rule_to_json(rule), rule.is_dp) == rule
+            assert rule_from_json(rule_to_json(rule)) == rule
 
     def test_problem(self, mult_dt, exp_problem):
         for p in (mult_dt, exp_problem):
@@ -311,7 +324,6 @@ class TestSymbolStrings:
             weak_trs=(),
             q=(rule,),
             start_terms=StartKind.BASIC,
-            signature=frozenset({ab, USER_C2}),
         )
         back = problem_from_json(json.loads(json.dumps(problem_to_json(p))))
         assert problems_equal(back, p) and back.signature == p.signature
@@ -344,13 +356,10 @@ class TestSymbolStrings:
     def test_dp_flag_follows_the_slot(self, mult_dt):
         obj = problem_to_json(mult_dt)
         back = problem_from_json(obj)
-        assert all(r.is_dp for r in back.strict_dps + back.weak_dps)
-        assert not any(r.is_dp for r in back.strict_trs + back.weak_trs + back.q)
-        # a DP moved to a plain slot decodes unflagged, which is not the rule
+        for slot in ("strict_dps", "strict_trs", "weak_dps", "weak_trs", "q"):
+            assert getattr(back, slot) == getattr(mult_dt, slot)
+        # a DP moved to a plain slot is no longer a DP of the problem
         obj["strict_trs"].append(obj["strict_dps"].pop())
-        assert not problems_equal(problem_from_json(obj), mult_dt)
-
-    def test_dp_rule_in_q_is_rejected(self, mult_dt):
-        # the slot implies the flag only while Q holds no DP
-        with pytest.raises(ValueError, match="plain slot"):
-            dataclasses.replace(mult_dt, q=mult_dt.q + mult_dt.dps[:1])
+        moved = problem_from_json(obj)
+        assert len(moved.dps) == len(mult_dt.dps) - 1
+        assert not problems_equal(moved, mult_dt)

@@ -52,7 +52,7 @@ def check_complexity_pairs(proof, size: int) -> list[int]:
             if t.sym in interp.entries:
                 assert steps.value <= eval_term(interp, t, {}), t
             else:
-                # a symbol without rules, like len_app's app#, takes no step
+                # a root the interpretation leaves out must take no step
                 assert steps.value == 0, t
             counted.append(steps.value)
     return counted
