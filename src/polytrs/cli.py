@@ -12,9 +12,11 @@ start terms, as an independent cross-check of the prover's claims.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .depgraph import DepGraph, estimate_dg, to_dot
 from .framework import cc_rows
@@ -129,37 +131,51 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
     bound = tree.judgement.bound
     closed = is_closed(tree)
-    print(_verdict(bound.degree if closed else None))
-    if args.proof == "text":
-        print(render_proof(tree))
-    elif args.proof == "json":
-        print(json.dumps(proof_to_json(tree), sort_keys=True, separators=(",", ":")))
+    with _stdout_may_close():
+        print(_verdict(bound.degree if closed else None))
+        if args.proof == "text":
+            print(render_proof(tree))
+        elif args.proof == "json":
+            print(json.dumps(proof_to_json(tree), sort_keys=True, separators=(",", ":")))
     return 0 if closed and not bound.is_unknown else 1
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
     problem = parse_file(args.file)
-    print("n\tcc")
     n = 0  # rows printed, and the size being explored
-    try:
-        for row in cc_rows(problem, args.size, args.budget):
-            print(f"{n}\t{row}")
-            n += 1
-    except RecursionError:
-        # reachable terms, not the input, outgrew the recursive term walks
-        print(
-            f"error: terms reached from start terms of size {n} are nested too "
-            "deeply to explore; try a smaller --budget or --size",
-            file=sys.stderr,
-        )
-        return 2
-    except TooLargeError as err:
-        print(
-            f"error: {err} up to size {args.size}; try a smaller --size",
-            file=sys.stderr,
-        )
-        return 2
+    with _stdout_may_close():
+        print("n\tcc")
+        try:
+            for row in cc_rows(problem, args.size, args.budget):
+                print(f"{n}\t{row}")
+                n += 1
+        except RecursionError:
+            # reachable terms, not the input, outgrew the recursive term walks
+            print(
+                f"error: terms reached from start terms of size {n} are nested too "
+                "deeply to explore; try a smaller --budget or --size",
+                file=sys.stderr,
+            )
+            return 2
+        except TooLargeError as err:
+            print(
+                f"error: {err} up to size {args.size}; try a smaller --size",
+                file=sys.stderr,
+            )
+            return 2
     return 0
+
+
+@contextlib.contextmanager
+def _stdout_may_close() -> Iterator[None]:
+    """Print inside: a reader that has gone, as in `polytrs ... | head -1`,
+    stops the printing but is no error, so the run keeps its exit code."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

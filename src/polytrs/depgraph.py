@@ -1,10 +1,11 @@
-"""Dependency graph estimation and the chain view of derivation trees.
+"""Dependency graph estimation.
 
 Nodes are the DP rules of a problem.  An edge (d1, d2, i) says the i-th
 right-hand side component of d1 may, after some non-DP rewriting, become an
 instance of d2's left-hand side.  Reachability is over-approximated with
 tcap: a subterm is replaced by a fresh variable whenever some non-DP rule
-could rewrite it at the root.
+could rewrite it at the root.  The chains of derivation trees that the
+estimate must cover are the tests' reference, in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dependency_pairs import DerivationTree
 from .framework import Problem
 from .rewriting import Rule
 from .terms import App, Term, Var, components, fresh_var, rename_apart, unify_terms
@@ -88,37 +88,23 @@ def sep(dps: Iterable[Rule]) -> tuple[Rule, ...]:
     """Split each DP into one rule per right-hand side component.
 
     The split rules over-approximate a single DP step projected to one
-    component; labels get a letter suffix to stay unique.
+    component; labels get a suffix a, ..., z, aa, ab, ... to stay unique.
     """
-    out = []
-    for d in dps:
-        for comp, letter in zip(components(d.rhs), "abcdefghijklmnopqrstuvwxyz"):
-            out.append(Rule(d.lhs, comp, f"{d.label}{letter}"))
-    return tuple(out)
+    return tuple(
+        Rule(d.lhs, comp, d.label + _suffix(i))
+        for d in dps
+        for i, comp in enumerate(components(d.rhs))
+    )
 
 
-def chains_of(tree: DerivationTree, p: Problem) -> frozenset[tuple[str, ...]]:
-    """DP-labelled edge sequences along root-to-leaf paths of a tree.
-
-    Every maximal path contributes the sequence of DP rules applied along
-    it, in order; nodes rewritten with non-DP rules are passed through.
-    Paths without any DP step contribute nothing.
-    """
-    dp_labels = {d.label for d in p.dps}
-    chains: set[tuple[str, ...]] = set()
-
-    def walk(node: DerivationTree, acc: tuple[str, ...]) -> None:
-        if node.rule is not None and node.rule.label in dp_labels:
-            acc = acc + (node.rule.label,)
-        if not node.children:
-            if acc:
-                chains.add(acc)
-            return
-        for child in node.children:
-            walk(child, acc)
-
-    walk(tree, ())
-    return frozenset(chains)
+def _suffix(i: int) -> str:
+    """The i-th (from 0) of a, ..., z, aa, ab, ..., shorter ones first."""
+    out = ""
+    i += 1
+    while i:
+        i, letter = divmod(i - 1, 26)
+        out = chr(ord("a") + letter) + out
+    return out
 
 
 def to_dot(g: DepGraph) -> str:

@@ -183,14 +183,14 @@ def is_innermost(p: Problem) -> bool:
     return True
 
 
-def start_terms_up_to(p: Problem, n: int, cap: int = 200_000) -> list[Term]:
+def start_terms_up_to(p: Problem, n: int) -> list[Term]:
     """Concrete start terms of size at most n, for the oracles."""
     if p.start_terms is StartKind.BASIC:
-        return rewriting.basic_terms(p.signature, n, SymbolKind.DEFINED, cap)
+        return rewriting.basic_terms(p.signature, n, SymbolKind.DEFINED)
     if p.start_terms is StartKind.MARKED_BASIC:
-        return rewriting.basic_terms(p.signature, n, SymbolKind.MARKED, cap)
+        return rewriting.basic_terms(p.signature, n, SymbolKind.MARKED)
     return rewriting.ground_terms(
-        (s for s in p.signature if s.kind is not SymbolKind.COMPOUND), n, cap
+        (s for s in p.signature if s.kind is not SymbolKind.COMPOUND), n
     )
 
 

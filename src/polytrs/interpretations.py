@@ -263,23 +263,19 @@ class _Stop(Exception):
     """The node budget or the deadline ran out; args are (outcome, nodes)."""
 
 
+# A search stops after this many nodes.
+_NODE_LIMIT = 60_000
+
+
 def synthesize(
-    p: Problem,
-    degree: int,
-    coeff_max: int,
-    search_limit: int = 60_000,
-    deadline: Optional[float] = None,
+    p: Problem, degree: int, coeff_max: int, deadline: Optional[float] = None
 ) -> Optional[PolyInterp]:
     """search_interpretation's interpretation: None unless the outcome is found."""
-    return search_interpretation(p, degree, coeff_max, search_limit, deadline).interp
+    return search_interpretation(p, degree, coeff_max, deadline).interp
 
 
 def search_interpretation(
-    p: Problem,
-    degree: int,
-    coeff_max: int,
-    search_limit: int = 60_000,
-    deadline: Optional[float] = None,
+    p: Problem, degree: int, coeff_max: int, deadline: Optional[float] = None
 ) -> Synthesis:
     """Complete search over one box of interpretations, with statistics.
 
@@ -290,13 +286,13 @@ def search_interpretation(
     coefficient sum, then (sq, lin, const); the answer is the first
     assignment in this lexicographic order that orients every rule, which is
     what a backtracking enumeration of the candidates would return first.
-    The search stops early after search_limit nodes or at deadline, a
+    The search stops early after _NODE_LIMIT nodes or at deadline, a
     time.monotonic() value.
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     try:
-        solver = _Solver(p, degree, coeff_max, search_limit, deadline)
+        solver = _Solver(p, degree, coeff_max, deadline)
         interp = solver.first_solution()
     except _Stop as stop:
         return Synthesis(None, *stop.args)
@@ -319,10 +315,8 @@ class _Solver:
         p: Problem,
         degree: int,
         coeff_max: int,
-        search_limit: int,
         deadline: Optional[float],
     ) -> None:
-        self.limit = search_limit
         self.deadline = deadline
         self.nodes = 0
         syms: set[Symbol] = set()
@@ -436,7 +430,7 @@ class _Solver:
 
     def _node(self) -> None:
         self.nodes += 1
-        if self.nodes > self.limit:
+        if self.nodes > _NODE_LIMIT:
             raise _Stop("budget", self.nodes)
         self._check_deadline()
 

@@ -9,8 +9,8 @@ root symbols of left-hand sides, everything else is a constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+import re
+from typing import Optional, Union
 
 from .framework import Problem, StartKind
 from .rewriting import Rule
@@ -24,249 +24,176 @@ class ParseError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "(", ")", ",", "ARROW", "WEAK_ARROW", "IDENT"
-    text: str
-    line: int
-    column: int
+# a token is (kind, text, line, column); punctuation and arrows are their
+# own kind, every other word is an IDENT
+_Token = tuple[str, str, int, int]
+_MARKS = {"(", ")", ",", "->", "->="}
+# a newline, punctuation or a word; other white space is skipped
+_TOKEN = re.compile(r"(\n)|[(),]|[^\s(),]+")
 
-
-_PUNCT = {"(", ")", ","}
+# raw terms: symbol kinds are only known once every rule has been read, so
+# a variable is its name and an application is (name, arguments)
+_RawTerm = Union[str, tuple[str, list]]
 
 
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        if m.group(1):
+            line, line_start = line + 1, m.end()
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            out.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < len(text) and not text[i].isspace() and text[i] not in _PUNCT:
-            i += 1
-            col += 1
-        word = text[start:i]
-        if word == "->":
-            out.append(_Token("ARROW", word, line, start_col))
-        elif word == "->=":
-            out.append(_Token("WEAK_ARROW", word, line, start_col))
-        else:
-            out.append(_Token("IDENT", word, line, start_col))
+        word = m.group()
+        kind = word if word in _MARKS else "IDENT"
+        out.append((kind, word, line, m.start() - line_start + 1))
     return out
 
 
-# raw terms: symbol kinds are only known once every rule has been read
-_RawTerm = Union[tuple[str, str], tuple[str, str, list]]
-
-
-class _Cursor:
-    def __init__(self, tokens: Sequence[_Token], end_line: int) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.end_line = end_line
-
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, expected: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {expected}, found end of section", self.end_line, 1)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next(kind)
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {tok.text!r}", tok.line, tok.column
-            )
-        return tok
-
-
-def _split_sections(tokens: list[_Token]) -> list[tuple[_Token, list[_Token]]]:
-    sections: list[tuple[_Token, list[_Token]]] = []
+def _sections(tokens: list[_Token]) -> list[tuple[_Token, list[_Token]]]:
+    """Each section's name token and body, the tokens inside its parentheses."""
+    sections = []
     i = 0
     while i < len(tokens):
-        if tokens[i].kind != "(":
-            raise ParseError(
-                f"expected section, found {tokens[i].text!r}",
-                tokens[i].line,
-                tokens[i].column,
-            )
-        if i + 1 >= len(tokens) or tokens[i + 1].kind != "IDENT":
-            raise ParseError("expected section name", tokens[i].line, tokens[i].column)
-        name = tokens[i + 1]
-        depth = 1
-        j = i + 2
-        while j < len(tokens) and depth > 0:
-            if tokens[j].kind == "(":
-                depth += 1
-            elif tokens[j].kind == ")":
-                depth -= 1
+        kind, text, line, column = tokens[i]
+        if kind != "(":
+            raise ParseError(f"expected section, found {text!r}", line, column)
+        if i + 1 == len(tokens) or tokens[i + 1][0] != "IDENT":
+            raise ParseError("expected section name", line, column)
+        depth, j = 1, i + 2
+        while j < len(tokens) and depth:
+            depth += {"(": 1, ")": -1}.get(tokens[j][0], 0)
             j += 1
-        if depth != 0:
-            raise ParseError("unbalanced parenthesis", name.line, name.column)
-        sections.append((name, tokens[i + 2 : j - 1]))
+        if depth:
+            raise ParseError("unbalanced parenthesis", *tokens[i + 1][2:])
+        sections.append((tokens[i + 1], tokens[i + 2 : j - 1]))
         i = j
     return sections
 
 
-class _ProblemBuilder:
-    def __init__(self) -> None:
-        self.variables: set[str] = set()
-        self.arities: dict[str, int] = {}
+class _Reader:
+    """The tokens of one section body, read front to back."""
 
-    def parse_term(self, cur: _Cursor) -> _RawTerm:
-        tok = cur.next("a term")
-        if tok.kind != "IDENT":
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
+    def __init__(
+        self, body: list[_Token], end_line: int, variables: set[str], arities: dict[str, int]
+    ) -> None:
+        self.body = body
+        self.pos = 0
+        self.end_line = end_line
+        self.variables = variables
+        self.arities = arities  # shared by every section, names to arities
+
+    def peek(self) -> Optional[str]:
+        """The next token's kind, None at the end."""
+        return self.body[self.pos][0] if self.pos < len(self.body) else None
+
+    def next(self, expected: str) -> _Token:
+        if self.pos == len(self.body):
+            raise ParseError(f"expected {expected}, found end of section", self.end_line, 1)
+        self.pos += 1
+        return self.body[self.pos - 1]
+
+    def expect(self, kind: str, expected: Optional[str] = None) -> _Token:
+        tok = self.next(expected or kind)
+        if tok[0] != kind:
+            raise ParseError(f"expected {expected or kind}, found {tok[1]!r}", *tok[2:])
+        return tok
+
+    def term(self) -> _RawTerm:
+        _, name, line, column = self.expect("IDENT", "a term")
         args: list[_RawTerm] = []
-        nxt = cur.peek()
-        if nxt is not None and nxt.kind == "(":
-            cur.expect("(")
-            args.append(self.parse_term(cur))
-            while cur.peek() is not None and cur.peek().kind == ",":
-                cur.expect(",")
-                args.append(self.parse_term(cur))
-            cur.expect(")")
-        if tok.text in self.variables:
+        if self.peek() == "(":
+            self.pos += 1
+            args.append(self.term())
+            while self.peek() == ",":
+                self.pos += 1
+                args.append(self.term())
+            self.expect(")")
+        if name in self.variables:
             if args:
-                raise ParseError(
-                    f"variable {tok.text} used with arguments", tok.line, tok.column
-                )
-            return ("var", tok.text)
-        seen = self.arities.get(tok.text)
-        if seen is not None and seen != len(args):
+                raise ParseError(f"variable {name} used with arguments", line, column)
+            return name
+        seen = self.arities.setdefault(name, len(args))
+        if seen != len(args):
             raise ParseError(
-                f"symbol {tok.text} used with arity {len(args)} and {seen}",
-                tok.line,
-                tok.column,
+                f"symbol {name} used with arity {len(args)} and {seen}", line, column
             )
-        self.arities[tok.text] = len(args)
-        return ("app", tok.text, args)
+        return (name, args)
 
-    def build(self, raw: _RawTerm, symbols: dict[str, Symbol]) -> Term:
-        if raw[0] == "var":
-            return Var(raw[1])
-        _, name, args = raw
-        return App(symbols[name], tuple(self.build(a, symbols) for a in args))
+
+# the sections that set an option: the option's name and its values
+_START = {"CONSTRUCTOR-BASED": StartKind.BASIC, "FULL": StartKind.ALL}
+_OPTIONS = {
+    "STRATEGY": ("strategy", {"INNERMOST": True}),
+    "STARTTERM": ("start terms", _START),
+}
 
 
 def parse_problem(text: str) -> Problem:
     tokens = _tokenize(text)
-    end_line = tokens[-1].line if tokens else 1
-    builder = _ProblemBuilder()
-    raw_rules: list[tuple[_RawTerm, _RawTerm, bool, _Token]] = []
-    innermost = False
-    start_kind = StartKind.BASIC
-    seen_sections: set[str] = set()
-
-    sections = _split_sections(tokens)
-    for name_tok, body in sections:
-        name = name_tok.text
+    end_line = tokens[-1][2] if tokens else 1
+    sections = _sections(tokens)
+    declared: set[str] = set()  # the variables
+    seen: set[str] = set()
+    for (_, name, line, column), body in sections:
         if name == "COMMENT":
             continue
-        if name in seen_sections:
-            raise ParseError(f"duplicate section {name}", name_tok.line, name_tok.column)
-        seen_sections.add(name)
+        if name in seen:
+            raise ParseError(f"duplicate section {name}", line, column)
+        seen.add(name)
         if name == "VAR":
-            cur = _Cursor(body, end_line)
-            while cur.peek() is not None:
-                builder.variables.add(cur.expect("IDENT").text)
-        elif name not in ("RULES", "STRATEGY", "STARTTERM"):
-            raise ParseError(f"unknown section {name}", name_tok.line, name_tok.column)
+            reader = _Reader(body, end_line, declared, {})
+            while reader.peek() is not None:
+                declared.add(reader.expect("IDENT")[1])
+        elif name != "RULES" and name not in _OPTIONS:
+            raise ParseError(f"unknown section {name}", line, column)
 
-    for name_tok, body in sections:
-        name = name_tok.text
-        cur = _Cursor(body, end_line)
+    arities: dict[str, int] = {}
+    raw_rules: list[tuple[_RawTerm, _RawTerm, bool, _Token]] = []
+    options = {"STRATEGY": False, "STARTTERM": StartKind.BASIC}
+    for (_, name, _, _), body in sections:
+        reader = _Reader(body, end_line, declared, arities)
         if name == "RULES":
-            while cur.peek() is not None:
-                at = cur.peek()
-                lhs = builder.parse_term(cur)
-                arrow = cur.next("-> or ->=")
-                if arrow.kind not in ("ARROW", "WEAK_ARROW"):
-                    raise ParseError(
-                        f"expected -> or ->=, found {arrow.text!r}",
-                        arrow.line,
-                        arrow.column,
-                    )
-                rhs = builder.parse_term(cur)
-                raw_rules.append((lhs, rhs, arrow.kind == "WEAK_ARROW", at))
-        elif name == "STRATEGY":
-            tok = cur.expect("IDENT")
-            if tok.text != "INNERMOST":
-                raise ParseError(
-                    f"unsupported strategy {tok.text}", tok.line, tok.column
-                )
-            innermost = True
-        elif name == "STARTTERM":
-            tok = cur.expect("IDENT")
-            if tok.text == "CONSTRUCTOR-BASED":
-                start_kind = StartKind.BASIC
-            elif tok.text == "FULL":
-                start_kind = StartKind.ALL
-            else:
-                raise ParseError(
-                    f"unsupported start terms {tok.text}", tok.line, tok.column
-                )
+            while reader.peek() is not None:
+                at = body[reader.pos]
+                lhs = reader.term()
+                arrow = reader.next("-> or ->=")
+                if arrow[0] not in ("->", "->="):
+                    raise ParseError(f"expected -> or ->=, found {arrow[1]!r}", *arrow[2:])
+                raw_rules.append((lhs, reader.term(), arrow[0] == "->=", at))
+        elif name in _OPTIONS:
+            _, word, line, column = reader.expect("IDENT")
+            option, values = _OPTIONS[name]
+            if word not in values:
+                raise ParseError(f"unsupported {option} {word}", line, column)
+            options[name] = values[word]
 
-    defined = {raw[1] for raw, _, _, _ in raw_rules}
+    defined = {lhs[0] for lhs, _, _, _ in raw_rules if type(lhs) is tuple}
     symbols = {
         name: Symbol(
-            name,
-            arity,
-            SymbolKind.DEFINED if name in defined else SymbolKind.CONSTRUCTOR,
+            name, arity, SymbolKind.DEFINED if name in defined else SymbolKind.CONSTRUCTOR
         )
-        for name, arity in builder.arities.items()
+        for name, arity in arities.items()
     }
+
+    def build(raw: _RawTerm) -> Term:
+        if type(raw) is str:
+            return Var(raw)
+        return App(symbols[raw[0]], tuple(build(a) for a in raw[1]))
 
     strict: list[Rule] = []
     weak: list[Rule] = []
-    for index, (raw_lhs, raw_rhs, is_weak, at) in enumerate(raw_rules):
-        if raw_lhs[0] == "var":
-            raise ParseError("left-hand side is a variable", at.line, at.column)
-        lhs = builder.build(raw_lhs, symbols)
-        rhs = builder.build(raw_rhs, symbols)
+    for index, (raw_lhs, raw_rhs, is_weak, (_, _, line, column)) in enumerate(raw_rules):
+        if type(raw_lhs) is str:
+            raise ParseError("left-hand side is a variable", line, column)
+        lhs, rhs = build(raw_lhs), build(raw_rhs)
         extra = sorted(set(variables(rhs)) - set(variables(lhs)))
         if extra:
-            raise ParseError(
-                f"right-hand side introduces {', '.join(extra)}", at.line, at.column
-            )
-        assert isinstance(lhs, App)
-        rule = Rule(lhs, rhs, _rule_label(index))
-        (weak if is_weak else strict).append(rule)
+            raise ParseError(f"right-hand side introduces {', '.join(extra)}", line, column)
+        label = chr(ord("a") + index) if index < 26 else f"r{index + 1}"
+        (weak if is_weak else strict).append(Rule(lhs, rhs, label))
 
-    all_rules = tuple(strict) + tuple(weak)
-    return Problem(
-        strict_dps=(),
-        strict_trs=tuple(strict),
-        weak_dps=(),
-        weak_trs=tuple(weak),
-        q=all_rules if innermost else (),
-        start_terms=start_kind,
-    )
-
-
-def _rule_label(index: int) -> str:
-    if index < 26:
-        return chr(ord("a") + index)
-    return f"r{index + 1}"
+    q = tuple(strict + weak) if options["STRATEGY"] else ()
+    return Problem((), tuple(strict), (), tuple(weak), q, options["STARTTERM"])
 
 
 def parse_file(path: str) -> Problem:
@@ -278,11 +205,8 @@ def print_problem(p: Problem) -> str:
     """Inverse of parse_problem for problems the format can express."""
     if p.dps:
         raise ValueError("dependency pairs cannot be written in this format")
-    if p.start_terms is StartKind.BASIC:
-        start = "CONSTRUCTOR-BASED"
-    elif p.start_terms is StartKind.ALL:
-        start = "FULL"
-    else:
+    start = {kind: word for word, kind in _START.items()}.get(p.start_terms)
+    if start is None:
         raise ValueError(f"start terms {p.start_terms} cannot be written")
     if p.q and set(p.q) != set(p.all_rules):
         raise ValueError("only empty or innermost Q can be written")

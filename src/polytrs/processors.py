@@ -6,7 +6,13 @@ proof validation: given a processor id, JSON-level parameters and a problem
 it either returns the generated sub-problems together with the function that
 computes its bound from the premises' bounds, or None when a side condition
 fails.  Parameters reference rules by label so recorded proofs replay
-bit-for-bit.
+bit-for-bit, and a parameter key a processor does not read is a rejection.
+
+The default search is one ordered list of processor applications per
+problem, _steps, that _prove tries in turn through _chain, as TcT (Avanzini,
+Moser and Schaper, TACAS 2016) writes a strategy.  A problem stays open when
+none is accepted, when the step cap stops the search ("step budget
+exhausted") or once the deadline has passed ("timeout").
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .dependency_pairs import dt_problem, wdp_problem
 from .depgraph import DepGraph, estimate_dg, sep
@@ -73,6 +79,8 @@ def interp_to_json(interp: PolyInterp) -> Any:
 def interp_from_json(obj: Any) -> PolyInterp:
     entries = {}
     for e in obj:
+        if len(e) != 4:  # symbol, lin, sq and const
+            raise ValueError(f"interpretation entry with keys {sorted(e)}")
         sym = symbol_from_json(e["symbol"])
         lin = tuple(e["lin"])
         if len(lin) != sym.arity:  # SymbolPoly checks sq against lin
@@ -134,14 +142,10 @@ def _decompose(params: dict, p: Problem):
 
 
 def _weak_dependency_pairs(params: dict, p: Problem):
-    if p.dps:
-        return None
     return [wdp_problem(p)], _sum
 
 
 def _dependency_tuples(params: dict, p: Problem):
-    if p.dps:
-        return None
     return [dt_problem(p)], _sum
 
 
@@ -206,15 +210,17 @@ def _dg_decomposition(params: dict, p: Problem):
     return [p_up, p_down], _product
 
 
+# each processor with the parameter keys it accepts
 _PROCESSORS = {
-    "empty": _empty,
-    "complexity_pair": _complexity_pair,
-    "decompose": _decompose,
-    "weak_dependency_pairs": _weak_dependency_pairs,
-    "dependency_tuples": _dependency_tuples,
-    "predecessor_estimation": _predecessor_estimation,
-    "remove_weak_suffix": _remove_weak_suffix,
-    "dependency_graph_decomposition": _dg_decomposition,
+    "empty": (_empty, set()),
+    "complexity_pair": (_complexity_pair, {"interpretation", "degree", "coeff_max"}),
+    "decompose": (_decompose, {"strict_part"}),
+    "weak_dependency_pairs": (_weak_dependency_pairs, set()),
+    "dependency_tuples": (_dependency_tuples, set()),
+    "predecessor_estimation": (_predecessor_estimation, {"rules"}),
+    "remove_weak_suffix": (_remove_weak_suffix, {"rules"}),
+    # weak_down may be left out
+    "dependency_graph_decomposition": (_dg_decomposition, {"strict_down", "weak_down"}),
 }
 
 
@@ -224,14 +230,15 @@ def apply_processor(
     """Run one processor: its sub-problems and the function computing its bound
     from theirs, or None when its side conditions reject (p, params).
 
-    Malformed parameters (unknown labels, missing interpretation entries,
-    values of the wrong type, rule sets that break problem invariants) count
-    as rejection, since params may come from an untrusted serialized proof.
+    Malformed parameters (unknown labels or keys, missing interpretation
+    entries, values of the wrong type, rule sets that break problem
+    invariants) count as rejection, since params may come from an untrusted
+    serialized proof.
     """
-    fn = _PROCESSORS.get(proc)
-    if fn is None:
+    if proc not in _PROCESSORS:
         raise ValueError(f"unknown processor {proc!r}")
-    if type(params) is not dict:
+    fn, keys = _PROCESSORS[proc]
+    if type(params) is not dict or not params.keys() <= keys:
         return None
     try:
         return fn(params, p)
@@ -288,17 +295,13 @@ def default_strategy(p: Problem, config: Optional[StrategyConfig] = None) -> Pro
     return _prove(p, cfg, _SearchState(cfg))
 
 
-def _give_up(p: Problem, note: Optional[str] = None) -> Assumption:
-    return Assumption(Judgement(p, Bound.unknown()), note)
-
-
 def _chain(
     proc: str,
     params: dict,
     p: Problem,
     cfg: StrategyConfig,
     st: _SearchState,
-    closed: bool = False,
+    closed: bool,
 ) -> Optional[Inference]:
     """Apply proc and prove its sub-problems in order; None when it rejects,
     or with closed, as soon as one sub-proof stays open."""
@@ -316,58 +319,71 @@ def _chain(
 
 
 def _prove(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
-    stop = st.spend()
-    if stop is not None:
-        return _give_up(p, stop)
-    if not p.strict:
-        return Axiom(Judgement(p, Bound.poly(0)))
+    """The first of _steps that _chain accepts; an open leaf when none does
+    or when the step cap or the deadline stops the search."""
+    note = st.spend()
+    if note is None:
+        if not p.strict:
+            return Axiom(Judgement(p, Bound.poly(0)))
+        for proc, params, closed in _steps(p, cfg, st):
+            if st.timed_out():
+                break
+            node = _chain(proc, params, p, cfg, st, closed)
+            if node is not None:
+                return node
+        note = "timeout" if st.timed_out() else None
+    return Assumption(Judgement(p, Bound.unknown()), note)
+
+
+def _steps(
+    p: Problem, cfg: StrategyConfig, st: _SearchState
+) -> Iterator[tuple[str, dict, bool]]:
+    """The processor applications to try on p, in order, as (processor,
+    params, closed); with closed, a node counts only once every sub-proof is
+    closed."""
     if p.start_terms is StartKind.BASIC:
         # dependency tuples reject problems that are not innermost
-        node = _chain("dependency_tuples", {}, p, cfg, st) or _chain(
-            "weak_dependency_pairs", {}, p, cfg, st
-        )
-        return node or _give_up(p)
+        yield "dependency_tuples", {}, False
+        yield "weak_dependency_pairs", {}, False
+        return
     if p.is_dp_problem():
-        return _prove_dp(p, cfg, st)
-    return _prove_derivational(p, cfg, st)
+        g = estimate_dg(p)
+        weak_set = set(p.weak_dps)
+        # estimate strict DPs whose successors are all weak already; keeping
+        # the predecessors strict guarantees the strict component shrinks
+        targets = [d for d in p.strict_dps if g.successors((d,)) <= weak_set]
+        if g.predecessors(targets) <= set(p.strict_dps):
+            yield "predecessor_estimation", {"rules": [d.label for d in targets]}, False
+        removable = [w.label for w in p.weak_dps if g.forward_closure((w,)) <= weak_set]
+        yield "remove_weak_suffix", {"rules": removable}, False
 
+    # one complete interpretation search per degree, lowest first; for all
+    # ground start terms every symbol is strongly linear, so the box of
+    # degree 2 is the box of degree 1
+    top = 1 if p.start_terms is StartKind.ALL else min(cfg.degree_max, 2)
+    for degree in range(1, top + 1):
+        interp = synthesize(p, degree, cfg.coeff_max, deadline=st.deadline)
+        if interp is not None:
+            params = {
+                "degree": degree,
+                # the certificate records the largest coefficient it uses
+                "coeff_max": max(interp.largest_coefficient, 1),
+                "interpretation": interp_to_json(interp),
+            }
+            yield "complexity_pair", params, False
+            break
 
-def _prove_dp(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
-    g = estimate_dg(p)
-    strict_set = set(p.strict_dps)
-    weak_set = set(p.weak_dps)
-
-    # estimate strict DPs whose successors are all weak already; keeping the
-    # predecessors strict guarantees the strict component shrinks
-    targets = tuple(d for d in p.strict_dps if g.successors((d,)) <= weak_set)
-    if g.predecessors(targets) <= strict_set:
-        rules = [d.label for d in targets]
-        node = _chain("predecessor_estimation", {"rules": rules}, p, cfg, st)
-        if node is not None:
-            return node
-
-    removable = [w.label for w in p.weak_dps if g.forward_closure((w,)) <= weak_set]
-    node = _chain("remove_weak_suffix", {"rules": removable}, p, cfg, st)
-    if node is not None:
-        return node
-
-    node = _try_complexity_pair(p, cfg, st)
-    if node is not None:
-        return node
-
-    for s_down, w_down in _dgd_candidates(p, g):
-        if st.timed_out():
-            return _give_up(p, "timeout")
-        params = {"strict_down": s_down, "weak_down": w_down}
-        node = _chain("dependency_graph_decomposition", params, p, cfg, st, closed=True)
-        if node is not None:
-            return node
-    return _give_up(p)
+    if p.is_dp_problem():
+        for s_down, w_down in _dgd_candidates(p, g):
+            params = {"strict_down": s_down, "weak_down": w_down}
+            yield "dependency_graph_decomposition", params, True
+    else:
+        for r in p.strict:
+            yield "decompose", {"strict_part": [r.label]}, True
 
 
 def _dgd_candidates(p: Problem, g: DepGraph) -> list[tuple[list[str], list[str]]]:
     """Forward-closed down-sets seeded from single nodes, smallest first."""
-    strict_set = set(p.strict_dps)
     seen: set[frozenset[Rule]] = set()
     ranked = []
     for d in p.dps:
@@ -375,53 +391,10 @@ def _dgd_candidates(p: Problem, g: DepGraph) -> list[tuple[list[str], list[str]]
         if down in seen:
             continue
         seen.add(down)
-        s_down = [r for r in p.strict_dps if r in down]
-        if not s_down or len(s_down) == len(strict_set):
+        s_down = [r.label for r in p.strict_dps if r in down]
+        if not s_down or len(s_down) == len(p.strict_dps):
             continue
-        w_down = [r for r in p.weak_dps if r in down]
-        ranked.append(
-            (
-                len(down),
-                sorted(r.label for r in down),
-                [r.label for r in s_down],
-                [r.label for r in w_down],
-            )
-        )
-    ranked.sort(key=lambda c: (c[0], c[1]))
-    return [(s, w) for _, _, s, w in ranked[:_DGD_CANDIDATES]]
-
-
-def _try_complexity_pair(
-    p: Problem, cfg: StrategyConfig, st: _SearchState
-) -> Optional[Inference]:
-    """One complete interpretation search per degree, lowest first.
-
-    For all ground start terms every symbol is strongly linear, so the box
-    of degree 2 is the box of degree 1.  The certificate records the
-    interpretation's largest coefficient as its coeff_max.
-    """
-    top = 1 if p.start_terms is StartKind.ALL else min(cfg.degree_max, 2)
-    for degree in range(1, top + 1):
-        if st.timed_out():
-            return None
-        interp = synthesize(p, degree, cfg.coeff_max, deadline=st.deadline)
-        if interp is not None:
-            params = {
-                "degree": degree,
-                "coeff_max": max(interp.largest_coefficient, 1),
-                "interpretation": interp_to_json(interp),
-            }
-            return _chain("complexity_pair", params, p, cfg, st)
-    return None
-
-
-def _prove_derivational(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
-    node = _try_complexity_pair(p, cfg, st)
-    if node is not None:
-        return node
-    for r in p.strict:
-        params = {"strict_part": [r.label]}
-        node = _chain("decompose", params, p, cfg, st, closed=True)
-        if node is not None:
-            return node
-    return _give_up(p)
+        w_down = [r.label for r in p.weak_dps if r in down]
+        ranked.append(((len(down), sorted(r.label for r in down)), s_down, w_down))
+    ranked.sort(key=lambda c: c[0])
+    return [(s, w) for _, s, w in ranked[:_DGD_CANDIDATES]]

@@ -161,13 +161,25 @@ def _decoder(decode):
     return checked
 
 
+def _fields(obj: Any, *keys: str) -> list[Any]:
+    """obj's values at keys.  An object with any other key is rejected, so
+    that no key goes unread; one len() is the whole check."""
+    if len(obj) != len(keys):
+        raise _wrong_keys(obj)
+    return [obj[k] for k in keys]
+
+
+def _wrong_keys(obj: Any) -> ValueError:
+    return ValueError(f"unexpected or missing keys among {sorted(obj)}")
+
+
 def bound_to_json(b: Bound) -> Any:
     return {"degree": b.degree}
 
 
 @_decoder
 def bound_from_json(obj: Any) -> Bound:
-    degree = obj["degree"]
+    (degree,) = _fields(obj, "degree")
     if degree is not None and type(degree) is not int:  # also rejects bool
         raise ValueError(f"bound degree {degree!r} is neither null nor an integer")
     return Bound.unknown() if degree is None else Bound.poly(degree)
@@ -216,6 +228,8 @@ def _term(obj: Any, symbols: dict[str, Symbol]) -> Term:
         sym = symbols[text] = symbol_from_json(text)
     if args.__class__ is not list:
         raise ValueError(f"arguments of {text} are not a list")
+    if len(obj) != 2:  # _fields, inlined on this hot path
+        raise _wrong_keys(obj)
     return App(sym, tuple([_term(a, symbols) for a in args]))
 
 
@@ -225,9 +239,9 @@ def rule_to_json(r: Rule) -> Any:
 
 @_decoder
 def rule_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Rule:
+    lhs, rhs, label = _fields(obj, "lhs", "rhs", "label")
     symbols = {} if symbols is None else symbols
-    lhs = _term(obj["lhs"], symbols)
-    return Rule(lhs, _term(obj["rhs"], symbols), obj["label"])
+    return Rule(_term(lhs, symbols), _term(rhs, symbols), label)
 
 
 # the rule lists of a problem; the rules of the *_dps ones are dependency pairs
@@ -243,11 +257,11 @@ def problem_to_json(p: Problem) -> Any:
 
 @_decoder
 def problem_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Problem:
+    *slots, start = _fields(obj, *_RULE_SLOTS, "start_terms")
+    (kind,) = _fields(start, "kind")
     symbols = {} if symbols is None else symbols
-    return Problem(
-        **{slot: tuple(rule_from_json(r, symbols) for r in obj[slot]) for slot in _RULE_SLOTS},
-        start_terms=StartKind(obj["start_terms"]["kind"]),
-    )
+    rules = [tuple(rule_from_json(r, symbols) for r in rs) for rs in slots]
+    return Problem(**dict(zip(_RULE_SLOTS, rules)), start_terms=StartKind(kind))
 
 
 def judgement_to_json(j: Judgement) -> Any:
@@ -256,8 +270,8 @@ def judgement_to_json(j: Judgement) -> Any:
 
 @_decoder
 def judgement_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Judgement:
-    problem = problem_from_json(obj["problem"], symbols)
-    return Judgement(problem, bound_from_json(obj["bound"]))
+    problem, bound = _fields(obj, "problem", "bound")
+    return Judgement(problem_from_json(problem, symbols), bound_from_json(bound))
 
 
 def proof_to_json(tree: ProofTree) -> Any:
@@ -291,21 +305,26 @@ def proof_from_json(obj: Any) -> ProofTree:
             f"unsupported proof schema {schema!r}; this version reads schema "
             f"{SCHEMA_VERSION} only"
         )
-    return _node_from_json(obj["proof"], {})
+    _, proof = _fields(obj, "schema", "proof")
+    return _node_from_json(proof, {})
 
 
 def _node_from_json(obj: Any, symbols: dict[str, Symbol]) -> ProofTree:
     kind = obj["node"]
-    judgement = judgement_from_json(obj["conclusion"], symbols)
     if kind == "axiom":
-        return Axiom(judgement)
+        _, conclusion = _fields(obj, "node", "conclusion")
+        return Axiom(judgement_from_json(conclusion, symbols))
     if kind == "assumption":
-        return Assumption(judgement, obj.get("note"))
+        keys = ("node", "conclusion", "note") if "note" in obj else ("node", "conclusion")
+        _, conclusion, *note = _fields(obj, *keys)
+        return Assumption(judgement_from_json(conclusion, symbols), *note)
     if kind == "inference":
+        keys = ("node", "processor", "params", "conclusion", "premises")
+        _, processor, params, conclusion, premises = _fields(obj, *keys)
         return Inference(
-            processor=obj["processor"],
-            params=copy.deepcopy(obj["params"]),
-            judgement=judgement,
-            premises=tuple(_node_from_json(pr, symbols) for pr in obj["premises"]),
+            processor=processor,
+            params=copy.deepcopy(params),
+            judgement=judgement_from_json(conclusion, symbols),
+            premises=tuple(_node_from_json(pr, symbols) for pr in premises),
         )
     raise ValueError(f"unknown proof node kind: {kind!r}")

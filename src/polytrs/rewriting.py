@@ -369,9 +369,13 @@ class Heights:
         self.memo.update(dict.fromkeys(path[:known]))
 
 
-def ground_terms(symbols: Iterable[Symbol], max_size: int, cap: int) -> list[Term]:
+# Start-term enumeration raises TooLargeError past this many terms.
+_START_TERMS_CAP = 200_000
+
+
+def ground_terms(symbols: Iterable[Symbol], max_size: int) -> list[Term]:
     """All ground terms over symbols up to max_size: by size, then by symbol
-    (arity, name); TooLargeError once there are more than cap of them."""
+    (arity, name); TooLargeError once there are more than _START_TERMS_CAP."""
     syms = sorted(symbols, key=lambda s: (s.arity, s.name))
     by_size: list[list[Term]] = [[] for _ in range(max_size + 1)]
     total = 0
@@ -386,8 +390,8 @@ def ground_terms(symbols: Iterable[Symbol], max_size: int, cap: int) -> list[Ter
                 for args in _arg_products(by_size, split):
                     by_size[sz].append(App(f, args))
                     total += 1
-                    if total > cap:
-                        raise TooLargeError(f"more than {cap} start terms")
+                    if total > _START_TERMS_CAP:
+                        raise TooLargeError(f"more than {_START_TERMS_CAP} start terms")
     return [t for bucket in by_size for t in bucket]
 
 
@@ -412,16 +416,14 @@ def _arg_products(
             yield (head,) + tail
 
 
-def basic_terms(
-    symbols: Iterable[Symbol], max_size: int, roots: SymbolKind, cap: int = 200_000
-) -> list[Term]:
+def basic_terms(symbols: Iterable[Symbol], max_size: int, roots: SymbolKind) -> list[Term]:
     """Ground basic terms (roots of the given kind, constructor arguments)."""
     symbols = list(symbols)
     heads = sorted(
         (s for s in symbols if s.kind is roots), key=lambda s: (s.arity, s.name)
     )
     ctors = (s for s in symbols if s.kind is SymbolKind.CONSTRUCTOR)
-    grounds = ground_terms(ctors, max_size - 1, cap)
+    grounds = ground_terms(ctors, max_size - 1)
     by_size: list[list[Term]] = [[] for _ in range(max_size)]
     for g in grounds:
         by_size[term_size(g)].append(g)
@@ -434,8 +436,8 @@ def basic_terms(
         for split in _size_splits_upto(max_size - 1, h.arity):
             for args in _arg_products(by_size, split):
                 out.append(App(h, args))
-                if len(out) > cap:
-                    raise TooLargeError(f"more than {cap} start terms")
+                if len(out) > _START_TERMS_CAP:
+                    raise TooLargeError(f"more than {_START_TERMS_CAP} start terms")
     return out
 
 

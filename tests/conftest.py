@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import functools
 import pathlib
 import re
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from polytrs.dependency_pairs import dt_problem
+from polytrs.framework import Problem
 from polytrs.parsing import parse_file
 from polytrs.processors import default_strategy
-from polytrs.terms import App, SymbolKind, Term, render
+from polytrs.rewriting import OracleResult, Rule, q_successors
+from polytrs.terms import App, SymbolKind, Term, components, render
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -164,3 +168,137 @@ def systems(draw, weak: bool = False, extra: Sequence[str] = ()) -> str:
         rules = [r.replace(" -> ", " ->= ") if draw(st.booleans()) else r for r in rules]
     strategy = "(STRATEGY INNERMOST)" if draw(st.booleans()) else ""
     return f"(VAR x y)(RULES {' '.join(rules)}){strategy}(STARTTERM CONSTRUCTOR-BASED)"
+
+
+# Derivation trees (the paper's reference for the dependency-pair
+# transformations) and the chains along them, which the estimated
+# dependency graph must cover.  The library does not use them.
+
+
+@dataclass(frozen=True)
+class DerivationTree:
+    """A node labeled by a term; an applied rule rewrites the label to the
+    grouped children.  Leaves carry no rule."""
+
+    label: Term
+    rule: Optional[Rule]
+    children: tuple["DerivationTree", ...] = ()
+
+    def __str__(self) -> str:
+        if self.rule is None:
+            return render(self.label)
+        inner = ", ".join(str(c) for c in self.children)
+        return f"{render(self.label)} -[{self.rule.label}]-> [{inner}]"
+
+
+def leaf(t: Term) -> DerivationTree:
+    return DerivationTree(t, None, ())
+
+
+@functools.cache
+def tree_edges(tr: DerivationTree) -> int:
+    """Number of rule applications in the tree (each grouped step is one)."""
+    own = 0 if tr.rule is None else 1
+    return own + sum(tree_edges(c) for c in tr.children)
+
+
+def tree_size_restricted(tr: DerivationTree, rules: Iterable[Rule]) -> int:
+    """Number of applications of the given rules in the tree."""
+    wanted = frozenset(rules)
+
+    def count(node: DerivationTree) -> int:
+        own = 1 if node.rule in wanted else 0
+        return own + sum(count(c) for c in node.children)
+
+    return count(tr)
+
+
+def trim(tr: DerivationTree, rules: Iterable[Rule]) -> DerivationTree:
+    """Drop every subtree hanging off an edge not labeled by the given rules."""
+    wanted = frozenset(rules)
+
+    def walk(node: DerivationTree) -> DerivationTree:
+        if node.rule is None or node.rule not in wanted:
+            return leaf(node.label)
+        return DerivationTree(node.label, node.rule, tuple(walk(c) for c in node.children))
+
+    return walk(tr)
+
+
+def enumerate_derivation_trees(
+    p: Problem, start: Term, budget: int
+) -> Iterator[DerivationTree]:
+    """All derivation trees from start with at most budget rule applications,
+    structurally deduplicated, in a fixed deterministic order."""
+    rules = p.all_rules
+    q = p.q
+    memo: dict[tuple[Term, int], tuple[DerivationTree, ...]] = {}
+
+    def trees(u: Term, b: int) -> tuple[DerivationTree, ...]:
+        key = (u, b)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        out: dict[DerivationTree, None] = {leaf(u): None}
+        if b >= 1:
+            for rule, v in q_successors(u, rules, q):
+                for forest in forests(components(v), b - 1):
+                    out.setdefault(DerivationTree(u, rule, forest), None)
+        result = tuple(out)
+        memo[key] = result
+        return result
+
+    def forests(
+        parts: tuple[Term, ...], b: int
+    ) -> Iterator[tuple[DerivationTree, ...]]:
+        if not parts:
+            yield ()
+            return
+        for head in trees(parts[0], b):
+            rest_budget = b - tree_edges(head)
+            for tail in forests(parts[1:], rest_budget):
+                yield (head,) + tail
+
+    yield from trees(start, budget)
+
+
+def tree_size_oracle(p: Problem, start: Term, budget: int) -> OracleResult:
+    """Largest strict-rule application count over derivation trees from start.
+
+    Exact only when no enumerated tree already uses the whole edge budget;
+    otherwise larger trees may have been cut off and the value is a lower
+    bound.
+    """
+    strict = frozenset(p.strict)
+    best = 0
+    widest = 0
+    for tr in enumerate_derivation_trees(p, start, budget):
+        best = max(best, tree_size_restricted(tr, strict))
+        widest = max(widest, tree_edges(tr))
+    if widest >= budget:
+        return OracleResult.at_least(best)
+    return OracleResult.exactly(best)
+
+
+def chains_of(tree: DerivationTree, p: Problem) -> frozenset[tuple[str, ...]]:
+    """DP-labelled edge sequences along root-to-leaf paths of a tree.
+
+    Every maximal path contributes the sequence of DP rules applied along
+    it, in order; nodes rewritten with non-DP rules are passed through.
+    Paths without any DP step contribute nothing.
+    """
+    dp_labels = {d.label for d in p.dps}
+    chains: set[tuple[str, ...]] = set()
+
+    def walk(node: DerivationTree, acc: tuple[str, ...]) -> None:
+        if node.rule is not None and node.rule.label in dp_labels:
+            acc = acc + (node.rule.label,)
+        if not node.children:
+            if acc:
+                chains.add(acc)
+            return
+        for child in node.children:
+            walk(child, acc)
+
+    walk(tree, ())
+    return frozenset(chains)

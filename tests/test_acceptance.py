@@ -12,12 +12,7 @@ import json
 import time
 
 from polytrs.cli import main
-from polytrs.dependency_pairs import (
-    enumerate_derivation_trees,
-    tree_size_oracle,
-    tree_size_restricted,
-)
-from polytrs.depgraph import chains_of, estimate_dg
+from polytrs.depgraph import estimate_dg
 from polytrs.framework import (
     Problem,
     StartKind,
@@ -42,7 +37,15 @@ from polytrs.rewriting import (
     strict_step_oracle,
 )
 from polytrs.terms import App, Symbol, SymbolKind, compound, mark
-from tests.conftest import ROOT, constructor, defined
+from tests.conftest import (
+    ROOT,
+    chains_of,
+    constructor,
+    defined,
+    enumerate_derivation_trees,
+    tree_size_oracle,
+    tree_size_restricted,
+)
 
 MULT = str(ROOT / "problems" / "mult.trs")
 EXP = str(ROOT / "problems" / "exp.trs")

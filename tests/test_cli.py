@@ -107,6 +107,33 @@ class TestOracle:
         ]
 
 
+class TestClosedStdout:
+    """A reader that has gone, as in `polytrs analyze FILE | head -1`, is no
+    error: polytrs prints nothing on stderr and keeps its exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["analyze", MULT, "--proof", "json"], 0),
+            (["analyze", MULT, "--proof", "text"], 0),
+            (["analyze", EXP, "--proof", "json"], 1),
+            (["oracle", MULT, "--size", "5"], 0),
+        ],
+        ids=["json", "text", "maybe", "oracle"],
+    )
+    def test_reader_gone_before_the_first_write(self, argv, code):
+        run = subprocess.Popen(
+            [sys.executable, "-m", "polytrs.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        run.stdout.close()
+        err = run.stderr.read()
+        run.stderr.close()
+        assert (run.wait(timeout=60), err) == (code, b"")
+
+
 class TestDeepOracle:
     """Reached terms nested far deeper than the recursion limit are explored."""
 

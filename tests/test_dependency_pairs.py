@@ -3,17 +3,10 @@ from __future__ import annotations
 import pytest
 
 from polytrs.dependency_pairs import (
-    DerivationTree,
     constructor_prefix_components,
     defined_rooted_subterms,
     dependency_tuple,
     dt_problem,
-    enumerate_derivation_trees,
-    leaf,
-    tree_edges,
-    tree_size_oracle,
-    tree_size_restricted,
-    trim,
     weak_dependency_pair,
     wdp_problem,
 )
@@ -30,7 +23,18 @@ from polytrs.terms import (
     render,
     symbols_of,
 )
-from tests.conftest import constructor, defined, marked_sym
+from tests.conftest import (
+    DerivationTree,
+    constructor,
+    defined,
+    enumerate_derivation_trees,
+    leaf,
+    marked_sym,
+    tree_edges,
+    tree_size_oracle,
+    tree_size_restricted,
+    trim,
+)
 
 
 def num(p, n):

@@ -4,10 +4,10 @@ import dataclasses
 
 import pytest
 
-from polytrs.dependency_pairs import enumerate_derivation_trees, leaf
-from polytrs.depgraph import DepGraph, chains_of, estimate_dg, sep, tcap, to_dot
+from polytrs.dependency_pairs import dt_problem
+from polytrs.depgraph import DepGraph, estimate_dg, sep, tcap, to_dot
 from polytrs.framework import Problem
-from polytrs.parsing import parse_file
+from polytrs.parsing import parse_file, parse_problem
 from polytrs.processors import StrategyConfig, default_strategy
 from polytrs.proofs import iter_nodes
 from polytrs.terms import (
@@ -19,7 +19,14 @@ from polytrs.terms import (
     rename_apart,
     render,
 )
-from tests.conftest import ROOT, constructor, marked_sym
+from tests.conftest import (
+    ROOT,
+    chains_of,
+    constructor,
+    enumerate_derivation_trees,
+    leaf,
+    marked_sym,
+)
 from tests.test_terms import reference_unify
 
 
@@ -228,6 +235,17 @@ class TestSep:
     def test_single_component_relabelled(self, mult_dt):
         (rule,) = sep(by_label(mult_dt, "2"))
         assert rule.label == "2a" and render(rule.rhs) == "plus#(x, y)"
+
+
+    def test_labels_continue_after_z(self):
+        # a tuple of 28 components keeps every one of them
+        calls = ", ".join(f"g(s{i})" for i in range(28))
+        text = f"(VAR x)(RULES f(x) -> c({calls}) g(x) -> x)(STRATEGY INNERMOST)"
+        (d,) = by_label(dt_problem(parse_problem(text)), "1")
+        rules = sep((d,))
+        assert [r.rhs for r in rules] == list(components(d.rhs))
+        assert len({r.label for r in rules}) == 28
+        assert [r.label for r in rules[24:]] == ["1y", "1z", "1aa", "1ab"]
 
 
 class TestChains:

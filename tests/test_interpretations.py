@@ -359,19 +359,22 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(relative_problem({"c"}), 3, 1)
 
-    def test_search_limit_gives_up(self):
+    def test_search_limit_gives_up(self, monkeypatch):
         p = descending_problem()
-        assert synthesize(p, 1, 3, search_limit=1) is None
-        assert search_interpretation(p, 1, 3, search_limit=1).outcome == "budget"
+        monkeypatch.setattr("polytrs.interpretations._NODE_LIMIT", 1)
+        assert synthesize(p, 1, 3) is None
+        assert search_interpretation(p, 1, 3).outcome == "budget"
+        monkeypatch.undo()
         assert synthesize(p, 1, 3) is not None
 
     def test_deadline_gives_up(self):
         got = search_interpretation(descending_problem(), 2, 3, deadline=time.monotonic() - 1)
         assert (got.interp, got.outcome) == (None, "deadline")
 
-    def test_refutation_is_exhaustive(self):
+    def test_refutation_is_exhaustive(self, monkeypatch):
         # absolute positiveness rules the box out by propagation alone
-        got = search_interpretation(relative_problem({"b"}), 1, 3, search_limit=1)
+        monkeypatch.setattr("polytrs.interpretations._NODE_LIMIT", 1)
+        got = search_interpretation(relative_problem({"b"}), 1, 3)
         assert (got.interp, got.outcome, got.nodes) == (None, "refuted", 0)
 
     def test_answer_depends_on_the_cap(self):

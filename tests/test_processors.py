@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,13 +10,7 @@ import time
 
 import pytest
 
-from polytrs.dependency_pairs import (
-    dt_problem,
-    enumerate_derivation_trees,
-    tree_size_restricted,
-    trim,
-    wdp_problem,
-)
+from polytrs.dependency_pairs import dt_problem, wdp_problem
 from polytrs.framework import (
     Bound,
     Problem,
@@ -44,7 +39,14 @@ from polytrs.proofs import (
     validate_proof,
 )
 from polytrs.terms import App, components
-from tests.conftest import ROOT, constructor, marked_sym
+from tests.conftest import (
+    ROOT,
+    constructor,
+    enumerate_derivation_trees,
+    marked_sym,
+    tree_size_restricted,
+    trim,
+)
 
 P0 = Bound.poly(0)
 P1 = Bound.poly(1)
@@ -254,6 +256,14 @@ class TestDpTransforms:
     def test_rejects_existing_dps(self, mult_dt):
         assert apply_processor("weak_dependency_pairs", {}, mult_dt) is None
         assert apply_processor("dependency_tuples", {}, mult_dt) is None
+
+    def test_rejects_basic_problem_with_dps(self, mult_problem, mult_dt):
+        # marking the DPs' marked roots again fails, so neither transform
+        # needs a check of its own for DPs
+        for dps in (mult_dt, wdp_problem(mult_problem)):
+            basic = dataclasses.replace(dps, start_terms=StartKind.BASIC)
+            assert apply_processor("weak_dependency_pairs", {}, basic) is None
+            assert apply_processor("dependency_tuples", {}, basic) is None
 
     def test_dependency_tuples_need_innermost(self, mult_problem):
         full = Problem(

@@ -223,6 +223,66 @@ class TestJsonRoundtrip:
             with pytest.raises(ValueError, match=rf"schema {schema}\b"):
                 proof_from_json(obj)
 
+    # mult's certificate: the root applies dependency tuples, its premise is
+    # the predecessor-estimation node, and the leaves are complexity pairs
+    UNREAD_KEYS = {
+        "root": lambda obj: obj.update(junk=1),
+        "inference": lambda obj: obj["proof"].update(junk=1),
+        "conclusion": lambda obj: obj["proof"]["conclusion"].update(junk=1),
+        "problem_signature": lambda obj: obj["proof"]["conclusion"]["problem"].update(
+            signature=["bogus/0/constructor"]
+        ),
+        "start_terms": lambda obj: obj["proof"]["conclusion"]["problem"]["start_terms"].update(
+            junk=1
+        ),
+        "rule_dp_flag": lambda obj: obj["proof"]["premises"][0]["conclusion"]["problem"][
+            "strict_dps"
+        ][0].update(dp=False),
+        "term": lambda obj: obj["proof"]["conclusion"]["problem"]["strict_trs"][0][
+            "lhs"
+        ].update(junk=1),
+        "bound": lambda obj: obj["proof"]["conclusion"]["bound"].update(junk=1),
+    }
+
+    @pytest.mark.parametrize("edit", UNREAD_KEYS.values(), ids=UNREAD_KEYS.keys())
+    def test_unread_key_is_rejected(self, mult_proof, edit):
+        obj = proof_to_json(mult_proof)
+        edit(obj)
+        with pytest.raises(ValueError, match="unexpected or missing keys"):
+            proof_from_json(obj)
+
+    @pytest.mark.parametrize("note", [None, "why not"])
+    def test_unread_key_in_a_leaf_is_rejected(self, mult_problem, note):
+        leaves = [
+            Axiom(Judgement(empty_problem(mult_problem), Bound.poly(0))),
+            Assumption(Judgement(mult_problem, Bound.unknown()), note),
+        ]
+        for leaf in leaves:
+            obj = proof_to_json(leaf)
+            assert isinstance(proof_from_json(obj), type(leaf))
+            obj["proof"]["junk"] = 1
+            with pytest.raises(ValueError, match="unexpected or missing keys"):
+                proof_from_json(obj)
+
+    def test_unread_key_in_params_fails_validation(self, mult_proof):
+        def estimation(obj):
+            return obj["proof"]["premises"][0]
+
+        def pair(obj):
+            return estimation(obj)["premises"][0]["premises"][0]["premises"][0]
+
+        edits = [
+            lambda obj: estimation(obj)["params"].update(junk=1),
+            lambda obj: pair(obj)["params"]["interpretation"][0].update(junk=1),
+            lambda obj: pair(obj)["params"].update(junk=1),
+        ]
+        assert validate_proof(proof_from_json(proof_to_json(mult_proof))).ok
+        for edit in edits:
+            obj = proof_to_json(mult_proof)
+            edit(obj)
+            result = validate_proof(proof_from_json(obj))
+            assert not result.ok and "not applicable" in result.errors[0]
+
     @pytest.mark.parametrize("path", CORPUS, ids=lambda path: str(path.relative_to(ROOT)))
     def test_corpus_problems_hold_rule_lists_and_start_terms_only(self, path):
         # a field the checker would ignore, such as a signature, fails this

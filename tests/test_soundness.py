@@ -6,7 +6,8 @@ of the default proofs of bench/problems, and of a system on all ground
 terms, this checks that inequality on every start term of size up to 7.
 A fuzz over small constructor-based systems, with recursive rules mixed
 in, checks it, up to size 5, on every closed proof, after the proof has
-gone through JSON and the validator.
+gone through JSON and the validator.  Two systems pin side conditions whose
+loss would give a bound that is too low.
 """
 
 from __future__ import annotations
@@ -16,10 +17,15 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from polytrs.framework import start_terms_up_to
+from polytrs.framework import Bound, cc_rows, start_terms_up_to
 from polytrs.interpretations import eval_term
 from polytrs.parsing import parse_file, parse_problem
-from polytrs.processors import StrategyConfig, default_strategy, interp_from_json
+from polytrs.processors import (
+    StrategyConfig,
+    apply_processor,
+    default_strategy,
+    interp_from_json,
+)
 from polytrs.proofs import (
     Inference,
     is_closed,
@@ -100,3 +106,38 @@ def test_fuzzed_proofs_replay_and_bound_strict_steps():
     check()
     # the inequality is tested on derivations longer than one step
     assert sum(1 for n in counted if n >= 2) >= 100
+
+
+def test_decomposition_needs_the_callers_of_the_down_set_strict():
+    # the weak tuple 3 (f#) calls g# (1) from the up part, so {1} is no
+    # down-set: f#(s^n(a)) makes n calls of g#, each of up to n steps
+    p = parse_problem(
+        "(VAR x)(RULES f(s(x)) ->= c(f(x), g(x)) g(s(x)) -> g(x) h(x) -> a)"
+        "(STRATEGY INNERMOST)"
+    )
+    proof = default_strategy(p)
+    assert is_closed(proof) and proof.judgement.bound == Bound.poly(2)
+    # quadratic: f(s^n(a)) takes n(n-1)/2 steps; size 10 (28) takes 10 s
+    rows = list(cc_rows(p, 9, 200))
+    assert all(r.exact for r in rows)
+    assert [r.value for r in rows] == [0, 0, 1, 1, 2, 3, 6, 10, 15, 21]
+    (node,) = {
+        n.judgement.problem
+        for n in iter_nodes(proof)
+        if str(n.judgement.problem).startswith("<{1,2} / {3,b,c,a}")
+    }
+    params = {"strict_down": ["1"], "weak_down": []}
+    assert apply_processor("dependency_graph_decomposition", params, node) is None
+
+
+def test_tuple_of_27_components_keeps_the_last():
+    # splitting the tuple of f used to drop every component after the 26th,
+    # here f#(x, d(y)), and the proof closed at O(n^3); the derivation
+    # heights from f(s^k(0), s(0)) grow exponentially in k
+    calls = ", ".join(["h(x)"] * 25)
+    p = parse_problem(
+        f"(VAR x y)(RULES f(s(x), y) -> c({calls}, g(y), f(x, d(y))) d(0) -> 0 "
+        "d(s(y)) -> s(s(d(y))) g(s(y)) -> g(y) h(x) -> a)(STRATEGY INNERMOST)"
+    )
+    proof = default_strategy(p, StrategyConfig(degree_max=1, coeff_max=2))
+    assert not is_closed(proof) or proof.judgement.bound.is_unknown
