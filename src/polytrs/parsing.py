@@ -49,8 +49,9 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
-def _sections(tokens: list[_Token]) -> list[tuple[_Token, list[_Token]]]:
-    """Each section's name token and body, the tokens inside its parentheses."""
+def _sections(tokens: list[_Token]) -> list[tuple[_Token, list[_Token], _Token]]:
+    """Each section's name token, its body (the tokens inside its
+    parentheses) and its closing parenthesis."""
     sections = []
     i = 0
     while i < len(tokens):
@@ -65,7 +66,7 @@ def _sections(tokens: list[_Token]) -> list[tuple[_Token, list[_Token]]]:
             j += 1
         if depth:
             raise ParseError("unbalanced parenthesis", *tokens[i + 1][2:])
-        sections.append((tokens[i + 1], tokens[i + 2 : j - 1]))
+        sections.append((tokens[i + 1], tokens[i + 2 : j - 1], tokens[j - 1]))
         i = j
     return sections
 
@@ -74,11 +75,11 @@ class _Reader:
     """The tokens of one section body, read front to back."""
 
     def __init__(
-        self, body: list[_Token], end_line: int, variables: set[str], arities: dict[str, int]
+        self, body: list[_Token], end: _Token, variables: set[str], arities: dict[str, int]
     ) -> None:
         self.body = body
         self.pos = 0
-        self.end_line = end_line
+        self.end = end  # the closing parenthesis
         self.variables = variables
         self.arities = arities  # shared by every section, names to arities
 
@@ -88,7 +89,7 @@ class _Reader:
 
     def next(self, expected: str) -> _Token:
         if self.pos == len(self.body):
-            raise ParseError(f"expected {expected}, found end of section", self.end_line, 1)
+            raise ParseError(f"expected {expected}, found end of section", *self.end[2:])
         self.pos += 1
         return self.body[self.pos - 1]
 
@@ -129,29 +130,27 @@ _OPTIONS = {
 
 
 def parse_problem(text: str) -> Problem:
-    tokens = _tokenize(text)
-    end_line = tokens[-1][2] if tokens else 1
-    sections = _sections(tokens)
+    sections = _sections(_tokenize(text))
     declared: set[str] = set()  # the variables
     seen: set[str] = set()
-    for (_, name, line, column), body in sections:
+    for (_, name, line, column), body, end in sections:
         if name == "COMMENT":
             continue
         if name in seen:
             raise ParseError(f"duplicate section {name}", line, column)
         seen.add(name)
         if name == "VAR":
-            reader = _Reader(body, end_line, declared, {})
+            reader = _Reader(body, end, declared, {})
             while reader.peek() is not None:
-                declared.add(reader.expect("IDENT")[1])
+                declared.add(reader.expect("IDENT", "a variable")[1])
         elif name != "RULES" and name not in _OPTIONS:
             raise ParseError(f"unknown section {name}", line, column)
 
     arities: dict[str, int] = {}
     raw_rules: list[tuple[_RawTerm, _RawTerm, bool, _Token]] = []
     options = {"STRATEGY": False, "STARTTERM": StartKind.BASIC}
-    for (_, name, _, _), body in sections:
-        reader = _Reader(body, end_line, declared, arities)
+    for (_, name, _, _), body, end in sections:
+        reader = _Reader(body, end, declared, arities)
         if name == "RULES":
             while reader.peek() is not None:
                 at = body[reader.pos]
@@ -161,10 +160,13 @@ def parse_problem(text: str) -> Problem:
                     raise ParseError(f"expected -> or ->=, found {arrow[1]!r}", *arrow[2:])
                 raw_rules.append((lhs, reader.term(), arrow[0] == "->=", at))
         elif name in _OPTIONS:
-            _, word, line, column = reader.expect("IDENT")
             option, values = _OPTIONS[name]
+            _, word, line, column = reader.expect("IDENT", " or ".join(values))
             if word not in values:
                 raise ParseError(f"unsupported {option} {word}", line, column)
+            if reader.peek() is not None:
+                _, extra, line, column = body[reader.pos]
+                raise ParseError(f"expected end of section, found {extra!r}", line, column)
             options[name] = values[word]
 
     defined = {lhs[0] for lhs, _, _, _ in raw_rules if type(lhs) is tuple}

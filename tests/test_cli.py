@@ -254,3 +254,14 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: line")
+
+    def test_second_strategy_word_is_an_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.trs"
+        bad.write_text("(RULES f(a) -> b)(STRATEGY INNERMOST OUTERMOST)")
+        code = main(["analyze", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 1, column 38: expected end of section, found 'OUTERMOST'\n"
+        )

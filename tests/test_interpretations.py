@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polytrs import interpretations
 from polytrs.dependency_pairs import dt_problem, wdp_problem
 from polytrs.framework import Bound, Problem, StartKind
 from polytrs.interpretations import (
@@ -27,7 +28,7 @@ from polytrs.interpretations import (
     term_polynomial,
 )
 from polytrs.parsing import parse_problem
-from polytrs.processors import apply_processor
+from polytrs.processors import apply_processor, default_strategy
 from polytrs.rewriting import Rule
 from polytrs.terms import App, Symbol, SymbolKind, Var, symbols_of
 from tests.conftest import FULL_START
@@ -401,6 +402,23 @@ class TestSynthesize:
             got = search_interpretation(p_down, degree, 3)
             assert (got.interp, got.outcome) == (None, "refuted")
             assert got.nodes < 100
+
+    def test_exp_degree_2_refutations_branch_fail_first(self, exp_problem, monkeypatch):
+        # smallest domain first, ties to the unknown in the most constraints;
+        # ties to the lowest index alone take 328 and 370 nodes here
+        searches = []
+        inner = interpretations.search_interpretation
+
+        def recorded(p, degree, coeff_max, deadline=None):
+            got = inner(p, degree, coeff_max, deadline)
+            searches.append((degree, got.outcome, got.nodes))
+            return got
+
+        monkeypatch.setattr(interpretations, "search_interpretation", recorded)
+        default_strategy(exp_problem)
+        squares = [(outcome, nodes) for degree, outcome, nodes in searches if degree == 2]
+        assert len(squares) == 2
+        assert all(outcome == "refuted" and nodes <= 40 for outcome, nodes in squares)
 
 
 def enumerate_first(p: Problem, degree: int, coeff_max: int):

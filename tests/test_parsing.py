@@ -119,6 +119,36 @@ class TestErrors:
         err = error_at("(RULES f(a) -> a)(STARTTERM AUTOMATON)")
         assert "unsupported start terms" in str(err)
 
+    def test_strategy_takes_one_word(self):
+        err = error_at("(RULES f(a) -> b)(STRATEGY INNERMOST OUTERMOST)")
+        assert "expected end of section, found 'OUTERMOST'" in str(err)
+        assert (err.line, err.column) == (1, 38)
+
+    def test_start_terms_take_one_word(self):
+        err = error_at("(RULES f(a) -> b)(STARTTERM FULL (junk) CONSTRUCTOR-BASED)")
+        assert "expected end of section, found '('" in str(err)
+        assert (err.line, err.column) == (1, 34)
+
+    def test_empty_option_names_the_expected_word(self):
+        err = error_at("(RULES f(a) -> b)(STRATEGY)")
+        assert "expected INNERMOST, found end of section" in str(err)
+        assert (err.line, err.column) == (1, 27)
+        err = error_at("(RULES f(a) -> b)\n(STARTTERM\n)")
+        assert "expected CONSTRUCTOR-BASED or FULL, found end of section" in str(err)
+        assert (err.line, err.column) == (3, 1)
+
+    def test_end_of_section_is_its_closing_parenthesis(self):
+        err = error_at("(RULES f(a) ->)\n(STRATEGY INNERMOST)")
+        assert "expected a term, found end of section" in str(err)
+        assert (err.line, err.column) == (1, 15)
+        err = error_at("(RULES\n  f(a) ->\n  )\n(STARTTERM FULL)")
+        assert (err.line, err.column) == (3, 3)
+
+    def test_var_section_names_the_expected_word(self):
+        err = error_at("(VAR x ->)(RULES f(x) -> x)")
+        assert "expected a variable, found '->'" in str(err)
+        assert (err.line, err.column) == (1, 8)
+
     def test_missing_arrow(self):
         err = error_at("(RULES f(a) g(a))")
         assert "expected -> or ->=" in str(err)
