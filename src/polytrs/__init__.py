@@ -10,7 +10,7 @@ from .framework import (
     cc_oracle,
     is_innermost,
 )
-from .parsing import ParseError, parse_file, parse_problem, print_problem
+from .parsing import ParseError, parse_file, parse_problem
 from .processors import StrategyConfig, apply_processor, default_strategy
 from .proofs import (
     Assumption,
@@ -56,7 +56,6 @@ __all__ = [
     "is_innermost",
     "parse_file",
     "parse_problem",
-    "print_problem",
     "proof_from_json",
     "proof_to_json",
     "render_proof",

@@ -149,14 +149,6 @@ def _run_oracle(args: argparse.Namespace) -> int:
             for row in cc_rows(problem, args.size, args.budget):
                 print(f"{n}\t{row}")
                 n += 1
-        except RecursionError:
-            # reachable terms, not the input, outgrew the recursive term walks
-            print(
-                f"error: terms reached from start terms of size {n} are nested too "
-                "deeply to explore; try a smaller --budget or --size",
-                file=sys.stderr,
-            )
-            return 2
         except TooLargeError as err:
             print(
                 f"error: {err} up to size {args.size}; try a smaller --size",

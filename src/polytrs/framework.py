@@ -166,9 +166,6 @@ class Judgement:
     problem: Problem
     bound: Bound
 
-    def __str__(self) -> str:
-        return f"{self.problem} : {self.bound}"
-
 
 def is_innermost(p: Problem) -> bool:
     """Sufficient syntactic check: every lhs of strict+weak is an instance of

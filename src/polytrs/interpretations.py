@@ -132,19 +132,6 @@ class SymbolPoly:
             l * v + s * v * v for v, l, s in zip(args, self.lin, self.sq)
         )
 
-    def render(self, name: str) -> str:
-        vars_ = [f"x{i}" for i in range(1, len(self.lin) + 1)]
-        parts = []
-        for v, l, s in zip(vars_, self.lin, self.sq):
-            if s:
-                parts.append(f"{s}*{v}^2" if s != 1 else f"{v}^2")
-            if l:
-                parts.append(f"{l}*{v}" if l != 1 else v)
-        if self.const or not parts:
-            parts.append(str(self.const))
-        head = f"[{name}]({', '.join(vars_)})" if vars_ else f"[{name}]"
-        return f"{head} = {' + '.join(parts)}"
-
 
 @dataclass(frozen=True)
 class PolyInterp:

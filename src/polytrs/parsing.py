@@ -1,4 +1,4 @@
-"""Reader and writer for the parenthesized rewrite-system format.
+"""Reader for the parenthesized rewrite-system format.
 
 A file is a sequence of sections: (VAR x y), (RULES l -> r ... l ->= r ...),
 (STRATEGY INNERMOST) and (STARTTERM CONSTRUCTOR-BASED | FULL).  `->=` marks a
@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .framework import Problem, StartKind
 from .rewriting import Rule
-from .terms import App, Symbol, SymbolKind, Term, Var, render, variables
+from .terms import App, Symbol, SymbolKind, Term, Var, variables
 
 
 class ParseError(Exception):
@@ -122,10 +122,9 @@ class _Reader:
 
 
 # the sections that set an option: the option's name and its values
-_START = {"CONSTRUCTOR-BASED": StartKind.BASIC, "FULL": StartKind.ALL}
 _OPTIONS = {
     "STRATEGY": ("strategy", {"INNERMOST": True}),
-    "STARTTERM": ("start terms", _START),
+    "STARTTERM": ("start terms", {"CONSTRUCTOR-BASED": StartKind.BASIC, "FULL": StartKind.ALL}),
 }
 
 
@@ -202,28 +201,3 @@ def parse_file(path: str) -> Problem:
     with open(path, encoding="utf-8") as handle:
         return parse_problem(handle.read())
 
-
-def print_problem(p: Problem) -> str:
-    """Inverse of parse_problem for problems the format can express."""
-    if p.dps:
-        raise ValueError("dependency pairs cannot be written in this format")
-    start = {kind: word for word, kind in _START.items()}.get(p.start_terms)
-    if start is None:
-        raise ValueError(f"start terms {p.start_terms} cannot be written")
-    if p.q and set(p.q) != set(p.all_rules):
-        raise ValueError("only empty or innermost Q can be written")
-
-    names = sorted({v for r in p.all_rules for v in variables(r.lhs)})
-    lines = []
-    if names:
-        lines.append(f"(VAR {' '.join(names)})")
-    lines.append("(RULES")
-    for r in p.strict:
-        lines.append(f"  {render(r.lhs)} -> {render(r.rhs)}")
-    for r in p.weak:
-        lines.append(f"  {render(r.lhs)} ->= {render(r.rhs)}")
-    lines.append(")")
-    if p.q:
-        lines.append("(STRATEGY INNERMOST)")
-    lines.append(f"(STARTTERM {start})")
-    return "\n".join(lines) + "\n"

@@ -53,7 +53,7 @@ from .rewriting import Rule
 
 
 def _sum(bounds: Sequence[Bound]) -> Bound:
-    """Also the bound of single-premise steps and of the empty axiom."""
+    """Also the bound of single-premise steps."""
     return reduce(bound_add, bounds, Bound.poly(0))
 
 
@@ -82,6 +82,8 @@ def interp_from_json(obj: Any) -> PolyInterp:
         if len(e) != 4:  # symbol, lin, sq and const
             raise ValueError(f"interpretation entry with keys {sorted(e)}")
         sym = symbol_from_json(e["symbol"])
+        if sym in entries:  # a second entry would go unread
+            raise ValueError(f"second interpretation of {sym.display_name}")
         lin = tuple(e["lin"])
         if len(lin) != sym.arity:  # SymbolPoly checks sq against lin
             raise ValueError(f"interpretation of {sym.display_name} has wrong arity")
@@ -101,12 +103,6 @@ def _resolve(labels: list[str], pool: Sequence[Rule]) -> Optional[tuple[Rule, ..
         return None
     wanted = set(labels)
     return tuple(r for r in pool if r.label in wanted)
-
-
-def _empty(params: dict, p: Problem):
-    if p.strict:
-        return None
-    return [], _sum
 
 
 def _complexity_pair(params: dict, p: Problem):
@@ -212,7 +208,6 @@ def _dg_decomposition(params: dict, p: Problem):
 
 # each processor with the parameter keys it accepts
 _PROCESSORS = {
-    "empty": (_empty, set()),
     "complexity_pair": (_complexity_pair, {"interpretation", "degree", "coeff_max"}),
     "decompose": (_decompose, {"strict_part"}),
     "weak_dependency_pairs": (_weak_dependency_pairs, set()),

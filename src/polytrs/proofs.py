@@ -90,7 +90,11 @@ def validate_proof(tree: ProofTree) -> ValidationResult:
             elif node.judgement.bound != Bound.poly(0):
                 errors.append(f"{path}: axiom must conclude O(1)")
             return
-        result = apply_processor(node.processor, node.params, node.judgement.problem)
+        try:
+            result = apply_processor(node.processor, node.params, node.judgement.problem)
+        except (TypeError, ValueError):  # raised for an unknown (or unhashable) name only
+            errors.append(f"{path}: unknown processor {node.processor!r}")
+            return
         if result is None:
             errors.append(f"{path}: processor {node.processor} not applicable")
             return
@@ -321,6 +325,8 @@ def _node_from_json(obj: Any, symbols: dict[str, Symbol]) -> ProofTree:
     if kind == "inference":
         keys = ("node", "processor", "params", "conclusion", "premises")
         _, processor, params, conclusion, premises = _fields(obj, *keys)
+        if type(processor) is not str:
+            raise ValueError(f"processor {processor!r} is not a string")
         return Inference(
             processor=processor,
             params=copy.deepcopy(params),

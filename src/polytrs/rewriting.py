@@ -21,6 +21,7 @@ in the tests.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -377,70 +378,50 @@ def ground_terms(symbols: Iterable[Symbol], max_size: int) -> list[Term]:
     """All ground terms over symbols up to max_size: by size, then by symbol
     (arity, name); TooLargeError once there are more than _START_TERMS_CAP."""
     syms = sorted(symbols, key=lambda s: (s.arity, s.name))
-    by_size: list[list[Term]] = [[] for _ in range(max_size + 1)]
-    total = 0
-    for sz in range(1, max_size + 1):
-        for f in syms:
-            if f.arity == 0:
-                if sz == 1:
-                    by_size[1].append(App(f))
-                    total += 1
-                continue
-            for split in _size_splits(sz - 1, f.arity):
-                for args in _arg_products(by_size, split):
-                    by_size[sz].append(App(f, args))
-                    total += 1
-                    if total > _START_TERMS_CAP:
-                        raise TooLargeError(f"more than {_START_TERMS_CAP} start terms")
-    return [t for bucket in by_size for t in bucket]
+    by_size: list[list[Term]] = [[]]  # the terms of each size, filled in order
 
+    def terms() -> Iterator[Term]:
+        for inner in range(max_size):
+            by_size.append([])
+            for f in syms:
+                for t in _apps(f, by_size, inner):
+                    by_size[-1].append(t)
+                    yield t
 
-def _size_splits(total: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - k + 2):
-        for rest in _size_splits(total - first, k - 1):
-            yield (first,) + rest
-
-
-def _arg_products(
-    by_size: list[list[Term]], split: tuple[int, ...]
-) -> Iterator[tuple[Term, ...]]:
-    if not split:
-        yield ()
-        return
-    for head in by_size[split[0]]:
-        for tail in _arg_products(by_size, split[1:]):
-            yield (head,) + tail
+    return _capped(terms())
 
 
 def basic_terms(symbols: Iterable[Symbol], max_size: int, roots: SymbolKind) -> list[Term]:
-    """Ground basic terms (roots of the given kind, constructor arguments)."""
+    """Ground basic terms (roots of the given kind, constructor arguments) up
+    to max_size: by root symbol (arity, name), then by size."""
     symbols = list(symbols)
     heads = sorted(
         (s for s in symbols if s.kind is roots), key=lambda s: (s.arity, s.name)
     )
     ctors = (s for s in symbols if s.kind is SymbolKind.CONSTRUCTOR)
-    grounds = ground_terms(ctors, max_size - 1)
     by_size: list[list[Term]] = [[] for _ in range(max_size)]
-    for g in grounds:
+    for g in ground_terms(ctors, max_size - 1):
         by_size[term_size(g)].append(g)
-    out: list[Term] = []
-    for h in heads:
-        if h.arity == 0:
-            if max_size >= 1:
-                out.append(App(h))
-            continue
-        for split in _size_splits_upto(max_size - 1, h.arity):
-            for args in _arg_products(by_size, split):
-                out.append(App(h, args))
-                if len(out) > _START_TERMS_CAP:
-                    raise TooLargeError(f"more than {_START_TERMS_CAP} start terms")
+    terms = (t for h in heads for inner in range(max_size) for t in _apps(h, by_size, inner))
+    return _capped(terms)
+
+
+def _apps(f: Symbol, by_size: list[list[Term]], inner: int) -> Iterator[App]:
+    """Every f(t1, ..., tk) with arguments from by_size whose sizes sum to
+    inner: the argument sizes in lexicographic order, then the arguments."""
+    if f.arity == 0:
+        if inner == 0:
+            yield App(f)
+        return
+    for cuts in itertools.combinations(range(1, inner), f.arity - 1):
+        bounds = (0, *cuts, inner)
+        pools = [by_size[b - a] for a, b in zip(bounds, bounds[1:])]
+        for args in itertools.product(*pools):
+            yield App(f, args)
+
+
+def _capped(terms: Iterator[Term]) -> list[Term]:
+    out = list(itertools.islice(terms, _START_TERMS_CAP + 1))
+    if len(out) > _START_TERMS_CAP:
+        raise TooLargeError(f"more than {_START_TERMS_CAP} start terms")
     return out
-
-
-def _size_splits_upto(total: int, k: int) -> Iterator[tuple[int, ...]]:
-    for used in range(k, total + 1):
-        yield from _size_splits(used, k)

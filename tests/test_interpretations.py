@@ -106,10 +106,6 @@ class TestSymbolPoly:
             sym = sp.apply_polys([X, Y])
             assert poly_value(sym, {"x": a, "y": b}) == sp.apply_values([a, b])
 
-    def test_render(self):
-        assert SymbolPoly((1, 2), (1, 0), 3).render("f") == "[f](x1, x2) = x1^2 + x1 + 2*x2 + 3"
-        assert SymbolPoly((), (), 0).render("c") == "[c] = 0"
-
 
 ZERO = Symbol("0", 0, SymbolKind.CONSTRUCTOR)
 S = Symbol("s", 1, SymbolKind.CONSTRUCTOR)

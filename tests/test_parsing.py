@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polytrs.framework import Problem, StartKind, is_innermost, problems_equal
-from polytrs.parsing import ParseError, parse_problem, print_problem
+from polytrs.parsing import ParseError, parse_problem
 from polytrs.terms import SymbolKind, Var, render
 
 
@@ -156,28 +156,6 @@ class TestErrors:
     def test_stray_token_outside_section(self):
         err = error_at("fnord (RULES f(a) -> a)")
         assert "expected section" in str(err)
-
-
-class TestRoundtrip:
-    def test_mult(self, mult_problem):
-        text = print_problem(mult_problem)
-        assert problems_equal(parse_problem(text), mult_problem)
-
-    def test_exp(self, exp_problem):
-        assert problems_equal(
-            parse_problem(print_problem(exp_problem)), exp_problem
-        )
-
-    def test_relative_non_innermost(self):
-        p = parse_problem("(VAR x)(RULES f(x) -> g(x) g(x) ->= x)(STARTTERM FULL)")
-        text = print_problem(p)
-        assert "->=" in text
-        assert "STRATEGY" not in text
-        assert problems_equal(parse_problem(text), p)
-
-    def test_rejects_dp_problems(self, mult_dt):
-        with pytest.raises(ValueError):
-            print_problem(mult_dt)
 
 
 # the format's tokens, and terms, rules and sections made of them, so that

@@ -94,8 +94,6 @@ class TestCombine:
         _, bound_of = apply_processor("weak_dependency_pairs", {}, mult_problem)
         assert bound_of([P2]) == P2
         assert bound_of([UNK]) == UNK
-        _, bound_of = apply_processor("empty", {}, no_strict(mult_problem))
-        assert bound_of([]) == P0
 
     def test_sum_takes_max_degree(self, mult_problem):
         _, bound_of = apply_processor("decompose", {"strict_part": ["c"]}, mult_problem)
@@ -148,6 +146,11 @@ class TestInterpJson:
         symbols = [symbol_from_json(e["symbol"]) for e in obj]
         keys = [(sym.kind.value, sym.name) for sym in symbols]
         assert keys == sorted(keys)
+
+    def test_second_entry_for_a_symbol_is_rejected(self):
+        entry = {"symbol": "s/1/constructor", "lin": [1], "sq": [0], "const": 1}
+        with pytest.raises(ValueError, match="second interpretation of s"):
+            interp_from_json([entry, dict(entry, const=2)])
 
 
 class TestDispatch:
@@ -208,15 +211,6 @@ def no_strict(p: Problem) -> Problem:
         q=p.q,
         start_terms=p.start_terms,
     )
-
-
-class TestEmpty:
-    def test_applies_to_empty_strict(self, mult_problem):
-        subs, bound_of = apply_processor("empty", {}, no_strict(mult_problem))
-        assert subs == [] and bound_of([]) == P0
-
-    def test_rejects_remaining_strict(self, mult_problem):
-        assert apply_processor("empty", {}, mult_problem) is None
 
 
 class TestDecompose:

@@ -97,8 +97,12 @@ class TestValidation:
         assert "premise problem mismatch under dependency_tuples" in result.errors[0]
 
     def test_inapplicable_processor_is_an_error(self, mult_problem):
+        # predecessor estimation needs a DP problem and at least one rule
         node = Inference(
-            "empty", {}, Judgement(mult_problem, Bound.poly(0)), ()
+            "predecessor_estimation",
+            {"rules": []},
+            Judgement(mult_problem, Bound.poly(0)),
+            (),
         )
         result = validate_proof(node)
         assert not result.ok
@@ -282,6 +286,29 @@ class TestJsonRoundtrip:
             edit(obj)
             result = validate_proof(proof_from_json(obj))
             assert not result.ok and "not applicable" in result.errors[0]
+
+    def test_second_interpretation_entry_fails_validation(self, mult_proof):
+        # a first entry the decoder overwrote used to go unread, and validate
+        obj = proof_to_json(mult_proof)
+        pair = obj["proof"]["premises"][0]["premises"][0]["premises"][0]["premises"][0]
+        entries = pair["params"]["interpretation"]
+        entries.insert(0, dict(entries[0], lin=[999] * len(entries[0]["lin"]), const=12345))
+        result = validate_proof(proof_from_json(obj))
+        assert not result.ok and "not applicable" in result.errors[0]
+
+    @pytest.mark.parametrize("name", [["x"], {"a": 1}, 7, None, "empty"])
+    def test_unknown_processor_is_reported(self, mult_proof, name):
+        obj = proof_to_json(mult_proof)
+        obj["proof"]["premises"][0]["processor"] = name
+        if type(name) is not str:
+            with pytest.raises(ValueError, match="is not a string"):
+                proof_from_json(obj)
+        # built without the decoder, the checker reports it all the same
+        root = proof_from_json(proof_to_json(mult_proof))
+        (premise,) = root.premises
+        bad = Inference(name, premise.params, premise.judgement, premise.premises)
+        tree = Inference(root.processor, root.params, root.judgement, (bad,))
+        assert validate_proof(tree).errors == [f"root.0: unknown processor {name!r}"]
 
     @pytest.mark.parametrize("path", CORPUS, ids=lambda path: str(path.relative_to(ROOT)))
     def test_corpus_problems_hold_rule_lists_and_start_terms_only(self, path):

@@ -282,3 +282,48 @@ class TestEnumeration:
         sizes = [len(basic_terms(sig, n, SymbolKind.DEFINED)) for n in range(1, 7)]
         assert sizes == sorted(sizes)
         assert sizes[0] == 0 and sizes[2] == 2
+
+    def test_ground_terms_order(self):
+        # by size, then by symbol (arity, name), then argument sizes and
+        # arguments in lexicographic order
+        z, one = num(0), num(1)
+        assert ground_terms([PLUS, S, ZERO], 4) == [
+            z,
+            one,
+            num(2),
+            plus(z, z),
+            num(3),
+            App(S, (plus(z, z),)),
+            plus(z, one),
+            plus(one, z),
+        ]
+
+    def test_basic_terms_order(self):
+        # by root symbol (arity, name), then by size
+        n = Symbol("n", 0, SymbolKind.DEFINED)
+        double = Symbol("double", 1, SymbolKind.DEFINED)
+        z, one = num(0), num(1)
+        got = basic_terms({ZERO, S, PLUS, TIMES, n, double}, 4, SymbolKind.DEFINED)
+        assert got == [
+            App(n),
+            App(double, (z,)),
+            App(double, (one,)),
+            App(double, (num(2),)),
+            plus(z, z),
+            plus(z, one),
+            plus(one, z),
+            times(z, z),
+            times(z, one),
+            times(one, z),
+        ]
+
+    def test_cap_counts_terms(self, monkeypatch):
+        sig = {ZERO, S, PLUS, TIMES}
+        monkeypatch.setattr(rewriting, "_START_TERMS_CAP", 12)
+        assert len(ground_terms(sig, 4)) == 12
+        assert len(basic_terms(sig, 5, SymbolKind.DEFINED)) == 12
+        monkeypatch.setattr(rewriting, "_START_TERMS_CAP", 11)
+        with pytest.raises(rewriting.TooLargeError, match="more than 11 start terms"):
+            ground_terms(sig, 4)
+        with pytest.raises(rewriting.TooLargeError, match="more than 11 start terms"):
+            basic_terms(sig, 5, SymbolKind.DEFINED)
