@@ -10,12 +10,13 @@ reachable term graph breadth-first up to a depth budget and taking longest
 paths over its strongly connected components.  Heights answers the start
 terms of one table together: it memoises the derivation height of each
 reached term, and explores a term breadth-first only when its region has a
-cycle or a path longer than the budget.  One shared system per (rules, Q)
-memoises the steps of every subterm, assembled from its arguments' steps,
-and numbers the reached terms, so that exploration runs over integers.
-Steps carry no position: the oracles only count them.  The references (each
-position addressed from the root, the table recomputed for every size) live
-in the tests.
+cycle or a path longer than the budget.  Reached terms are hash-consed
+(Filliatre and Conchon, "Type-safe modular hash-consing", 2006) into nodes of
+one shared system per (rules, Q), which memoises each node's steps: the
+oracles run over integers, build no term and recurse on no reached term's
+depth.  Steps carry no position: the oracles only count them.  The
+references (each position addressed from the root, the table recomputed for
+every size) live in the tests.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .terms import (
     SymbolKind,
     Term,
     Var,
-    apply_subst,
-    match_term,
     render,
     size as term_size,
     variables,
@@ -66,14 +65,17 @@ def check_labels(rules: Iterable[Rule]) -> None:
         seen.add(r.label)
 
 
-Step = tuple[Rule, Term]
-
 _MEMO_CAP = 200_000
 
 
 class _System:
-    """The rewrite relation of (rules, q): per subterm, whether it has a
-    Q-redex and its one-step reducts; reached terms numbered, with edges."""
+    """The rewrite relation of (rules, q) over a bank of hash-consed nodes.
+
+    Node i is (symbol, argument nodes...) or (variable,); one dict maps each
+    key to its node, so equal terms share a number, given after their
+    arguments'.  Each node's (has a Q-redex, ((rule, reduct node), ...)) is
+    computed once, from its arguments' steps; left-hand sides are matched on
+    node numbers and right-hand sides built straight into nodes."""
 
     def __init__(self, rules: tuple[Rule, ...], q: tuple[Rule, ...]) -> None:
         self.rules = rules
@@ -84,67 +86,90 @@ class _System:
         self.by_root: dict[Symbol, list[tuple[App, Optional[Rule], bool]]] = {}
         for lhs, r in [(r.lhs, r) for r in rules] + [(lhs, None) for lhs in q_only]:
             self.by_root.setdefault(lhs.sym, []).append((lhs, r, lhs in q_lhss))
-        # per subterm (has a Q-redex, rule, reduct, rule, reduct, ...), flat
-        # to stay small: there is one per subterm of every reached term
-        self.memo: dict[App, tuple] = {}
         self.forget()
 
     def forget(self) -> None:
-        self.ids: dict[Term, int] = {}
-        # term i, replaced by its edges once they are computed
-        self.nodes: list[Union[Term, tuple[tuple[Rule, int], ...]]] = []
+        self.ids: dict[Union[tuple, Term], int] = {}  # keys and numbered terms
+        self.nodes: list[tuple] = []  # node i's key
+        self.steps: list[Optional[tuple[bool, tuple[tuple[Rule, int], ...]]]] = []
+        self.terms: list[Term] = []  # node i's term, built in node order
 
-    def steps(self, t: Term) -> Iterator[Step]:
-        """One-step reducts of t in leftmost-outermost order, rules in order:
-        the root steps (when every argument is Q-normal), then each
-        argument's steps in place."""
-        memo = self.memo
-        if len(memo) > _MEMO_CAP:
-            memo.clear()
-        # post-order, so that each node's arguments are done before it
-        stack: list[tuple[App, bool]] = [(t, False)] if t.__class__ is App else []
-        while stack:
-            s, expanded = stack.pop()
-            if s in memo:
-                continue
-            args = s.args
-            if not expanded:
-                stack.append((s, True))
-                stack.extend((a, False) for a in args if a.__class__ is App)
-                continue
-            hit = any(a.__class__ is App and memo[a][0] for a in args)
-            out: list = []
-            if not hit:  # every argument is Q-normal
-                for lhs, rule, in_q in self.by_root.get(s.sym, ()):
-                    sigma = match_term(lhs, s)
-                    if sigma is not None:
-                        hit = hit or in_q
-                        if rule is not None:
-                            out += (rule, apply_subst(rule.rhs, sigma))
-            for i, a in enumerate(args):
-                if a.__class__ is App:
-                    for rule, r in _pairs(memo[a]):
-                        out += (rule, App(s.sym, args[:i] + (r,) + args[i + 1 :]))
-            memo[s] = (hit, *out)
-        return _pairs(memo[t]) if t.__class__ is App else iter(())
-
-    def number(self, t: Term) -> int:
-        i = self.ids.setdefault(t, len(self.nodes))
+    def node(self, key: tuple) -> int:
+        i = self.ids.setdefault(key, len(self.nodes))
         if i == len(self.nodes):
-            self.nodes.append(t)
+            self.nodes.append(key)
+            self.steps.append(None)
         return i
 
+    def number(self, t: Term) -> int:
+        """t's node, in a new bank once this one holds more than _MEMO_CAP
+        nodes; term objects are remembered, as start terms share arguments."""
+        if len(self.nodes) > _MEMO_CAP:
+            self.forget()
+        done, todo = self.ids, [t]
+        while todo:
+            s = todo.pop()
+            if s.__class__ is Var:
+                done[s] = self.node((s,))
+            elif s not in done:
+                new = [a for a in s.args if a not in done]
+                if new:
+                    todo += [s, *new]
+                else:
+                    done[s] = self.node((s.sym, *[done[a] for a in s.args]))
+        return done[t]
+
     def edges(self, i: int) -> tuple[tuple[Rule, int], ...]:
-        """(rule, number of the reduct) per step of term i."""
-        e = self.nodes[i]
-        if e.__class__ is not tuple:
-            steps = self.steps(e)
-            e = self.nodes[i] = tuple((rule, self.number(r)) for rule, r in steps)
-        return e
+        """(rule, reduct node) per step of node i in leftmost-outermost
+        order, rules in order: the root steps (when every argument is
+        Q-normal), then each argument's steps in place."""
+        return (self.steps[i] or self._fill(i))[1]
 
+    def _fill(self, i: int) -> tuple[bool, tuple[tuple[Rule, int], ...]]:
+        nodes, steps, todo = self.nodes, self.steps, [i]
+        while todo:  # post-order, so that arguments have their steps first
+            j = todo.pop()
+            key = nodes[j]
+            new = [a for a in key[1:] if steps[a] is None]
+            if new:
+                todo += [j, *new]
+                continue
+            if steps[j] is not None:
+                continue
+            hit = any([steps[a][0] for a in key[1:]])
+            out = []
+            if not hit:  # every argument is Q-normal
+                for lhs, rule, in_q in self.by_root.get(key[0], ()):
+                    sigma: dict[str, int] = {}
+                    if all(map(self._match, lhs.args, key[1:], itertools.repeat(sigma))):
+                        hit = hit or in_q
+                        if rule is not None:
+                            out.append((rule, self._build(rule.rhs, sigma)))
+            for p in range(1, len(key)):
+                for rule, r in steps[key[p]][1]:
+                    out.append((rule, self.node(key[:p] + (r,) + key[p + 1 :])))
+            steps[j] = (hit, tuple(out))
+        return steps[i]
 
-def _pairs(v: tuple) -> Iterator[Step]:
-    return zip(v[1::2], v[2::2])
+    def _match(self, p: Term, i: int, sigma: dict[str, int]) -> bool:
+        """Bind sigma so that p instantiated is node i; recursive on a rule's term."""
+        if p.__class__ is Var:
+            return sigma.setdefault(p.name, i) == i
+        f, *args = self.nodes[i]
+        return f is p.sym and all(map(self._match, p.args, args, itertools.repeat(sigma)))
+
+    def _build(self, t: Term, sigma: dict[str, int]) -> int:
+        """The node of t instantiated by sigma; recursive on a rule's own term."""
+        if t.__class__ is Var:
+            return sigma[t.name]
+        return self.node((t.sym, *[self._build(a, sigma) for a in t.args]))
+
+    def term(self, i: int) -> Term:
+        terms = self.terms
+        while len(terms) <= i:  # nodes in order, so arguments come first
+            f, *args = self.nodes[len(terms)]
+            terms.append(f if f.__class__ is Var else App(f, tuple(terms[a] for a in args)))
+        return terms[i]
 
 
 # one shared system per (rules, q), cleared with the other functools caches
@@ -154,18 +179,20 @@ _system = functools.lru_cache(maxsize=16)(_System)
 def is_q_normal_form(t: Term, q: Sequence[Rule]) -> bool:
     """No left-hand side of q matches any subterm of t."""
     system = _system((), tuple(q))
-    system.steps(t)  # fills system.memo for t
-    return t.__class__ is Var or not system.memo[t][0]
+    return not system._fill(system.number(t))[0]
 
 
-def q_successors(t: Term, rules: Sequence[Rule], q: Sequence[Rule]) -> tuple[Step, ...]:
+def q_successors(
+    t: Term, rules: Sequence[Rule], q: Sequence[Rule]
+) -> tuple[tuple[Rule, Term], ...]:
     """All one-step reducts of t as (rule, reduct): leftmost-outermost, rules
     in order.
 
     A rule fires at a subterm only when its lhs matches and every argument of
     the matched instance is a normal form of q.
     """
-    return tuple(_system(tuple(rules), tuple(q)).steps(t))
+    system = _system(tuple(rules), tuple(q))
+    return tuple((rule, system.term(v)) for rule, v in system.edges(system.number(t)))
 
 
 @dataclass(frozen=True)
@@ -192,85 +219,55 @@ class TooLargeError(RuntimeError):
 
 
 def _explore(
-    system: _System, t: Term, budget: int, counted: set[int]
-) -> tuple[list[list[int]], list[tuple[int, int, int]], bool]:
-    """Breadth-first reachable region from t (node 0) up to distance budget:
-    successor lists, edges (u, v, 1 for a counted rule else 0), and whether
-    a node on the budget frontier has a successor outside the region."""
-    if len(system.nodes) > _MEMO_CAP:
-        system.forget()  # between explorations only: edges hold numbers
-    start = system.number(t)
-    index: dict[int, int] = {start: 0}
-    succ: list[list[int]] = [[]]
-    edges: list[tuple[int, int, int]] = []
+    system: _System, start: int, budget: int, counted: set[int]
+) -> Optional[dict[int, list[tuple[int, int]]]]:
+    """Breadth-first reachable region from node start up to distance budget:
+    per node its (successor, 1 for a counted rule else 0); None when a node
+    on the budget frontier has a successor outside the region."""
+    succ: dict[int, list[tuple[int, int]]] = {start: []}
     frontier = [start]
-    truncated = False
-    depth = 0
-    while frontier:
+    for depth in range(budget + 1):
         nxt: list[int] = []
         for u in frontier:
-            ui = index[u]
             for rule, v in system.edges(u):
-                vi = index.get(v)
-                if vi is None:
-                    if depth >= budget:
-                        truncated = True
-                        continue
-                    vi = index[v] = len(succ)
-                    succ.append([])
+                if v not in succ:
+                    if depth == budget:
+                        return None
+                    succ[v] = []
                     nxt.append(v)
-                succ[ui].append(vi)
-                edges.append((ui, vi, 1 if id(rule) in counted else 0))
+                succ[u].append((v, 1 if id(rule) in counted else 0))
         frontier = nxt
-        depth += 1
-    return succ, edges, truncated
+    return succ
 
 
-def _sccs(n: int, succ: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; returns a component id per node, ids in reverse
-    topological order (component 0 has no successors outside itself)."""
-    idx = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    counter = 0
+def _sccs(succ: dict[int, list[tuple[int, int]]], start: int) -> dict[int, int]:
+    """Kosaraju: a component id per node, ids in topological order; every node
+    is reachable from start, whose component is 0."""
+    order: list[int] = []  # nodes as a depth-first search from start leaves them
+    seen, work = {start}, [(start, iter(succ[start]))]
+    while work:
+        for w, _ in work[-1][1]:
+            if w not in seen:
+                seen.add(w)
+                work.append((w, iter(succ[w])))
+                break
+        else:
+            order.append(work.pop()[0])
+    pred: dict[int, list[int]] = {u: [] for u in succ}
+    for u, vs in succ.items():
+        for v, _ in vs:
+            pred[v].append(u)
+    comp: dict[int, int] = {}
     ncomp = 0
-    for root in range(n):
-        if idx[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                idx[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for j in range(pi, len(succ[v])):
-                w = succ[v][j]
-                if idx[w] == -1:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], idx[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == idx[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+    for root in reversed(order):  # each search of pred finds one component
+        if root not in comp:
+            comp[root], todo = ncomp, [root]
+            while todo:
+                for w in pred[todo.pop()]:
+                    if w not in comp:
+                        comp[w] = ncomp
+                        todo.append(w)
+            ncomp += 1
     return comp
 
 
@@ -290,23 +287,23 @@ def strict_step_oracle(
     system = _system(strict + tuple(weak), tuple(q))
     # the system is shared by equal rule tuples and by every strict/weak
     # split of them, so strictness is decided on its own rule objects
-    strict_set = set(strict)
-    counted = {id(r) for r in system.rules if r in strict_set}
-    succ, edges, truncated = _explore(system, t, budget, counted)
-    if truncated:
+    counted = {id(r) for r in system.rules if r in strict}
+    start = system.number(t)  # a new bank starts here if at all, as edges hold numbers
+    succ = _explore(system, start, budget, counted)
+    if succ is None:
         return OracleResult.at_least(budget)
-    comp = _sccs(len(succ), succ)
-    if any(w and comp[ui] == comp[vi] for ui, vi, w in edges):
-        return OracleResult.at_least(budget)
-    # Longest path over the component DAG; component ids are already in
-    # reverse topological order, so a single sweep suffices.
-    best = [0] * (max(comp) + 1)
-    for ui, vi, w in sorted(edges, key=lambda e: comp[e[0]]):
-        cu, cv = comp[ui], comp[vi]
-        if cu != cv:
-            best[cu] = max(best[cu], w + best[cv])
-        # same-component edges are weight 0 here and contribute nothing
-    return OracleResult.exactly(best[comp[0]])
+    comp = _sccs(succ, start)
+    # Longest path over the component DAG: components in reverse id order, so
+    # that every edge out of one leads to a finished one.  An edge inside one
+    # is weight 0 and adds nothing, unless it is strict and can be pumped.
+    best = [0] * len(succ)
+    for u in sorted(succ, key=comp.__getitem__, reverse=True):
+        for v, w in succ[u]:
+            if comp[u] != comp[v]:
+                best[comp[u]] = max(best[comp[u]], w + best[comp[v]])
+            elif w:
+                return OracleResult.at_least(budget)
+    return OracleResult.exactly(best[comp[start]])
 
 
 def dh_oracle(t: Term, rules: Sequence[Rule], q: Sequence[Rule], budget: int) -> OracleResult:
@@ -328,11 +325,10 @@ class Heights:
         self.nodes, self.memo = None, {}
 
     def __call__(self, t: Term) -> OracleResult:
-        if len(self.system.nodes) > _MEMO_CAP:
-            self.system.forget()
+        start = self.system.number(t)
         if self.system.nodes is not self.nodes:  # renumbered: the records are void
             self.nodes, self.memo = self.system.nodes, {}
-        h = self._solve(self.system.number(t))
+        h = self._solve(start)
         return strict_step_oracle(t, *self.args) if h is None else OracleResult.exactly(h[1])
 
     def _solve(self, start: int) -> Optional[tuple[int, int]]:

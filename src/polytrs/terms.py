@@ -21,11 +21,25 @@ class SymbolKind(Enum):
     COMPOUND = "compound"
 
 
-@dataclass(frozen=True)
+_SYMBOLS: dict[tuple[str, int, SymbolKind], "Symbol"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Symbol:
+    """Interned: one object per (name, arity, kind), kept for the life of the
+    process, so equality and hashing are by identity; only __new__ sets fields."""
+
     name: str
     arity: int
     kind: SymbolKind
+
+    def __new__(cls, name: str, arity: int, kind: SymbolKind) -> "Symbol":
+        new = object.__new__(cls)
+        new.__dict__.update(name=name, arity=arity, kind=kind)
+        return _SYMBOLS.setdefault((name, arity, kind), new)
+
+    def __reduce__(self) -> tuple:  # pickle and copy give the interned object
+        return Symbol, (self.name, self.arity, self.kind)
 
     @property
     def display_name(self) -> str:
@@ -91,7 +105,7 @@ class App:
             if a.__class__ is Var:
                 if a.name != b.name:
                     return False
-            elif a._hash != b._hash or (a.sym is not b.sym and a.sym != b.sym):
+            elif a._hash != b._hash or a.sym is not b.sym:
                 return False
             else:
                 stack.extend(zip(a.args, b.args))
@@ -156,25 +170,17 @@ def size(t: Term) -> int:
 
 def subterms(t: Term) -> Iterator[Term]:
     """All subterms in leftmost-outermost (preorder) order, t itself first."""
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        yield s
+        if s.__class__ is App and s.args:
+            todo += reversed(s.args)
 
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names in order of first occurrence."""
-    seen: dict[str, None] = {}
-
-    def walk(s: Term) -> None:
-        if isinstance(s, Var):
-            seen.setdefault(s.name, None)
-        else:
-            for a in s.args:
-                walk(a)
-
-    walk(t)
-    return tuple(seen)
+    return tuple(dict.fromkeys(s.name for s in subterms(t) if s.__class__ is Var))
 
 
 def symbols_of(t: Term) -> frozenset[Symbol]:
@@ -190,19 +196,17 @@ def apply_subst(t: Term, sigma: Substitution) -> Term:
 def match_term(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
     """Substitution sigma with pattern*sigma == subject, or None."""
     sigma: dict[str, Term] = {}
-
-    def walk(p: Term, s: Term) -> bool:
-        if isinstance(p, Var):
-            bound = sigma.get(p.name)
-            if bound is None:
-                sigma[p.name] = s
-                return True
-            return bound == s
-        if isinstance(s, Var) or p.sym != s.sym:
-            return False
-        return all(walk(pa, sa) for pa, sa in zip(p.args, s.args))
-
-    return sigma if walk(pattern, subject) else None
+    todo = [(pattern, subject)]
+    while todo:
+        p, s = todo.pop()
+        if p.__class__ is Var:
+            if sigma.setdefault(p.name, s) != s:
+                return None
+        elif s.__class__ is Var or p.sym is not s.sym:
+            return None
+        else:
+            todo += zip(p.args, s.args)
+    return sigma
 
 
 def unify_terms(s: Term, t: Term) -> Optional[dict[str, Term]]:
@@ -244,7 +248,7 @@ def unify_terms(s: Term, t: Term) -> Optional[dict[str, Term]]:
             sigma[a.name] = b
         elif b.__class__ is Var:
             work.append((b, a))
-        elif a.sym == b.sym:
+        elif a.sym is b.sym:
             work.extend(zip(a.args, b.args))
         else:
             return None

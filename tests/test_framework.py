@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polytrs import rewriting
+from polytrs import framework, rewriting
 from polytrs.framework import (
     Bound,
     Problem,
@@ -18,7 +18,7 @@ from polytrs.framework import (
 )
 from polytrs.parsing import parse_problem
 from polytrs.rewriting import OracleResult, strict_step_oracle
-from polytrs.terms import SymbolKind
+from polytrs.terms import App, SymbolKind
 from tests.conftest import systems
 
 bounds = st.one_of(
@@ -260,10 +260,49 @@ class TestCcRows:
         assert rows == reference_rows(p, 4, 30)
         assert rows[1:] == [OracleResult.exactly(0)] + [OracleResult.at_least(30)] * 3
 
-    def test_nodes_renumbered_during_a_table(self, monkeypatch, mult_problem):
+    def test_nodes_renumbered_during_a_table(self, monkeypatch, mult_problem, exp_problem):
         monkeypatch.setattr(rewriting, "_MEMO_CAP", 50)
-        for p in (mult_problem, parse_problem(INLINE["plus_full"])):
-            assert list(cc_rows(p, 7, 60)) == reference_rows(p, 7, 60)
+        # exp's reducts are deep; len_app is relative
+        tables = [
+            (mult_problem, 7, 60),
+            (parse_problem(INLINE["plus_full"]), 7, 60),
+            (exp_problem, 9, 100),
+            (parse_problem(INLINE["len_app"]), 7, 60),
+        ]
+        for p, n, budget in tables:
+            rewriting._system.cache_clear()
+            assert list(cc_rows(p, n, budget)) == reference_rows(p, n, budget)
+
+    @pytest.mark.parametrize(
+        "name, n, budget, last",
+        [
+            ("mult", 10, 100, OracleResult.exactly(21)),
+            ("exp", 10, 200, OracleResult.at_least(200)),  # explored breadth-first too
+            ("plus_full", 9, 60, OracleResult.exactly(10)),
+        ],
+    )
+    def test_no_term_built_once_the_start_terms_are_enumerated(
+        self, request, monkeypatch, name, n, budget, last
+    ):
+        if name in INLINE:
+            p = parse_problem(INLINE[name])
+        else:
+            p = request.getfixturevalue(f"{name}_problem")
+        starts = start_terms_up_to(p, n)
+        monkeypatch.setattr(framework, "start_terms_up_to", lambda q, k: starts)
+        built = []
+        post_init = App.__post_init__
+
+        def counted(t):
+            built.append(t)
+            post_init(t)
+
+        monkeypatch.setattr(App, "__post_init__", counted)
+        rewriting._system.cache_clear()
+        rows = list(cc_rows(p, n, budget))
+        monkeypatch.undo()
+        assert built == []
+        assert rows[-1] == last
 
 
 # rules that recurse, loop or grow, so that derivations outrun small budgets

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import pickle
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polytrs.interpretations import needs_monotone
+from polytrs.parsing import parse_problem
 from polytrs.terms import (
     App,
     Symbol,
@@ -209,6 +211,47 @@ class TestEqualityAndHash:
         assert v == App(PLUS, (X, Y)) and size(v) == 3
         with pytest.raises(ValueError):
             dataclasses.replace(t, args=())
+
+
+class TestInternedSymbols:
+    def test_one_object_per_name_arity_and_kind(self):
+        k = SymbolKind.DEFINED
+        assert Symbol("f", 1, k) is Symbol("f", 1, k)
+        assert Symbol(name="f", arity=1, kind=k) is Symbol("f", 1, k)
+        assert Symbol("f", 2, k) is not Symbol("f", 1, k)
+        assert Symbol("f", 1, SymbolKind.MARKED) is not Symbol("f", 1, k)
+        assert marked(Symbol("f", 1, k)) is Symbol("f", 1, SymbolKind.MARKED)
+        assert unmarked(marked(Symbol("f", 1, k))) is Symbol("f", 1, k)
+        # a later call with equal values leaves the interned fields as they are
+        assert Symbol("f", True, k) is Symbol("f", 1, k)
+        assert Symbol("f", 1, k).arity.__class__ is int
+
+    def test_copies_are_the_interned_object(self):
+        f = Symbol("f", 1, SymbolKind.DEFINED)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
+        assert copy.deepcopy(f) is f and copy.copy(f) is f
+        assert dataclasses.replace(f) is f
+        assert dataclasses.replace(f, arity=2) is Symbol("f", 2, SymbolKind.DEFINED)
+        t = pickle.loads(pickle.dumps(App(f, (X,))))
+        assert t.sym is f and t == App(f, (X,))
+
+    def test_equality_and_hash_are_identity(self):
+        f = Symbol("f", 1, SymbolKind.DEFINED)
+        assert f == Symbol("f", 1, SymbolKind.DEFINED) and hash(f) == object.__hash__(f)
+        assert f != Symbol("g", 1, SymbolKind.DEFINED)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.name = "g"
+
+    def test_two_parses_share_their_symbols(self):
+        text = "(VAR x)(RULES f(s(x)) -> f(x) f(0) -> 0)"
+        first, second = parse_problem(text), parse_problem(text)
+        assert first.signature == second.signature
+        lhs, other = first.strict[0].lhs, second.strict[0].lhs
+        assert lhs.sym is other.sym and lhs.args[0].sym is other.args[0].sym
+        # the rules stay distinct objects that compare equal
+        assert first.strict[0] is not second.strict[0]
+        assert first.strict == second.strict
 
 
 class TestMarking:
