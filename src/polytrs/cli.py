@@ -176,7 +176,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "analyze":
             return _run_analyze(args)
         return _run_oracle(args)
-    except (ParseError, OSError) as err:
+    except (ParseError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

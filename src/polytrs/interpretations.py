@@ -127,11 +127,6 @@ class SymbolPoly:
                 out = out + (a * a).scale(s)
         return out
 
-    def apply_values(self, args: Sequence[int]) -> int:
-        return self.const + sum(
-            l * v + s * v * v for v, l, s in zip(args, self.lin, self.sq)
-        )
-
 
 @dataclass(frozen=True)
 class PolyInterp:
@@ -159,14 +154,6 @@ def term_polynomial(interp: PolyInterp, t: Term) -> Polynomial:
         return Polynomial.var(t.name)
     args = [term_polynomial(interp, a) for a in t.args]
     return interp.for_symbol(t.sym).apply_polys(args)
-
-
-def eval_term(interp: PolyInterp, t: Term, env: Mapping[str, int]) -> int:
-    if isinstance(t, Var):
-        return env[t.name]
-    return interp.for_symbol(t.sym).apply_values(
-        [eval_term(interp, a, env) for a in t.args]
-    )
 
 
 def needs_monotone(p: Problem, sym: Symbol) -> bool:

@@ -10,8 +10,9 @@ The JSON form is schema 3.  A symbol is the one string name/arity/kind, a
 variable is a bare string and an application is {"sym": ..., "args": [...]}.
 A problem is its five rule lists and its start terms: no signature, and no
 DP flag on a rule, which is a dependency pair because it sits in a *_dps
-list.  proof_from_json rejects any other schema, schemas 1 and 2 among
-them, and decodes each distinct symbol string once per certificate.
+list.  proof_from_json is the one way in: it rejects any other schema,
+schemas 1 and 2 among them, and reports JSON of any other shape as a
+ValueError.
 """
 
 from __future__ import annotations
@@ -143,50 +144,11 @@ def render_proof(tree: ProofTree, indent: int = 0) -> str:
 def _render_params(params: dict[str, Any]) -> str:
     if not params:
         return ""
-    shown = {k: v for k, v in params.items() if k != "interpretation"}
-    if "interpretation" in params:
-        shown["interpretation"] = "..."
+    shown = {k: "..." if k == "interpretation" else v for k, v in params.items()}
     return " " + json.dumps(shown, sort_keys=True)
 
 
 # --- JSON serialization -----------------------------------------------------
-
-
-def _decoder(decode):
-    """Make decode report JSON of the wrong shape as ValueError."""
-
-    @functools.wraps(decode)
-    def checked(obj: Any, *args: Any, **kwargs: Any):
-        try:
-            return decode(obj, *args, **kwargs)
-        except (AttributeError, KeyError, TypeError) as e:
-            raise ValueError(f"malformed JSON in {decode.__name__}: {e!r}") from e
-
-    return checked
-
-
-def _fields(obj: Any, *keys: str) -> list[Any]:
-    """obj's values at keys.  An object with any other key is rejected, so
-    that no key goes unread; one len() is the whole check."""
-    if len(obj) != len(keys):
-        raise _wrong_keys(obj)
-    return [obj[k] for k in keys]
-
-
-def _wrong_keys(obj: Any) -> ValueError:
-    return ValueError(f"unexpected or missing keys among {sorted(obj)}")
-
-
-def bound_to_json(b: Bound) -> Any:
-    return {"degree": b.degree}
-
-
-@_decoder
-def bound_from_json(obj: Any) -> Bound:
-    (degree,) = _fields(obj, "degree")
-    if degree is not None and type(degree) is not int:  # also rejects bool
-        raise ValueError(f"bound degree {degree!r} is neither null nor an integer")
-    return Bound.unknown() if degree is None else Bound.poly(degree)
 
 
 def symbol_to_json(s: Symbol) -> str:
@@ -201,81 +163,23 @@ _SYMBOL = re.compile(
 
 def symbol_from_json(obj: Any) -> Symbol:
     """Inverts symbol_to_json."""
-    match = _SYMBOL.fullmatch(obj) if type(obj) is str else None
-    if match is None:
+    if type(obj) is not str:
         raise ValueError(f"symbol {obj!r} is not a string name/arity/kind")
+    return _symbol(obj)
+
+
+@functools.lru_cache(maxsize=None)
+def _symbol(text: str) -> Symbol:
+    """Unbounded, as the table of interned symbols is: one string, one symbol."""
+    match = _SYMBOL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"symbol {text!r} is not a string name/arity/kind")
     name, arity, kind = match.groups()
     return Symbol(name, int(arity), SymbolKind(kind))
 
 
-def term_to_json(t: Term) -> Any:
-    if t.__class__ is Var:
-        return t.name
-    return {"sym": symbol_to_json(t.sym), "args": [term_to_json(a) for a in t.args]}
-
-
-# The decoders below take an optional memo from symbol strings to symbols,
-# which proof_from_json shares across a whole certificate.
-
-
-@_decoder
-def term_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Term:
-    return _term(obj, {} if symbols is None else symbols)
-
-
-def _term(obj: Any, symbols: dict[str, Symbol]) -> Term:
-    if obj.__class__ is str:
-        return Var(obj)
-    text, args = obj["sym"], obj["args"]
-    sym = symbols.get(text)
-    if sym is None:
-        sym = symbols[text] = symbol_from_json(text)
-    if args.__class__ is not list:
-        raise ValueError(f"arguments of {text} are not a list")
-    if len(obj) != 2:  # _fields, inlined on this hot path
-        raise _wrong_keys(obj)
-    return App(sym, tuple([_term(a, symbols) for a in args]))
-
-
-def rule_to_json(r: Rule) -> Any:
-    return {"label": r.label, "lhs": term_to_json(r.lhs), "rhs": term_to_json(r.rhs)}
-
-
-@_decoder
-def rule_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Rule:
-    lhs, rhs, label = _fields(obj, "lhs", "rhs", "label")
-    symbols = {} if symbols is None else symbols
-    return Rule(_term(lhs, symbols), _term(rhs, symbols), label)
-
-
 # the rule lists of a problem; the rules of the *_dps ones are dependency pairs
 _RULE_SLOTS = ("strict_dps", "strict_trs", "weak_dps", "weak_trs", "q")
-
-
-def problem_to_json(p: Problem) -> Any:
-    return {
-        **{slot: [rule_to_json(r) for r in getattr(p, slot)] for slot in _RULE_SLOTS},
-        "start_terms": {"kind": p.start_terms.value},
-    }
-
-
-@_decoder
-def problem_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Problem:
-    *slots, start = _fields(obj, *_RULE_SLOTS, "start_terms")
-    (kind,) = _fields(start, "kind")
-    symbols = {} if symbols is None else symbols
-    rules = [tuple(rule_from_json(r, symbols) for r in rs) for rs in slots]
-    return Problem(**dict(zip(_RULE_SLOTS, rules)), start_terms=StartKind(kind))
-
-
-def judgement_to_json(j: Judgement) -> Any:
-    return {"problem": problem_to_json(j.problem), "bound": bound_to_json(j.bound)}
-
-
-@_decoder
-def judgement_from_json(obj: Any, symbols: Optional[dict[str, Symbol]] = None) -> Judgement:
-    problem, bound = _fields(obj, "problem", "bound")
-    return Judgement(problem_from_json(problem, symbols), bound_from_json(bound))
 
 
 def proof_to_json(tree: ProofTree) -> Any:
@@ -285,52 +189,117 @@ def proof_to_json(tree: ProofTree) -> Any:
 
 def _node_to_json(tree: ProofTree) -> Any:
     if isinstance(tree, Axiom):
-        return {"node": "axiom", "conclusion": judgement_to_json(tree.judgement)}
+        return {"node": "axiom", "conclusion": _judgement_to_json(tree.judgement)}
     if isinstance(tree, Assumption):
-        out = {"node": "assumption", "conclusion": judgement_to_json(tree.judgement)}
-        if tree.note is not None:
-            out["note"] = tree.note
-        return out
+        note = {} if tree.note is None else {"note": tree.note}
+        return {"node": "assumption", "conclusion": _judgement_to_json(tree.judgement), **note}
     return {
         "node": "inference",
         "processor": tree.processor,
         # a copy, so that editing the JSON leaves the tree as it is
         "params": copy.deepcopy(tree.params),
-        "conclusion": judgement_to_json(tree.judgement),
+        "conclusion": _judgement_to_json(tree.judgement),
         "premises": [_node_to_json(pr) for pr in tree.premises],
     }
 
 
-@_decoder
+def _judgement_to_json(j: Judgement) -> Any:
+    p = j.problem
+    problem = {slot: [_rule_to_json(r) for r in getattr(p, slot)] for slot in _RULE_SLOTS}
+    problem["start_terms"] = {"kind": p.start_terms.value}
+    return {"problem": problem, "bound": {"degree": j.bound.degree}}
+
+
+def _rule_to_json(r: Rule) -> Any:
+    return {"label": r.label, "lhs": _term_to_json(r.lhs), "rhs": _term_to_json(r.rhs)}
+
+
+def _term_to_json(t: Term) -> Any:
+    if t.__class__ is Var:
+        return t.name
+    return {"sym": symbol_to_json(t.sym), "args": [_term_to_json(a) for a in t.args]}
+
+
 def proof_from_json(obj: Any) -> ProofTree:
-    schema = obj.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported proof schema {schema!r}; this version reads schema "
-            f"{SCHEMA_VERSION} only"
-        )
-    _, proof = _fields(obj, "schema", "proof")
-    return _node_from_json(proof, {})
+    """Inverts proof_to_json.  JSON of any other shape is a ValueError: the
+    decoders below raise it, or make indexing or len() raise in its place."""
+    try:
+        schema = obj.get("schema")
+        if schema != SCHEMA_VERSION:
+            raise ValueError(f"unsupported proof schema {schema!r}; expected {SCHEMA_VERSION}")
+        _, proof = _fields(obj, "schema", "proof")
+        return _node(proof)
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ValueError(f"malformed certificate: {e!r}") from e
+    except RecursionError:
+        raise ValueError("certificate nested too deeply") from None
 
 
-def _node_from_json(obj: Any, symbols: dict[str, Symbol]) -> ProofTree:
+def _fields(obj: Any, *keys: str) -> list[Any]:
+    """obj's values at keys.  An object with any other key is rejected, so
+    that no key goes unread; one len() is the whole check."""
+    if len(obj) != len(keys):
+        raise _wrong_keys(obj)
+    return [obj[k] for k in keys]
+
+
+def _wrong_keys(obj: Any) -> ValueError:
+    return ValueError(f"unexpected or missing keys among {sorted(obj)}")
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    if value.__class__ is not kind:
+        noun = {str: "a string", list: "a list", dict: "an object"}[kind]
+        raise ValueError(f"{what} {value!r} is not {noun}")
+    return value
+
+
+def _node(obj: Any) -> ProofTree:
     kind = obj["node"]
     if kind == "axiom":
         _, conclusion = _fields(obj, "node", "conclusion")
-        return Axiom(judgement_from_json(conclusion, symbols))
+        return Axiom(_judgement(conclusion))
     if kind == "assumption":
         keys = ("node", "conclusion", "note") if "note" in obj else ("node", "conclusion")
         _, conclusion, *note = _fields(obj, *keys)
-        return Assumption(judgement_from_json(conclusion, symbols), *note)
+        return Assumption(_judgement(conclusion), *(_typed(n, str, "note") for n in note))
     if kind == "inference":
         keys = ("node", "processor", "params", "conclusion", "premises")
         _, processor, params, conclusion, premises = _fields(obj, *keys)
-        if type(processor) is not str:
-            raise ValueError(f"processor {processor!r} is not a string")
         return Inference(
-            processor=processor,
-            params=copy.deepcopy(params),
-            judgement=judgement_from_json(conclusion, symbols),
-            premises=tuple(_node_from_json(pr, symbols) for pr in premises),
+            processor=_typed(processor, str, "processor"),
+            params=copy.deepcopy(_typed(params, dict, "params")),
+            judgement=_judgement(conclusion),
+            premises=tuple(_node(pr) for pr in _typed(premises, list, "premises")),
         )
     raise ValueError(f"unknown proof node kind: {kind!r}")
+
+
+def _judgement(obj: Any) -> Judgement:
+    problem, bound = _fields(obj, "problem", "bound")
+    *slots, start = _fields(problem, *_RULE_SLOTS, "start_terms")
+    (kind,) = _fields(start, "kind")
+    rules = [tuple(_rule(r) for r in _typed(rs, list, "rule list")) for rs in slots]
+    (degree,) = _fields(bound, "degree")
+    if degree is not None and type(degree) is not int:  # also rejects bool
+        raise ValueError(f"bound degree {degree!r} is neither null nor an integer")
+    return Judgement(
+        Problem(**dict(zip(_RULE_SLOTS, rules)), start_terms=StartKind(kind)),
+        Bound.unknown() if degree is None else Bound.poly(degree),
+    )
+
+
+def _rule(obj: Any) -> Rule:
+    lhs, rhs, label = _fields(obj, "lhs", "rhs", "label")
+    return Rule(_term(lhs), _term(rhs), _typed(label, str, "label"))
+
+
+def _term(obj: Any) -> Term:
+    if obj.__class__ is str:
+        return Var(obj)
+    text, args = obj["sym"], obj["args"]
+    if args.__class__ is not list:
+        raise ValueError(f"arguments of {text} are not a list")
+    if len(obj) != 2:  # _fields, inlined on this hot path
+        raise _wrong_keys(obj)
+    return App(_symbol(text), tuple([_term(a) for a in args]))

@@ -268,7 +268,8 @@ _fresh_counter = itertools.count(1)
 
 
 def fresh_var() -> Var:
-    """A variable that cannot clash with parsed input (% is not a token char)."""
+    """A variable no other call returns.  Input may name a variable %1 too:
+    estimate_dg unifies only terms whose variables are all fresh."""
     return Var(f"%{next(_fresh_counter)}")
 
 

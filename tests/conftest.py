@@ -4,17 +4,18 @@ import functools
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from polytrs.dependency_pairs import dt_problem
 from polytrs.framework import Problem
+from polytrs.interpretations import PolyInterp, SymbolPoly
 from polytrs.parsing import parse_file
 from polytrs.processors import default_strategy
 from polytrs.rewriting import OracleResult, Rule, q_successors
-from polytrs.terms import App, SymbolKind, Term, components, render
+from polytrs.terms import App, SymbolKind, Term, Var, components, render
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -70,6 +71,17 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
     args = list(t.args)
     args[i - 1] = replace_at(args[i - 1], p[1:], s)
     return App(t.sym, tuple(args))
+
+
+# Pointwise values of an interpretation, the reference for its polynomials.
+def apply_values(sp: SymbolPoly, args: Sequence[int]) -> int:
+    return sp.const + sum(l * v + s * v * v for v, l, s in zip(args, sp.lin, sp.sq))
+
+
+def eval_term(interp: PolyInterp, t: Term, env: Mapping[str, int]) -> int:
+    if isinstance(t, Var):
+        return env[t.name]
+    return apply_values(interp.for_symbol(t.sym), [eval_term(interp, a, env) for a in t.args])
 
 
 def sym(problem, name, kind):

@@ -196,6 +196,16 @@ class TestErrors:
         assert code == 2
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["analyze", "oracle"])
+    def test_input_that_is_not_utf8_is_an_error(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.trs"
+        bad.write_bytes(b"\xff\xfe(VAR x)\n(RULES f(x) -> x)\n")
+        code = main([command, str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
     @pytest.mark.parametrize(
         "option",
         [

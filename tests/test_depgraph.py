@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import re
 
 import pytest
 
-from polytrs.dependency_pairs import dt_problem
+from polytrs import terms
+from polytrs.dependency_pairs import dt_problem, wdp_problem
 from polytrs.depgraph import DepGraph, estimate_dg, sep, tcap, to_dot
 from polytrs.framework import Problem
 from polytrs.parsing import parse_file, parse_problem
@@ -170,6 +173,19 @@ class TestEstimate:
             ("4", "2"),
             ("4", "4"),
         }
+
+    def test_input_variable_named_like_a_fresh_one(self, monkeypatch):
+        # fresh variables are %1, %2, ..., and input may name one %1 too:
+        # every term that estimate_dg unifies has fresh variables only
+        text = (ROOT / "problems" / "mult.trs").read_text()
+        renamed = parse_problem(re.sub(r"\bx\b", "%1", text))
+        assert "%1" in str(renamed.strict_trs[1])
+        for transform in (dt_problem, wdp_problem):
+            g = estimate_dg(transform(parse_problem(text)))
+            want = {(src.label, dst.label, i) for src, dst, i in g.edges}
+            monkeypatch.setattr(terms, "_fresh_counter", itertools.count(1))
+            g = estimate_dg(transform(renamed))
+            assert {(src.label, dst.label, i) for src, dst, i in g.edges} == want
 
 
 class TestAgainstReference:

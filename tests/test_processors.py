@@ -178,8 +178,12 @@ class TestDispatch:
             (e,) = [e for e in interp if e["symbol"] == "s/1/constructor"]
             return e
 
+        # params that are not an object are the decoder's to reject
+        obj = proof_to_json(mult_proof)
+        obj["proof"]["params"] = "junk"
+        with pytest.raises(ValueError, match="params 'junk' is not an object"):
+            proof_from_json(obj)
         for edit in (
-            lambda proof: proof.update(params="junk"),
             # read as its characters, "12" would name the rules 1 and 2
             lambda proof: dgd(proof)["params"].update(strict_down="2"),
             lambda proof: s_entry(proof).update(const=1.0),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -11,21 +12,13 @@ from polytrs.proofs import (
     Assumption,
     Axiom,
     Inference,
-    bound_from_json,
-    bound_to_json,
     is_closed,
     iter_nodes,
-    problem_from_json,
-    problem_to_json,
     proof_from_json,
     proof_to_json,
     render_proof,
-    rule_from_json,
-    rule_to_json,
     symbol_from_json,
     symbol_to_json,
-    term_from_json,
-    term_to_json,
     validate_proof,
 )
 from polytrs.rewriting import Rule
@@ -43,6 +36,60 @@ def empty_problem(template: Problem) -> Problem:
         q=template.q,
         start_terms=template.start_terms,
     )
+
+
+# The codec's parts, each reached through a whole certificate: an open leaf
+# concluding a problem whose one weak rule is wrap(t) -> wrap(t) for a term t.
+WRAP = Symbol("wrap", 1, SymbolKind.DEFINED)
+
+
+def problem_of(*weak_trs: Rule) -> Problem:
+    return Problem((), (), (), weak_trs, (), StartKind.BASIC)
+
+
+def conclusion_to_json(p: Problem, b: Bound = Bound.unknown()):
+    return proof_to_json(Assumption(Judgement(p, b)))["proof"]["conclusion"]
+
+
+def conclusion_from_json(problem, bound) -> Judgement:
+    leaf = {"node": "assumption", "conclusion": {"problem": problem, "bound": bound}}
+    return proof_from_json({"schema": 3, "proof": leaf}).judgement
+
+
+def bound_to_json(b):
+    return conclusion_to_json(problem_of(), b)["bound"]
+
+
+def bound_from_json(obj):
+    return conclusion_from_json(problem_to_json(problem_of()), obj).bound
+
+
+def problem_to_json(p):
+    return conclusion_to_json(p)["problem"]
+
+
+def problem_from_json(obj):
+    return conclusion_from_json(obj, {"degree": None}).problem
+
+
+def rule_to_json(r):
+    (obj,) = problem_to_json(problem_of(r))["weak_trs"]
+    return obj
+
+
+def rule_from_json(obj):
+    (rule,) = problem_from_json(dict(problem_to_json(problem_of()), weak_trs=[obj])).weak_trs
+    return rule
+
+
+def term_to_json(t):
+    wrapped = App(WRAP, (t,))
+    return rule_to_json(Rule(wrapped, wrapped, "t"))["lhs"]["args"][0]
+
+
+def term_from_json(obj):
+    wrapped = {"sym": symbol_to_json(WRAP), "args": [obj]}
+    return rule_from_json({"label": "t", "lhs": wrapped, "rhs": wrapped}).lhs.args[0]
 
 
 class TestValidation:
@@ -321,6 +368,100 @@ class TestJsonRoundtrip:
             todo.extend(node.get("premises", ()))
 
 
+# JSON values of each type; the totality test puts each in place of a field
+WRONG_VALUES = [None, 0, 1.5, True, "", [], {}, [1], {"a": 1}]
+
+
+def field_paths(obj, path=()):
+    """The path of every value below obj, through object keys and list indices."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, path + (key,))
+
+
+class TestTotality:
+    """Decoding is total: JSON of the wrong shape is a ValueError, and what
+    decodes can be validated, rendered and encoded again."""
+
+    # mult's certificate; its root conclusion's first q rule and strict rule
+    MISTYPED = {
+        "q_label_object": lambda p: p["conclusion"]["problem"]["q"][0].update(label={}),
+        "label_int": lambda p: p["conclusion"]["problem"]["strict_trs"][0].update(label=7),
+        "label_null": lambda p: p["conclusion"]["problem"]["strict_trs"][0].update(label=None),
+        "params_list": lambda p: p.update(params=[1]),
+        "params_float": lambda p: p.update(params=1.5),
+    }
+
+    @pytest.mark.parametrize("edit", MISTYPED.values(), ids=MISTYPED.keys())
+    def test_mistyped_label_or_params_is_a_value_error(self, mult_proof, edit):
+        obj = proof_to_json(mult_proof)
+        edit(obj["proof"])
+        with pytest.raises(ValueError, match=r"^(label|params) .* is not (a string|an object)$"):
+            proof_from_json(obj)
+
+    def test_mistyped_note_is_a_value_error(self, mult_problem):
+        obj = proof_to_json(Assumption(Judgement(mult_problem, Bound.unknown()), "why not"))
+        obj["proof"]["note"] = 5
+        with pytest.raises(ValueError, match="note 5 is not a string"):
+            proof_from_json(obj)
+
+    @pytest.mark.parametrize("where", ["term", "params", "premises"])
+    def test_deep_certificate_is_a_value_error(self, mult_problem, where):
+        depth = sys.getrecursionlimit() + 100
+        leaf = proof_to_json(Axiom(Judgement(empty_problem(mult_problem), Bound.poly(0))))
+        node = leaf["proof"]
+        if where == "term":
+            deep = {"sym": "0/0/constructor", "args": []}
+            for _ in range(depth):
+                deep = {"sym": "s/1/constructor", "args": [deep]}
+            node["conclusion"]["problem"]["weak_trs"][0]["rhs"] = deep
+        for _ in range(depth if where == "premises" else 1):
+            node = {
+                "node": "inference",
+                "processor": "x",
+                "params": {},
+                "conclusion": node["conclusion"],
+                "premises": [node],
+            }
+        if where == "params":
+            deep = []
+            for _ in range(depth):
+                deep = [deep]
+            node["params"]["deep"] = deep
+        with pytest.raises(ValueError, match="nested too deeply"):
+            proof_from_json({"schema": 3, "proof": node})
+
+    def test_every_field_of_any_type_is_decoded_or_rejected(self, mult_proof):
+        cert = proof_to_json(mult_proof)
+        text = json.dumps(cert)
+        # one path per field shape, named by the last three object keys on it
+        shapes = {}
+        for path in field_paths(cert):
+            shapes.setdefault(tuple(k for k in path if type(k) is str)[-3:], path)
+        assert len(shapes) == 80
+        failures = []
+        for shape, (*head, last) in shapes.items():
+            for value in WRONG_VALUES:
+                obj = json.loads(text)
+                parent = obj
+                for key in head:
+                    parent = parent[key]
+                parent[last] = value
+                try:
+                    tree = proof_from_json(obj)
+                except ValueError:
+                    continue
+                try:
+                    validate_proof(tree)
+                    render_proof(tree)
+                    proof_to_json(tree)
+                except Exception as err:  # noqa: BLE001  (every case is reported)
+                    failures.append((shape, value, repr(err)))
+        assert failures == []
+
+
 class TestComponentSerializers:
 
     def test_bound(self):
@@ -393,13 +534,14 @@ class TestSymbolStrings:
         x, y = Var("x"), Var("y")
         t = App(compound(2), (App(USER_C2, (x, y)), App(USER_C2, (y, x))))
         assert symbol_to_json(USER_C2) != symbol_to_json(compound(2))
-        symbols: dict = {}
-        back = term_from_json(term_to_json(t), symbols)
+        back = term_from_json(term_to_json(t))
         assert back == t
         assert back.sym.kind is SymbolKind.COMPOUND
         assert back.args[0].sym.kind is SymbolKind.CONSTRUCTOR
-        # one decoded symbol per distinct string, shared by both occurrences
-        assert len(symbols) == 2 and back.args[0].sym is back.args[1].sym
+        # symbols are interned: each string decodes to the one symbol object
+        assert back.sym is compound(2)
+        assert back.args[0].sym is back.args[1].sym is USER_C2
+        assert symbol_from_json(symbol_to_json(USER_C2)) is USER_C2
 
     def test_slashed_name_in_a_problem(self):
         ab = Symbol("a/b", 2, SymbolKind.DEFINED)

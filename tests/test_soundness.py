@@ -18,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from polytrs.framework import Bound, cc_rows, start_terms_up_to
-from polytrs.interpretations import eval_term
 from polytrs.parsing import parse_file, parse_problem
 from polytrs.processors import (
     StrategyConfig,
@@ -35,7 +34,7 @@ from polytrs.proofs import (
     validate_proof,
 )
 from polytrs.rewriting import strict_step_oracle
-from tests.conftest import FULL_START, ROOT, systems
+from tests.conftest import FULL_START, ROOT, eval_term, systems
 
 PROBLEMS = sorted((ROOT / "bench" / "problems").glob("*.trs"))
 
