@@ -11,12 +11,13 @@ from .framework import (
     is_innermost,
 )
 from .parsing import ParseError, parse_file, parse_problem
-from .processors import StrategyConfig, apply_processor, default_strategy
+from .processors import StrategyConfig, default_strategy
 from .proofs import (
     Assumption,
     Axiom,
     Inference,
     ProofTree,
+    apply_processor,
     is_closed,
     proof_from_json,
     proof_to_json,

@@ -31,7 +31,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Bound:
     """Poly(degree) or Unknown; Unknown absorbs under both operations."""
 

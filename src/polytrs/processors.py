@@ -1,14 +1,8 @@
-"""Processors: side-condition-checked inference steps over complexity
-problems, plus the default proof search built from them.
+"""The default proof search: which processor to apply where, in what order.
 
-apply_processor is the single entry point both for the strategy and for
-proof validation: given a processor id, JSON-level parameters and a problem
-it either returns the generated sub-problems together with the function that
-computes its bound from the premises' bounds, or None when a side condition
-fails.  Parameters reference rules by label so recorded proofs replay
-bit-for-bit, and a parameter key a processor does not read is a rejection.
-
-The default search is one ordered list of processor applications per
+The search proposes processor applications and keeps the ones that
+proofs.apply_processor accepts, so every step it records is one the
+checker replays.  It is one ordered list of processor applications per
 problem, _steps, that _prove tries in turn through _chain, as TcT (Avanzini,
 Moser and Schaper, TACAS 2016) writes a strategy.  A problem stays open when
 none is accepted, when the step cap stops the search ("step budget
@@ -18,230 +12,23 @@ exhausted") or once the deadline has passed ("timeout").
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from functools import reduce
-from typing import Any, Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
-from .dependency_pairs import dt_problem, wdp_problem
-from .depgraph import DepGraph, estimate_dg, sep
-from .framework import (
-    Bound,
-    Judgement,
-    Problem,
-    StartKind,
-    bound_add,
-    bound_mul,
-)
-from .interpretations import (
-    PolyInterp,
-    SymbolPoly,
-    check_orientation,
-    induced_bound,
-    mu_monotone,
-    synthesize,
-)
+from .depgraph import DepGraph, estimate_dg
+from .framework import Bound, Judgement, Problem, StartKind
+from .interpretations import synthesize
 from .proofs import (
     Assumption,
     Axiom,
     Inference,
     ProofTree,
+    apply_processor,
+    interp_to_json,
     is_closed,
-    symbol_from_json,
-    symbol_to_json,
 )
 from .rewriting import Rule
 
-
-def _sum(bounds: Sequence[Bound]) -> Bound:
-    """Also the bound of single-premise steps."""
-    return reduce(bound_add, bounds, Bound.poly(0))
-
-
-def _product(bounds: Sequence[Bound]) -> Bound:
-    return reduce(bound_mul, bounds, Bound.poly(0))
-
-
-def interp_to_json(interp: PolyInterp) -> Any:
-    entries = sorted(
-        interp.entries.items(), key=lambda kv: (kv[0].kind.value, kv[0].name)
-    )
-    return [
-        {
-            "symbol": symbol_to_json(sym),
-            "lin": list(sp.lin),
-            "sq": list(sp.sq),
-            "const": sp.const,
-        }
-        for sym, sp in entries
-    ]
-
-
-def interp_from_json(obj: Any) -> PolyInterp:
-    entries = {}
-    for e in obj:
-        if len(e) != 4:  # symbol, lin, sq and const
-            raise ValueError(f"interpretation entry with keys {sorted(e)}")
-        sym = symbol_from_json(e["symbol"])
-        if sym in entries:  # a second entry would go unread
-            raise ValueError(f"second interpretation of {sym.display_name}")
-        lin = tuple(e["lin"])
-        if len(lin) != sym.arity:  # SymbolPoly checks sq against lin
-            raise ValueError(f"interpretation of {sym.display_name} has wrong arity")
-        entries[sym] = SymbolPoly(lin, tuple(e["sq"]), e["const"])
-    return PolyInterp(entries)
-
-
-def _resolve(labels: list[str], pool: Sequence[Rule]) -> Optional[tuple[Rule, ...]]:
-    """The pool rules named by labels, in pool order; None on bad input.
-
-    labels must be a list of distinct labels: a string would be read as its
-    characters, and anything but a string names no rule."""
-    if type(labels) is not list or len(set(labels)) != len(labels):
-        return None
-    by_label = {r.label: r for r in pool}
-    if any(lab not in by_label for lab in labels):
-        return None
-    wanted = set(labels)
-    return tuple(r for r in pool if r.label in wanted)
-
-
-def _complexity_pair(params: dict, p: Problem):
-    interp = interp_from_json(params["interpretation"])
-    degree, cap = params["degree"], params["coeff_max"]
-    if type(degree) is not int or type(cap) is not int:  # rejects bools too
-        return None
-    if degree < interp.degree or cap < interp.largest_coefficient:
-        return None
-    if not mu_monotone(interp, p) or not check_orientation(interp, p):
-        return None
-    bound = induced_bound(interp, p)
-    return [], lambda _: bound
-
-
-def _weaken(p: Problem, moved: set[Rule]) -> Problem:
-    """p with the strict rules in moved appended to the weak part."""
-    return replace(
-        p,
-        strict_dps=tuple(d for d in p.strict_dps if d not in moved),
-        strict_trs=tuple(r for r in p.strict_trs if r not in moved),
-        weak_dps=p.weak_dps + tuple(d for d in p.strict_dps if d in moved),
-        weak_trs=p.weak_trs + tuple(r for r in p.strict_trs if r in moved),
-    )
-
-
-def _decompose(params: dict, p: Problem):
-    s1 = _resolve(params["strict_part"], p.strict)
-    if not s1 or len(s1) == len(p.strict):
-        return None
-    chosen = set(s1)
-    return [_weaken(p, set(p.strict) - chosen), _weaken(p, chosen)], _sum
-
-
-def _weak_dependency_pairs(params: dict, p: Problem):
-    return [wdp_problem(p)], _sum
-
-
-def _dependency_tuples(params: dict, p: Problem):
-    return [dt_problem(p)], _sum
-
-
-def _predecessor_estimation(params: dict, p: Problem):
-    if not p.is_dp_problem():
-        return None
-    s1 = _resolve(params["rules"], p.strict_dps)
-    if not s1:
-        return None
-    g = estimate_dg(p)
-    pre = g.predecessors(s1)
-    chosen = set(s1)
-    strict_set = set(p.strict_dps)
-    weak_set = set(p.weak_dps)
-    new_strict = tuple(
-        d
-        for d in p.dps
-        if (d in strict_set and d not in chosen) or d in pre
-    )
-    kept = set(new_strict)
-    new_weak = tuple(
-        d for d in p.dps if (d in weak_set or d in chosen) and d not in kept
-    )
-    return [replace(p, strict_dps=new_strict, weak_dps=new_weak)], _sum
-
-
-def _remove_weak_suffix(params: dict, p: Problem):
-    if not p.is_dp_problem():
-        return None
-    if not p.strict_dps or p.strict_trs:
-        return None
-    w1 = _resolve(params["rules"], p.weak_dps)
-    if not w1:
-        return None
-    g = estimate_dg(p)
-    if not g.is_forward_closed(w1):
-        return None
-    gone = set(w1)
-    sub = replace(p, weak_dps=tuple(d for d in p.weak_dps if d not in gone))
-    return [sub], _sum
-
-
-def _dg_decomposition(params: dict, p: Problem):
-    if not p.is_dp_problem():
-        return None
-    s_down = _resolve(params["strict_down"], p.strict_dps)
-    w_down = _resolve(params.get("weak_down", []), p.weak_dps)
-    if not s_down or w_down is None:
-        return None
-    if len(s_down) == len(p.strict_dps):
-        return None
-    down = set(s_down) | set(w_down)
-    g = estimate_dg(p)
-    if not g.is_forward_closed(down):
-        return None
-    s_up = tuple(d for d in p.strict_dps if d not in down)
-    w_up = tuple(d for d in p.weak_dps if d not in down)
-    if not (g.predecessors(down) - down <= set(s_up)):
-        return None
-    p_up = replace(p, strict_dps=s_up, weak_dps=w_up)
-    p_down = replace(p, strict_dps=s_down, weak_dps=w_down + sep(s_up + w_up))
-    return [p_up, p_down], _product
-
-
-# each processor with the parameter keys it accepts
-_PROCESSORS = {
-    "complexity_pair": (_complexity_pair, {"interpretation", "degree", "coeff_max"}),
-    "decompose": (_decompose, {"strict_part"}),
-    "weak_dependency_pairs": (_weak_dependency_pairs, set()),
-    "dependency_tuples": (_dependency_tuples, set()),
-    "predecessor_estimation": (_predecessor_estimation, {"rules"}),
-    "remove_weak_suffix": (_remove_weak_suffix, {"rules"}),
-    # weak_down may be left out
-    "dependency_graph_decomposition": (_dg_decomposition, {"strict_down", "weak_down"}),
-}
-
-
-def apply_processor(
-    proc: str, params: dict, p: Problem
-) -> Optional[tuple[list[Problem], Callable[[Sequence[Bound]], Bound]]]:
-    """Run one processor: its sub-problems and the function computing its bound
-    from theirs, or None when its side conditions reject (p, params).
-
-    Malformed parameters (unknown labels or keys, missing interpretation
-    entries, values of the wrong type, rule sets that break problem
-    invariants) count as rejection, since params may come from an untrusted
-    serialized proof.
-    """
-    if proc not in _PROCESSORS:
-        raise ValueError(f"unknown processor {proc!r}")
-    fn, keys = _PROCESSORS[proc]
-    if type(params) is not dict or not params.keys() <= keys:
-        return None
-    try:
-        return fn(params, p)
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-# --- default proof search ---------------------------------------------------
 
 # DG decomposition tries at most this many down-sets per DP problem.
 _DGD_CANDIDATES = 8

@@ -1,10 +1,14 @@
-"""Proof trees for complexity judgements, their rendering and validation.
+"""The certificate checker: proof trees, their JSON codec, the processors'
+side conditions and validate_proof, which replays a tree against them.
 
 A proof is a tree of inference steps.  Leaves are either the axiom for
 problems with an empty strict component or open assumptions; inner nodes
-name a processor together with the parameters it was applied with, so a
-checker can replay every step.  Parameters are kept as plain JSON-ready
-dictionaries referencing rules by label.
+name a processor and the JSON-ready parameters it was applied with, which
+reference rules by label.  apply_processor defines each processor for the
+search and the validator alike: the sub-problems and the function computing
+the bound from the premises' bounds, or None when a side condition fails.
+The walks over a tree keep their own stack; only the decoder is bounded by
+Python's recursion limit.
 
 The JSON form is schema 3.  A symbol is the one string name/arity/kind, a
 variable is a bare string and an application is {"sym": ..., "args": [...]}.
@@ -21,10 +25,27 @@ import copy
 import functools
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .framework import Bound, Judgement, Problem, StartKind, problems_equal
+from .dependency_pairs import dt_problem, wdp_problem
+from .depgraph import estimate_dg, sep
+from .framework import (
+    Bound,
+    Judgement,
+    Problem,
+    StartKind,
+    bound_add,
+    bound_mul,
+    problems_equal,
+)
+from .interpretations import (
+    PolyInterp,
+    SymbolPoly,
+    check_orientation,
+    induced_bound,
+    mu_monotone,
+)
 from .rewriting import Rule
 from .terms import App, Symbol, SymbolKind, Term, Var
 
@@ -53,91 +74,40 @@ class Inference:
 ProofTree = Union[Axiom, Assumption, Inference]
 
 
+def iter_nodes(tree: ProofTree) -> Iterator[ProofTree]:
+    """The nodes of tree in preorder."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Inference):
+            stack.extend(reversed(node.premises))
+
+
 def is_closed(tree: ProofTree) -> bool:
     """True when the proof has no open assumptions."""
-    if isinstance(tree, Assumption):
-        return False
-    if isinstance(tree, Axiom):
-        return True
-    return all(is_closed(pr) for pr in tree.premises)
-
-
-def iter_nodes(tree: ProofTree) -> Iterator[ProofTree]:
-    yield tree
-    if isinstance(tree, Inference):
-        for pr in tree.premises:
-            yield from iter_nodes(pr)
-
-
-@dataclass
-class ValidationResult:
-    ok: bool
-    errors: list[str] = field(default_factory=list)
-
-
-def validate_proof(tree: ProofTree) -> ValidationResult:
-    """Replay every inference step and re-check the concluded bounds."""
-    from .processors import apply_processor
-
-    errors: list[str] = []
-
-    def check(node: ProofTree, path: str) -> None:
-        if isinstance(node, Assumption):
-            errors.append(f"{path}: open assumption")
-            return
-        if isinstance(node, Axiom):
-            if node.judgement.problem.strict:
-                errors.append(f"{path}: axiom applied to nonempty strict part")
-            elif node.judgement.bound != Bound.poly(0):
-                errors.append(f"{path}: axiom must conclude O(1)")
-            return
-        try:
-            result = apply_processor(node.processor, node.params, node.judgement.problem)
-        except (TypeError, ValueError):  # raised for an unknown (or unhashable) name only
-            errors.append(f"{path}: unknown processor {node.processor!r}")
-            return
-        if result is None:
-            errors.append(f"{path}: processor {node.processor} not applicable")
-            return
-        subs, bound_of = result
-        if len(subs) != len(node.premises):
-            errors.append(
-                f"{path}: expected {len(subs)} premises, found {len(node.premises)}"
-            )
-            return
-        for i, (sub, premise) in enumerate(zip(subs, node.premises)):
-            if not problems_equal(sub, premise.judgement.problem):
-                errors.append(
-                    f"{path}.{i}: premise problem mismatch under {node.processor}"
-                )
-        got = bound_of([pr.judgement.bound for pr in node.premises])
-        if got != node.judgement.bound:
-            errors.append(
-                f"{path}: {node.processor} concluded {node.judgement.bound}, "
-                f"recomputed {got}"
-            )
-        for i, premise in enumerate(node.premises):
-            check(premise, f"{path}.{i}")
-
-    check(tree, "root")
-    return ValidationResult(not errors, errors)
+    return not any(isinstance(n, Assumption) for n in iter_nodes(tree))
 
 
 # --- text rendering ---------------------------------------------------------
 
 
-def render_proof(tree: ProofTree, indent: int = 0) -> str:
-    pad = "  " * indent
-    j = tree.judgement
-    head = f"{pad}|- {j.problem} : {j.bound}"
-    if isinstance(tree, Axiom):
-        return f"{head}   [empty]"
-    if isinstance(tree, Assumption):
-        why = f": {tree.note}" if tree.note else ""
-        return f"{head}   [open{why}]"
-    lines = [f"{head}   [{tree.processor}{_render_params(tree.params)}]"]
-    for pr in tree.premises:
-        lines.append(render_proof(pr, indent + 1))
+def render_proof(tree: ProofTree) -> str:
+    """One line per node in preorder, each premise indented below its node."""
+    lines = []
+    stack = [(tree, "")]
+    while stack:
+        node, pad = stack.pop()
+        j = node.judgement
+        head = f"{pad}|- {j.problem} : {j.bound}"
+        if isinstance(node, Axiom):
+            lines.append(f"{head}   [empty]")
+        elif isinstance(node, Assumption):
+            why = f": {node.note}" if node.note else ""
+            lines.append(f"{head}   [open{why}]")
+        else:
+            lines.append(f"{head}   [{node.processor}{_render_params(node.params)}]")
+            stack.extend((pr, pad + "  ") for pr in reversed(node.premises))
     return "\n".join(lines)
 
 
@@ -161,16 +131,9 @@ _SYMBOL = re.compile(
 )
 
 
-def symbol_from_json(obj: Any) -> Symbol:
-    """Inverts symbol_to_json."""
-    if type(obj) is not str:
-        raise ValueError(f"symbol {obj!r} is not a string name/arity/kind")
-    return _symbol(obj)
-
-
 @functools.lru_cache(maxsize=None)
 def _symbol(text: str) -> Symbol:
-    """Unbounded, as the table of interned symbols is: one string, one symbol."""
+    """Inverts symbol_to_json; unbounded, as the table of interned symbols is."""
     match = _SYMBOL.fullmatch(text)
     if match is None:
         raise ValueError(f"symbol {text!r} is not a string name/arity/kind")
@@ -184,23 +147,29 @@ _RULE_SLOTS = ("strict_dps", "strict_trs", "weak_dps", "weak_trs", "q")
 
 def proof_to_json(tree: ProofTree) -> Any:
     """Schema-versioned JSON form; apply proof_from_json to invert."""
-    return {"schema": SCHEMA_VERSION, "proof": _node_to_json(tree)}
-
-
-def _node_to_json(tree: ProofTree) -> Any:
-    if isinstance(tree, Axiom):
-        return {"node": "axiom", "conclusion": _judgement_to_json(tree.judgement)}
-    if isinstance(tree, Assumption):
-        note = {} if tree.note is None else {"note": tree.note}
-        return {"node": "assumption", "conclusion": _judgement_to_json(tree.judgement), **note}
-    return {
-        "node": "inference",
-        "processor": tree.processor,
-        # a copy, so that editing the JSON leaves the tree as it is
-        "params": copy.deepcopy(tree.params),
-        "conclusion": _judgement_to_json(tree.judgement),
-        "premises": [_node_to_json(pr) for pr in tree.premises],
-    }
+    out: list[Any] = []
+    # each node with the list its JSON form joins: its parent's premises
+    stack = [(tree, out)]
+    while stack:
+        node, siblings = stack.pop()
+        conclusion = _judgement_to_json(node.judgement)
+        if isinstance(node, Axiom):
+            siblings.append({"node": "axiom", "conclusion": conclusion})
+        elif isinstance(node, Assumption):
+            note = {} if node.note is None else {"note": node.note}
+            siblings.append({"node": "assumption", "conclusion": conclusion, **note})
+        else:
+            premises: list[Any] = []
+            siblings.append({
+                "node": "inference",
+                "processor": node.processor,
+                # a copy, so that editing the JSON leaves the tree as it is
+                "params": copy.deepcopy(node.params),
+                "conclusion": conclusion,
+                "premises": premises,
+            })
+            stack.extend((pr, premises) for pr in reversed(node.premises))
+    return {"schema": SCHEMA_VERSION, "proof": out[0]}
 
 
 def _judgement_to_json(j: Judgement) -> Any:
@@ -303,3 +272,246 @@ def _term(obj: Any) -> Term:
     if len(obj) != 2:  # _fields, inlined on this hot path
         raise _wrong_keys(obj)
     return App(_symbol(text), tuple([_term(a) for a in args]))
+
+
+# --- side conditions ---------------------------------------------------------
+
+
+def _sum(bounds: Sequence[Bound]) -> Bound:
+    """Also the bound of single-premise steps."""
+    return functools.reduce(bound_add, bounds, Bound.poly(0))
+
+
+def _product(bounds: Sequence[Bound]) -> Bound:
+    return functools.reduce(bound_mul, bounds, Bound.poly(0))
+
+
+def interp_to_json(interp: PolyInterp) -> Any:
+    entries = sorted(
+        interp.entries.items(), key=lambda kv: (kv[0].kind.value, kv[0].name)
+    )
+    return [
+        {
+            "symbol": symbol_to_json(sym),
+            "lin": list(sp.lin),
+            "sq": list(sp.sq),
+            "const": sp.const,
+        }
+        for sym, sp in entries
+    ]
+
+
+def interp_from_json(obj: Any) -> PolyInterp:
+    entries = {}
+    for e in obj:
+        text, lin, sq, const = _fields(e, "symbol", "lin", "sq", "const")
+        sym = _symbol(text)
+        if sym in entries:  # a second entry would go unread
+            raise ValueError(f"second interpretation of {sym.display_name}")
+        if len(_typed(lin, list, "lin")) != sym.arity:  # SymbolPoly checks sq against lin
+            raise ValueError(f"interpretation of {sym.display_name} has wrong arity")
+        entries[sym] = SymbolPoly(tuple(lin), tuple(_typed(sq, list, "sq")), const)
+    return PolyInterp(entries)
+
+
+def _resolve(labels: list[str], pool: Sequence[Rule]) -> Optional[tuple[Rule, ...]]:
+    """The pool rules named by labels, in pool order; None on bad input.
+
+    labels must be a list of distinct labels: a string would be read as its
+    characters, and anything but a string names no rule."""
+    if type(labels) is not list or len(set(labels)) != len(labels):
+        return None
+    by_label = {r.label: r for r in pool}
+    if any(lab not in by_label for lab in labels):
+        return None
+    wanted = set(labels)
+    return tuple(r for r in pool if r.label in wanted)
+
+
+def _complexity_pair(params: dict, p: Problem):
+    interp = interp_from_json(params["interpretation"])
+    degree, cap = params["degree"], params["coeff_max"]
+    if type(degree) is not int or type(cap) is not int:  # rejects bools too
+        return None
+    if degree < interp.degree or cap < interp.largest_coefficient:
+        return None
+    if not mu_monotone(interp, p) or not check_orientation(interp, p):
+        return None
+    bound = induced_bound(interp, p)
+    return [], lambda _: bound
+
+
+def _weaken(p: Problem, moved: set[Rule]) -> Problem:
+    """p with the strict rules in moved appended to the weak part."""
+    return replace(
+        p,
+        strict_dps=tuple(d for d in p.strict_dps if d not in moved),
+        strict_trs=tuple(r for r in p.strict_trs if r not in moved),
+        weak_dps=p.weak_dps + tuple(d for d in p.strict_dps if d in moved),
+        weak_trs=p.weak_trs + tuple(r for r in p.strict_trs if r in moved),
+    )
+
+
+def _decompose(params: dict, p: Problem):
+    s1 = _resolve(params["strict_part"], p.strict)
+    if not s1 or len(s1) == len(p.strict):
+        return None
+    chosen = set(s1)
+    return [_weaken(p, set(p.strict) - chosen), _weaken(p, chosen)], _sum
+
+
+def _weak_dependency_pairs(params: dict, p: Problem):
+    return [wdp_problem(p)], _sum
+
+
+def _dependency_tuples(params: dict, p: Problem):
+    return [dt_problem(p)], _sum
+
+
+def _predecessor_estimation(params: dict, p: Problem):
+    if not p.is_dp_problem():
+        return None
+    s1 = _resolve(params["rules"], p.strict_dps)
+    if not s1:
+        return None
+    g = estimate_dg(p)
+    pre = g.predecessors(s1)
+    chosen = set(s1)
+    strict_set = set(p.strict_dps)
+    weak_set = set(p.weak_dps)
+    new_strict = tuple(
+        d
+        for d in p.dps
+        if (d in strict_set and d not in chosen) or d in pre
+    )
+    kept = set(new_strict)
+    new_weak = tuple(
+        d for d in p.dps if (d in weak_set or d in chosen) and d not in kept
+    )
+    return [replace(p, strict_dps=new_strict, weak_dps=new_weak)], _sum
+
+
+def _remove_weak_suffix(params: dict, p: Problem):
+    if not p.is_dp_problem():
+        return None
+    if not p.strict_dps or p.strict_trs:
+        return None
+    w1 = _resolve(params["rules"], p.weak_dps)
+    if not w1:
+        return None
+    g = estimate_dg(p)
+    if not g.is_forward_closed(w1):
+        return None
+    gone = set(w1)
+    sub = replace(p, weak_dps=tuple(d for d in p.weak_dps if d not in gone))
+    return [sub], _sum
+
+
+def _dg_decomposition(params: dict, p: Problem):
+    if not p.is_dp_problem():
+        return None
+    s_down = _resolve(params["strict_down"], p.strict_dps)
+    w_down = _resolve(params.get("weak_down", []), p.weak_dps)
+    if not s_down or w_down is None:
+        return None
+    if len(s_down) == len(p.strict_dps):
+        return None
+    down = set(s_down) | set(w_down)
+    g = estimate_dg(p)
+    if not g.is_forward_closed(down):
+        return None
+    s_up = tuple(d for d in p.strict_dps if d not in down)
+    w_up = tuple(d for d in p.weak_dps if d not in down)
+    if not (g.predecessors(down) - down <= set(s_up)):
+        return None
+    p_up = replace(p, strict_dps=s_up, weak_dps=w_up)
+    p_down = replace(p, strict_dps=s_down, weak_dps=w_down + sep(s_up + w_up))
+    return [p_up, p_down], _product
+
+
+# each processor with the parameter keys it accepts
+_PROCESSORS = {
+    "complexity_pair": (_complexity_pair, {"interpretation", "degree", "coeff_max"}),
+    "decompose": (_decompose, {"strict_part"}),
+    "weak_dependency_pairs": (_weak_dependency_pairs, set()),
+    "dependency_tuples": (_dependency_tuples, set()),
+    "predecessor_estimation": (_predecessor_estimation, {"rules"}),
+    "remove_weak_suffix": (_remove_weak_suffix, {"rules"}),
+    # weak_down may be left out
+    "dependency_graph_decomposition": (_dg_decomposition, {"strict_down", "weak_down"}),
+}
+
+
+def apply_processor(
+    proc: str, params: dict, p: Problem
+) -> Optional[tuple[list[Problem], Callable[[Sequence[Bound]], Bound]]]:
+    """Run one processor: its sub-problems and the function computing its bound
+    from theirs, or None when its side conditions reject (p, params).
+
+    Malformed parameters (unknown labels or keys, missing interpretation
+    entries, values of the wrong type, rule sets that break problem
+    invariants) count as rejection, since params may come from an untrusted
+    serialized proof.
+    """
+    if proc not in _PROCESSORS:
+        raise ValueError(f"unknown processor {proc!r}")
+    fn, keys = _PROCESSORS[proc]
+    if type(params) is not dict or not params.keys() <= keys:
+        return None
+    try:
+        return fn(params, p)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+# --- validation ------------------------------------------------------------
+
+
+@dataclass
+class ValidationResult:
+    ok: bool
+    errors: list[str] = field(default_factory=list)
+
+
+def validate_proof(tree: ProofTree) -> ValidationResult:
+    """Replay every inference step and re-check the concluded bounds."""
+    errors: list[str] = []
+    stack = [(tree, "root")]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, Assumption):
+            errors.append(f"{path}: open assumption")
+            continue
+        if isinstance(node, Axiom):
+            if node.judgement.problem.strict:
+                errors.append(f"{path}: axiom applied to nonempty strict part")
+            elif node.judgement.bound != Bound.poly(0):
+                errors.append(f"{path}: axiom must conclude O(1)")
+            continue
+        try:
+            result = apply_processor(node.processor, node.params, node.judgement.problem)
+        except (TypeError, ValueError):  # raised for an unknown (or unhashable) name only
+            errors.append(f"{path}: unknown processor {node.processor!r}")
+            continue
+        if result is None:
+            errors.append(f"{path}: processor {node.processor} not applicable")
+            continue
+        subs, bound_of = result
+        if len(subs) != len(node.premises):
+            errors.append(
+                f"{path}: expected {len(subs)} premises, found {len(node.premises)}"
+            )
+            continue
+        for i, (sub, premise) in enumerate(zip(subs, node.premises)):
+            if not problems_equal(sub, premise.judgement.problem):
+                errors.append(
+                    f"{path}.{i}: premise problem mismatch under {node.processor}"
+                )
+        got = bound_of([pr.judgement.bound for pr in node.premises])
+        if got != node.judgement.bound:
+            errors.append(
+                f"{path}: {node.processor} concluded {node.judgement.bound}, "
+                f"recomputed {got}"
+            )
+        stack.extend(reversed([(pr, f"{path}.{i}") for i, pr in enumerate(node.premises)]))
+    return ValidationResult(not errors, errors)

@@ -24,18 +24,17 @@ from polytrs.processors import (
     StrategyConfig,
     apply_processor,
     default_strategy,
-    interp_from_json,
-    interp_to_json,
 )
 from polytrs.proofs import (
     Assumption,
     Axiom,
     Inference,
+    interp_from_json,
+    interp_to_json,
     iter_nodes,
     proof_from_json,
     proof_to_json,
     render_proof,
-    symbol_from_json,
     validate_proof,
 )
 from polytrs.terms import App, components
@@ -143,7 +142,7 @@ class TestInterpJson:
             1,
         )
         obj = interp_to_json(interp)
-        symbols = [symbol_from_json(e["symbol"]) for e in obj]
+        symbols = list(interp_from_json(obj).entries)
         keys = [(sym.kind.value, sym.name) for sym in symbols]
         assert keys == sorted(keys)
 

@@ -23,10 +23,10 @@ from polytrs.processors import (
     StrategyConfig,
     apply_processor,
     default_strategy,
-    interp_from_json,
 )
 from polytrs.proofs import (
     Inference,
+    interp_from_json,
     is_closed,
     iter_nodes,
     proof_from_json,
