@@ -101,14 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verdict(degree: Optional[int]) -> str:
-    if degree is None:
-        return "MAYBE"
-    if degree == 0:
-        return "WORST_CASE(?, O(1))"
-    return f"WORST_CASE(?, O(n^{degree}))"
-
-
 def _dp_graph_of(tree) -> DepGraph:
     for node in iter_nodes(tree):
         if node.judgement.problem.is_dp_problem():
@@ -130,14 +122,14 @@ def _run_analyze(args: argparse.Namespace) -> int:
             handle.write(to_dot(_dp_graph_of(tree)))
 
     bound = tree.judgement.bound
-    closed = is_closed(tree)
+    proved = is_closed(tree) and not bound.is_unknown
     with _stdout_may_close():
-        print(_verdict(bound.degree if closed else None))
+        print(f"WORST_CASE(?, {bound})" if proved else "MAYBE")
         if args.proof == "text":
             print(render_proof(tree))
         elif args.proof == "json":
             print(json.dumps(proof_to_json(tree), sort_keys=True, separators=(",", ":")))
-    return 0 if closed and not bound.is_unknown else 1
+    return 0 if proved else 1
 
 
 def _run_oracle(args: argparse.Namespace) -> int:

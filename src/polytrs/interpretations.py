@@ -5,15 +5,17 @@ coefficients exactly 1) so that the interpretation of a start term is linear
 in its size; defined and marked symbols may be linear or simple-quadratic,
 unless the start terms are all ground terms, where every symbol is strongly
 linear.  Orientation is checked by absolute positiveness: every coefficient
-of [lhs] - [rhs] (minus 1 for strict rules) must be nonnegative.  Synthesis
-searches the box of one degree and coefficient cap completely.
+of [lhs] - [rhs] (minus 1 for strict rules) must be nonnegative.  One
+expansion, expand_rule, builds that difference over a box of unknown
+coefficients: the checker fixes every coefficient to the interpretation's,
+the synthesis searches the box of one degree and coefficient cap completely.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .framework import Bound, Problem, StartKind
 from .rewriting import Rule
@@ -23,65 +25,6 @@ from .terms import Symbol, SymbolKind, Term, Var, symbols_of
 Monomial = tuple[tuple[str, int], ...]
 
 _ONE: Monomial = ()
-
-
-class Polynomial:
-    """Sparse multivariate polynomial with integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Optional[Mapping[Monomial, int]] = None) -> None:
-        self.coeffs: dict[Monomial, int] = {
-            m: c for m, c in (coeffs or {}).items() if c != 0
-        }
-
-    @classmethod
-    def const(cls, c: int) -> "Polynomial":
-        return cls({_ONE: c})
-
-    @classmethod
-    def var(cls, name: str) -> "Polynomial":
-        return cls({((name, 1),): 1})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = _mul_monomials(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return Polynomial(out)
-
-    def scale(self, k: int) -> "Polynomial":
-        return Polynomial({m: k * c for m, c in self.coeffs.items()})
-
-    def all_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs.values())
-
-    def coefficient(self, m: Monomial) -> int:
-        return self.coeffs.get(m, 0)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for m, c in sorted(self.coeffs.items()):
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v for v, e in m
-            )
-            parts.append(f"{c}*{mono}" if mono else str(c))
-        return " + ".join(parts)
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
@@ -118,25 +61,15 @@ class SymbolPoly:
     def strongly_linear(self) -> bool:
         return all(c == 1 for c in self.lin) and not any(self.sq)
 
-    def apply_polys(self, args: Sequence[Polynomial]) -> Polynomial:
-        out = Polynomial.const(self.const)
-        for a, l, s in zip(args, self.lin, self.sq):
-            if l:
-                out = out + a.scale(l)
-            if s:
-                out = out + (a * a).scale(s)
-        return out
-
 
 @dataclass(frozen=True)
 class PolyInterp:
     entries: Mapping[Symbol, SymbolPoly]
 
-    def for_symbol(self, sym: Symbol) -> SymbolPoly:
-        got = self.entries.get(sym)
-        if got is None:
-            raise KeyError(f"no interpretation for {sym.display_name}/{sym.arity}")
-        return got
+    def __post_init__(self) -> None:
+        for sym, sp in self.entries.items():
+            if len(sp.lin) != sym.arity:
+                raise ValueError(f"interpretation of {sym.display_name} has wrong arity")
 
     @property
     def degree(self) -> int:
@@ -146,14 +79,6 @@ class PolyInterp:
     def largest_coefficient(self) -> int:
         coeffs = (c for sp in self.entries.values() for c in (*sp.lin, *sp.sq, sp.const))
         return max(coeffs, default=0)
-
-
-def term_polynomial(interp: PolyInterp, t: Term) -> Polynomial:
-    """Symbolic interpretation of t as a polynomial in t's variables."""
-    if isinstance(t, Var):
-        return Polynomial.var(t.name)
-    args = [term_polynomial(interp, a) for a in t.args]
-    return interp.for_symbol(t.sym).apply_polys(args)
 
 
 def needs_monotone(p: Problem, sym: Symbol) -> bool:
@@ -167,14 +92,92 @@ def needs_monotone(p: Problem, sym: Symbol) -> bool:
     return sym.kind is SymbolKind.COMPOUND or not (p.is_dp_problem() and not p.strict_trs)
 
 
+# A flat parametric polynomial: {(term monomial, unknown monomial): coefficient}.
+# An unknown monomial is a sorted tuple of unknown indices, one per factor.
+_Parametric = dict[tuple[Monomial, tuple[int, ...]], int]
+
+
+def _layout(unknowns: Mapping[Symbol, Sequence]) -> tuple[dict[Symbol, slice], list]:
+    """Each symbol's unknowns sq_1..sq_n, lin_1..lin_n, const laid end to end:
+    the slice of every symbol and the flat list."""
+    slots, flat = {}, []
+    for sym, mine in unknowns.items():
+        slots[sym] = slice(len(flat), len(flat) + len(mine))
+        flat += mine
+    return slots, flat
+
+
+def expand_rule(
+    rule: Rule, strict: bool, slots: Mapping[Symbol, slice], lo: Sequence[int],
+    hi: Sequence[int], tick: Callable[[], None] = lambda: None,
+) -> _Parametric:
+    """[lhs] - [rhs], minus 1 when strict, over the unknowns of the box lo..hi.
+
+    slots maps each symbol to its unknowns sq_1..sq_n, lin_1..lin_n, const,
+    as _layout places them.  An unknown whose domain is one value is
+    substituted by it, so over a box that fixes every unknown the result is
+    a polynomial in the rule's variables alone.  Nested squares grow fast:
+    tick runs once per row of each square, so that a caller can stop the
+    expansion by raising.
+    """
+
+    def times_unknown(poly: _Parametric, u: int, out: _Parametric) -> None:
+        """out += unknown u * poly."""
+        if lo[u] == hi[u]:
+            k = lo[u]
+            if k:
+                for key, c in poly.items():
+                    out[key] = out.get(key, 0) + k * c
+            return
+        for (mono, unknowns), c in poly.items():
+            key = (mono, tuple(sorted(unknowns + (u,))))
+            out[key] = out.get(key, 0) + c
+
+    def square(poly: _Parametric) -> _Parametric:
+        out: _Parametric = {}
+        items = list(poly.items())
+        for (m1, u1), c1 in items:
+            tick()
+            for (m2, u2), c2 in items:
+                key = (_mul_monomials(m1, m2), tuple(sorted(u1 + u2)))
+                out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    def expand(t: Term) -> _Parametric:
+        if isinstance(t, Var):
+            return {(((t.name, 1),), ()): 1}
+        base = slots[t.sym].start
+        n = t.sym.arity
+        out: _Parametric = {}
+        times_unknown({(_ONE, ()): 1}, base + 2 * n, out)
+        for i, a in enumerate(t.args):
+            arg = expand(a)
+            times_unknown(arg, base + n + i, out)
+            if hi[base + i]:
+                times_unknown(square(arg), base + i, out)
+        return out
+
+    diff = expand(rule.lhs)
+    for key, c in expand(rule.rhs).items():
+        diff[key] = diff.get(key, 0) - c
+    if strict:
+        diff[(_ONE, ())] = diff.get((_ONE, ()), 0) - 1
+    return diff
+
+
+def _orients(interp: PolyInterp, rule: Rule, strict: bool) -> bool:
+    """Absolute positiveness of expand_rule over the box that fixes every
+    unknown to interp's coefficient."""
+    slots, values = _layout({s: (*sp.sq, *sp.lin, sp.const) for s, sp in interp.entries.items()})
+    return all(c >= 0 for c in expand_rule(rule, strict, slots, values, values).values())
+
+
 def orients_strictly(interp: PolyInterp, rule: Rule) -> bool:
-    diff = term_polynomial(interp, rule.lhs) - term_polynomial(interp, rule.rhs)
-    return (diff - Polynomial.const(1)).all_nonnegative()
+    return _orients(interp, rule, True)
 
 
 def orients_weakly(interp: PolyInterp, rule: Rule) -> bool:
-    diff = term_polynomial(interp, rule.lhs) - term_polynomial(interp, rule.rhs)
-    return diff.all_nonnegative()
+    return _orients(interp, rule, False)
 
 
 def check_orientation(interp: PolyInterp, p: Problem) -> bool:
@@ -211,11 +214,6 @@ def induced_bound(interp: PolyInterp, p: Problem) -> Bound:
     return Bound.poly(
         max((sp.degree for sym, sp in ents if not strongly_linear_shape(p, sym)), default=0)
     )
-
-
-# A flat parametric polynomial: {(term monomial, unknown monomial): coefficient}.
-# An unknown monomial is a sorted tuple of unknown indices, one per factor.
-_Parametric = dict[tuple[Monomial, tuple[int, ...]], int]
 
 
 @dataclass(frozen=True)
@@ -276,8 +274,8 @@ def search_interpretation(
 class _Solver:
     """Orientation constraints over unknown coefficients, solved over a box.
 
-    Each rule's [l] - [r] (- 1 when strict) is expanded once over the
-    unknowns; absolute positiveness makes every coefficient of a term
+    Each rule's [l] - [r] (- 1 when strict) is expanded once by expand_rule
+    over the unknowns; absolute positiveness makes every coefficient of a term
     monomial one constraint "sum of c * product of unknowns >= 0".  The
     solver narrows the bounds lo..hi of the unknowns by propagation and
     branches fail-first (Contejean, Marche, Tomas, Urbain, JAR 2005; Fuhs et
@@ -306,10 +304,8 @@ class _Solver:
         }
         self.order = sorted(syms, key=lambda s: (kind_rank[s.kind], s.arity, s.name))
 
-        # the unknowns of a symbol of arity n: sq_1..sq_n, lin_1..lin_n, const
-        self.lo: list[int] = []
-        self.hi: list[int] = []
-        self.slots: dict[Symbol, slice] = {}
+        # each symbol's domains, laid out as expand_rule reads its unknowns
+        boxes = {}
         for sym in self.order:
             n = sym.arity
             if strongly_linear_shape(p, sym):
@@ -318,10 +314,10 @@ class _Solver:
                 lin_lo = 1 if needs_monotone(p, sym) else 0
                 box = [(0, coeff_max if degree == 2 else 0)] * n
                 box += [(lin_lo, coeff_max)] * n
-            box.append((0, coeff_max))
-            self.slots[sym] = slice(len(self.lo), len(self.lo) + len(box))
-            self.lo += [l for l, _ in box]
-            self.hi += [h for _, h in box]
+            boxes[sym] = box + [(0, coeff_max)]
+        self.slots, box = _layout(boxes)
+        self.lo = [l for l, _ in box]
+        self.hi = [h for _, h in box]
 
         # constraint i is a tuple of (c, unknown monomial) terms
         self.cons: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
@@ -337,11 +333,7 @@ class _Solver:
     # --- constraints ---------------------------------------------------------
 
     def _add_rule(self, rule: Rule, strict: bool) -> None:
-        diff = self._expand(rule.lhs)
-        for key, c in self._expand(rule.rhs).items():
-            diff[key] = diff.get(key, 0) - c
-        if strict:
-            diff[(_ONE, ())] = diff.get((_ONE, ()), 0) - 1
+        diff = expand_rule(rule, strict, self.slots, self.lo, self.hi, self._check_deadline)
         groups: dict[Monomial, list[tuple[int, tuple[int, ...]]]] = {}
         for (mono, unknowns), c in diff.items():
             if c:
@@ -359,44 +351,6 @@ class _Solver:
                 self.watch[u].append(len(self.cons))
             self.cons.append(tuple(terms))
             self.occurs.append(tuple((u, tuple(ks)) for u, ks in where.items()))
-
-    def _coefficient(self, poly: _Parametric, u: int, out: _Parametric) -> None:
-        """out += unknown u * poly, with u substituted when its value is fixed."""
-        if self.lo[u] == self.hi[u]:
-            k = self.lo[u]
-            if k:
-                for key, c in poly.items():
-                    out[key] = out.get(key, 0) + k * c
-            return
-        for (mono, unknowns), c in poly.items():
-            key = (mono, tuple(sorted(unknowns + (u,))))
-            out[key] = out.get(key, 0) + c
-
-    def _expand(self, t: Term) -> _Parametric:
-        """[t] over the unknowns."""
-        if isinstance(t, Var):
-            return {(((t.name, 1),), ()): 1}
-        base = self.slots[t.sym].start
-        n = t.sym.arity
-        out: _Parametric = {}
-        self._coefficient({(_ONE, ()): 1}, base + 2 * n, out)
-        for i, a in enumerate(t.args):
-            arg = self._expand(a)
-            self._coefficient(arg, base + n + i, out)
-            if self.hi[base + i]:
-                self._coefficient(self._square(arg), base + i, out)
-        return out
-
-    def _square(self, poly: _Parametric) -> _Parametric:
-        out: _Parametric = {}
-        items = list(poly.items())
-        for (m1, u1), c1 in items:
-            # nested squares grow fast: keep the deadline while expanding
-            self._check_deadline()
-            for (m2, u2), c2 in items:
-                key = (_mul_monomials(m1, m2), tuple(sorted(u1 + u2)))
-                out[key] = out.get(key, 0) + c1 * c2
-        return out
 
     # --- search --------------------------------------------------------------
 

@@ -308,10 +308,9 @@ def interp_from_json(obj: Any) -> PolyInterp:
         sym = _symbol(text)
         if sym in entries:  # a second entry would go unread
             raise ValueError(f"second interpretation of {sym.display_name}")
-        if len(_typed(lin, list, "lin")) != sym.arity:  # SymbolPoly checks sq against lin
-            raise ValueError(f"interpretation of {sym.display_name} has wrong arity")
-        entries[sym] = SymbolPoly(tuple(lin), tuple(_typed(sq, list, "sq")), const)
-    return PolyInterp(entries)
+        lin, sq = _typed(lin, list, "lin"), _typed(sq, list, "sq")
+        entries[sym] = SymbolPoly(tuple(lin), tuple(sq), const)
+    return PolyInterp(entries)  # which checks every arity
 
 
 def _resolve(labels: list[str], pool: Sequence[Rule]) -> Optional[tuple[Rule, ...]]:

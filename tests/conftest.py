@@ -81,7 +81,7 @@ def apply_values(sp: SymbolPoly, args: Sequence[int]) -> int:
 def eval_term(interp: PolyInterp, t: Term, env: Mapping[str, int]) -> int:
     if isinstance(t, Var):
         return env[t.name]
-    return apply_values(interp.for_symbol(t.sym), [eval_term(interp, a, env) for a in t.args])
+    return apply_values(interp.entries[t.sym], [eval_term(interp, a, env) for a in t.args])
 
 
 def sym(problem, name, kind):

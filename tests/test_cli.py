@@ -48,6 +48,12 @@ class TestAnalyze:
         assert validate_proof(proof).ok
         assert (proof.processor, proof.params["degree"]) == ("complexity_pair", 1)
 
+    def test_no_strict_rules_is_constant(self, capsys, tmp_path):
+        weak_only = tmp_path / "weak.trs"
+        weak_only.write_text("(VAR x)\n(RULES\n  f(s(x)) ->= f(x)\n)\n")
+        code = main(["analyze", str(weak_only), "--proof", "none"])
+        assert (code, capsys.readouterr().out) == (0, "WORST_CASE(?, O(1))\n")
+
     def test_exp_stays_open(self, capsys):
         code = main(["analyze", EXP])
         out = capsys.readouterr().out

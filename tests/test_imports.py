@@ -1,5 +1,6 @@
 """The package's module graph, read from the source with ast: the certificate
-checker in proofs.py must not load the search, the CLI or the parser."""
+checker in proofs.py must not load the search, the CLI or the parser, and
+the checker's half of interpretations.py must not use its solver."""
 
 from __future__ import annotations
 
@@ -44,3 +45,28 @@ def test_checker_reaches_no_search_cli_or_parser():
     graph = import_graph()
     assert {"framework", "interpretations", "terms"} <= reachable(graph, "proofs")
     assert reachable(graph, "proofs") & {"processors", "cli", "parsing"} == set()
+
+
+CHECKER = {"check_orientation", "orients_strictly", "orients_weakly", "mu_monotone",
+           "induced_bound", "expand_rule"}
+SOLVER = {"_Solver", "search_interpretation", "synthesize", "Synthesis", "_Stop",
+          "_NODE_LIMIT", "_candidates", "_with_sum", "_value"}
+
+
+def test_orientation_checker_uses_no_solver_name():
+    tree = ast.parse((SRC / "interpretations.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names = {}  # each function with the names it refers to
+    for name, node in functions.items():
+        names[name] = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+    # the checker functions and every module-level function they call
+    seen, stack = set(CHECKER), list(CHECKER)
+    while stack:
+        for callee in names[stack.pop()] & functions.keys() - seen:
+            seen.add(callee)
+            stack.append(callee)
+    assert {name: sorted(names[name] & SOLVER) for name in seen if names[name] & SOLVER} == {}

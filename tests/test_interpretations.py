@@ -13,10 +13,10 @@ from polytrs.dependency_pairs import dt_problem, wdp_problem
 from polytrs.framework import Bound, Problem, StartKind
 from polytrs.interpretations import (
     PolyInterp,
-    Polynomial,
     SymbolPoly,
     _candidates,
     check_orientation,
+    expand_rule,
     induced_bound,
     mu_monotone,
     needs_monotone,
@@ -24,60 +24,12 @@ from polytrs.interpretations import (
     orients_weakly,
     search_interpretation,
     synthesize,
-    term_polynomial,
 )
 from polytrs.parsing import parse_problem
 from polytrs.processors import apply_processor, default_strategy
 from polytrs.rewriting import Rule
-from polytrs.terms import App, Symbol, SymbolKind, Var, symbols_of
-from tests.conftest import FULL_START, apply_values, eval_term
-
-
-X = Polynomial.var("x")
-Y = Polynomial.var("y")
-
-
-def poly_value(poly: Polynomial, env: dict[str, int]) -> int:
-    total = 0
-    for mono, c in poly.coeffs.items():
-        term = c
-        for v, e in mono:
-            term *= env[v] ** e
-        total += term
-    return total
-
-
-class TestPolynomial:
-    def test_zero_coefficients_dropped(self):
-        assert Polynomial({(): 0}) == Polynomial()
-        assert X - X == Polynomial()
-
-    def test_ring_operations(self):
-        p = (X + Y) * (X + Polynomial.const(2))
-        assert p.coefficient((("x", 2),)) == 1
-        assert p.coefficient((("x", 1), ("y", 1))) == 1
-        assert p.coefficient((("x", 1),)) == 2
-        assert p.coefficient((("y", 1),)) == 2
-        assert p.coefficient(()) == 0
-
-    def test_scale(self):
-        assert (X + Y).scale(3) == X.scale(3) + Y.scale(3)
-        assert X.scale(0) == Polynomial()
-
-    def test_all_nonnegative(self):
-        assert (X + Polynomial.const(1)).all_nonnegative()
-        assert not (X - Polynomial.const(1)).all_nonnegative()
-
-    def test_repr(self):
-        assert repr(Polynomial()) == "0"
-        assert repr(X * X) == "1*x^2"
-
-    def test_evaluation_agrees_with_symbolic(self):
-        rng = random.Random(7)
-        p = (X + Y) * (X + Y) + X.scale(3) + Polynomial.const(5)
-        for _ in range(50):
-            x, y = rng.randrange(10), rng.randrange(10)
-            assert poly_value(p, {"x": x, "y": y}) == (x + y) ** 2 + 3 * x + 5
+from polytrs.terms import App, Symbol, SymbolKind, Var, symbols_of, variables
+from tests.conftest import FULL_START, eval_term
 
 
 class TestSymbolPoly:
@@ -97,13 +49,10 @@ class TestSymbolPoly:
         with pytest.raises(ValueError):
             SymbolPoly((1, 1), (0,), 0)
 
-    def test_apply_values_matches_apply_polys(self):
-        sp = SymbolPoly((2, 1), (1, 0), 3)
-        rng = random.Random(3)
-        for _ in range(50):
-            a, b = rng.randrange(8), rng.randrange(8)
-            sym = sp.apply_polys([X, Y])
-            assert poly_value(sym, {"x": a, "y": b}) == apply_values(sp, [a, b])
+    def test_interp_rejects_wrong_arity(self):
+        # the checker lays a symbol's unknowns out by its arity
+        with pytest.raises(ValueError, match="wrong arity"):
+            PolyInterp({Symbol("s", 1, SymbolKind.CONSTRUCTOR): SymbolPoly((), (), 0)})
 
 
 ZERO = Symbol("0", 0, SymbolKind.CONSTRUCTOR)
@@ -171,6 +120,71 @@ def descending_problem() -> Problem:
     )
 
 
+def random_term(rng: random.Random, depth: int, names: tuple[str, ...]):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([App(ZERO), *map(Var, names)])
+    return random_app(rng, depth, names)
+
+
+def random_app(rng: random.Random, depth: int, names: tuple[str, ...]) -> App:
+    sym = rng.choice((S, PLUS, TIMES))
+    return App(sym, tuple(random_term(rng, depth - 1, names) for _ in range(sym.arity)))
+
+
+def random_interp(rng: random.Random) -> PolyInterp:
+    def coeffs(n):
+        return tuple(rng.randrange(3) for _ in range(n))
+
+    return PolyInterp(
+        {sym: SymbolPoly(coeffs(sym.arity), coeffs(sym.arity), rng.randrange(3))
+         for sym in (ZERO, S, PLUS, TIMES)}
+    )
+
+
+def unknowns_of(interp: PolyInterp) -> tuple[dict, list[int]]:
+    """The documented layout: sq_1..sq_n, lin_1..lin_n, const per symbol."""
+    slots, values = {}, []
+    for sym, sp in interp.entries.items():
+        slots[sym] = slice(len(values), len(values) + 2 * sym.arity + 1)
+        values += [*sp.sq, *sp.lin, sp.const]
+    return slots, values
+
+
+def parametric_value(diff, env: dict[str, int], values: list[int]) -> int:
+    """expand_rule's result with its variables at env, its unknowns at values."""
+    total = 0
+    for (mono, unknowns), c in diff.items():
+        for v, e in mono:
+            c *= env[v] ** e
+        for u in unknowns:
+            c *= values[u]
+        total += c
+    return total
+
+
+def expansion_matches_eval_term(rng: random.Random, open_share: float) -> None:
+    """expand_rule on random rules and interpretations, each unknown open
+    with probability open_share, against eval_term's [lhs] - [rhs] (- 1) at
+    random points."""
+    for _ in range(300):
+        interp = random_interp(rng)
+        lhs = random_app(rng, 3, ("x", "y"))
+        rule = Rule(lhs, random_term(rng, 3, tuple(variables(lhs))), "r")
+        strict = rng.random() < 0.5
+        slots, values = unknowns_of(interp)
+        lo, hi = values[:], values[:]
+        for u in range(len(values)):
+            if rng.random() < open_share:
+                lo[u], hi[u] = 0, values[u] + 1
+        diff = expand_rule(rule, strict, slots, lo, hi)
+        # a fixed unknown is substituted, never left in a monomial
+        assert all(lo[u] < hi[u] for _, unknowns in diff for u in unknowns)
+        for _ in range(5):
+            env = {"x": rng.randrange(6), "y": rng.randrange(6)}
+            want = eval_term(interp, rule.lhs, env) - eval_term(interp, rule.rhs, env)
+            assert parametric_value(diff, env, values) == want - strict
+
+
 class TestTermInterpretation:
     def test_eval_examples(self):
         interp = counting_interp()
@@ -181,17 +195,32 @@ class TestTermInterpretation:
         assert eval_term(interp, Var("z"), {"z": 9}) == 9
 
     def test_symbolic_matches_pointwise(self):
-        interp = counting_interp()
-        t = App(PLUS, (Var("y"), App(TIMES, (Var("x"), Var("y")))))
-        sym = term_polynomial(interp, t)
-        rng = random.Random(11)
-        for _ in range(100):
-            env = {"x": rng.randrange(12), "y": rng.randrange(12)}
-            assert poly_value(sym, env) == eval_term(interp, t, env)
+        # the fixed box the checker expands over: every coefficient is a value
+        expansion_matches_eval_term(random.Random(11), 0.0)
 
     def test_missing_symbol(self):
         with pytest.raises(KeyError):
             eval_term(PolyInterp({}), App(ZERO), {})
+
+
+class TestExpandRule:
+    @pytest.mark.parametrize("open_share", [0.5, 1.0])
+    def test_partly_open_box_matches_pointwise(self, open_share):
+        # open unknowns stay symbolic, with the interpretation's values
+        # substituted for them afterwards
+        expansion_matches_eval_term(random.Random(int(open_share * 10)), open_share)
+
+    def test_tick_runs_per_row_of_a_square(self):
+        # [s](x) = x^2: the square of [x] has one row, of [s(x)] one too
+        interp = PolyInterp({S: SymbolPoly((0,), (1,), 0)})
+        slots, values = unknowns_of(interp)
+        rule = Rule(App(S, (App(S, (Var("x"),)),)), Var("x"), "r")
+        rows = []
+        diff = expand_rule(rule, True, slots, values, values, lambda: rows.append(1))
+        assert len(rows) == 2
+        assert {m: c for (m, _), c in diff.items() if c} == {
+            (("x", 4),): 1, (("x", 1),): -1, (): -1
+        }
 
 
 class TestOrientation:
@@ -425,8 +454,10 @@ def enumerate_first(p: Problem, degree: int, coeff_max: int):
     the start terms are all ground terms, take x1 + ... + xn + c.  Walking
     the product of all symbols flatly would take up to 10^10 steps here, so
     a prefix is dropped as soon as a rule whose symbols are all assigned
-    fails term_polynomial's orientation check, which no extension can
-    repair.  Nothing else is pruned.
+    fails the checker's orients_strictly or orients_weakly, which no
+    extension can repair.  Nothing else is pruned.  The checker shares
+    expand_rule with the solver; TestExpandRule pins that expansion to
+    eval_term.
     """
     rank = {
         SymbolKind.CONSTRUCTOR: 0,
@@ -557,7 +588,7 @@ class TestSolverAgainstEnumeration:
         got = search_interpretation(p, 1, 2)
         assert got.interp == enumerate_first(p, 1, 2)
         f = next(s for s in got.interp.entries if s.name == "f" and s.kind is SymbolKind.DEFINED)
-        assert got.interp.for_symbol(f) == SymbolPoly((1,), (0,), 0)
+        assert got.interp.entries[f] == SymbolPoly((1,), (0,), 0)
 
     def test_candidate_with_only_a_bounds_consistent_rest(self):
         # [k] = 1 and [a] + [b] + [d] + 2[c] = 1 with [b] = [d].  With [a] = 0
@@ -582,7 +613,7 @@ class TestSolverAgainstEnumeration:
         )
         got = search_interpretation(p, 1, 1)
         assert got.interp == enumerate_first(p, 1, 1)
-        assert got.interp.for_symbol(a.sym).const == 1
+        assert got.interp.entries[a.sym].const == 1
 
     @pytest.mark.parametrize("box", BOXES[:3], ids=lambda b: f"{b[0]}-{b[1]}")
     @pytest.mark.parametrize("strict", RELATIVE, ids=lambda s: f"strict_{s or 'none'}")
