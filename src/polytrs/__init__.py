@@ -24,8 +24,8 @@ from .proofs import (
     render_proof,
     validate_proof,
 )
-from .rewriting import OracleResult, Rule, dh_oracle
-from .terms import App, Symbol, SymbolKind, Term, Var
+from .rewriting import OracleResult, dh_oracle
+from .terms import App, Rule, Symbol, SymbolKind, Term, Var
 
 __version__ = "0.1.0"
 

@@ -14,8 +14,7 @@ from dataclasses import replace
 from typing import Callable
 
 from .framework import Problem, StartKind, is_innermost
-from .rewriting import Rule
-from .terms import App, SymbolKind, Term, com, mark, marked, subterms
+from .terms import App, Rule, SymbolKind, Term, com, mark, marked, subterms
 
 
 def constructor_prefix_components(t: Term) -> list[Term]:

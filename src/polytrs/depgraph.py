@@ -4,8 +4,9 @@ Nodes are the DP rules of a problem.  An edge (d1, d2, i) says the i-th
 right-hand side component of d1 may, after some non-DP rewriting, become an
 instance of d2's left-hand side.  Reachability is over-approximated with
 tcap: a subterm is replaced by a fresh variable whenever some non-DP rule
-could rewrite it at the root.  The chains of derivation trees that the
-estimate must cover are the tests' reference, in tests/conftest.py.
+could rewrite it at the root.  Capped terms hold only fresh variables, so
+nothing is renamed.  The chains of derivation trees that the estimate must
+cover are the tests' reference, in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .framework import Problem
-from .rewriting import Rule
-from .terms import App, Term, Var, components, fresh_var, rename_apart, unify_terms
+from .terms import App, Rule, Term, Var, components, fresh_var, unify_terms
 
 
 def tcap(t: Term, lhss: Sequence[Term]) -> Term:
     """Cap t from below: fresh variable wherever a root step is possible.
 
-    lhss are left-hand sides renamed apart once: the capped term has only
-    variables made after them, and each unification keeps its own bindings.
+    lhss are left-hand sides as written: the capped term's variables are all
+    fresh, and no input variable is, so the two share none.
     """
     if isinstance(t, Var):
         return fresh_var()
@@ -72,14 +72,13 @@ def estimate_dg(p: Problem) -> DepGraph:
     if not p.is_dp_problem():
         raise ValueError("dependency graph needs a DP problem")
     dps = p.dps
-    base = [rename_apart(r.lhs) for r in p.strict_trs + p.weak_trs]
-    targets = [(d2, rename_apart(d2.lhs)) for d2 in dps]
+    base = [r.lhs for r in p.strict_trs + p.weak_trs]
     edges = set()
     for d1 in dps:
         for i, comp in enumerate(components(d1.rhs), start=1):
             capped = tcap(comp, base)
-            for d2, lhs in targets:
-                if unify_terms(capped, lhs) is not None:
+            for d2 in dps:
+                if unify_terms(capped, d2.lhs) is not None:
                     edges.add((d1, d2, i))
     return DepGraph(dps, frozenset(edges))
 

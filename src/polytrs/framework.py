@@ -18,11 +18,13 @@ from itertools import repeat
 from typing import Iterator, Optional
 
 from . import rewriting
-from .rewriting import Heights, OracleResult, Rule, check_labels
+from .rewriting import Heights, OracleResult
 from .terms import (
+    Rule,
     Symbol,
     SymbolKind,
     Term,
+    check_labels,
     components,
     match_term,
     size,

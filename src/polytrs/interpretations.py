@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .framework import Bound, Problem, StartKind
-from .rewriting import Rule
-from .terms import Symbol, SymbolKind, Term, Var, symbols_of
+from .terms import Rule, Symbol, SymbolKind, Term, Var, symbols_of
 
 # A monomial maps variable names to exponents; stored sorted for hashing.
 Monomial = tuple[tuple[str, int], ...]

@@ -13,8 +13,7 @@ import re
 from typing import Optional, Union
 
 from .framework import Problem, StartKind
-from .rewriting import Rule
-from .terms import App, Symbol, SymbolKind, Term, Var, variables
+from .terms import App, Rule, Symbol, SymbolKind, Term, Var, variables
 
 
 class ParseError(Exception):

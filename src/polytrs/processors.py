@@ -27,7 +27,7 @@ from .proofs import (
     interp_to_json,
     is_closed,
 )
-from .rewriting import Rule
+from .terms import Rule
 
 
 # DG decomposition tries at most this many down-sets per DP problem.

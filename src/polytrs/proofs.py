@@ -46,8 +46,7 @@ from .interpretations import (
     induced_bound,
     mu_monotone,
 )
-from .rewriting import Rule
-from .terms import App, Symbol, SymbolKind, Term, Var
+from .terms import App, Rule, Symbol, SymbolKind, Term, Var
 
 SCHEMA_VERSION = 3
 

@@ -1,8 +1,8 @@
-"""Q-restricted rewriting and exhaustive derivation-height oracles.
+"""The oracles: Q-restricted rewriting and exhaustive derivation heights.
 
-A rule applies at a position only if the instantiated arguments of its
-left-hand side are normal forms of Q.  Q empty gives plain rewriting, Q equal
-to the rule set gives innermost rewriting.
+A rule (terms.Rule) applies at a position only if the instantiated
+arguments of its left-hand side are normal forms of Q.  Q empty gives plain
+rewriting, Q equal to the rule set gives innermost rewriting.
 
 The oracles, which cross-check the proof machinery on small inputs, answer
 "how many (strict) steps can a derivation from t take" by exploring the
@@ -26,43 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .terms import (
-    App,
-    Symbol,
-    SymbolKind,
-    Term,
-    Var,
-    render,
-    size as term_size,
-    variables,
-)
-
-
-@dataclass(frozen=True)
-class Rule:
-    lhs: App
-    rhs: Term
-    label: str
-
-    def __post_init__(self) -> None:
-        if isinstance(self.lhs, Var):
-            raise ValueError("left-hand side must not be a variable")
-        extra = set(variables(self.rhs)) - set(variables(self.lhs))
-        if extra:
-            raise ValueError(
-                f"rule {self.label}: right-hand side introduces {sorted(extra)}"
-            )
-
-    def __str__(self) -> str:
-        return f"{render(self.lhs)} -> {render(self.rhs)}"
-
-
-def check_labels(rules: Iterable[Rule]) -> None:
-    seen: set[str] = set()
-    for r in rules:
-        if r.label in seen:
-            raise ValueError(f"duplicate rule label {r.label!r}")
-        seen.add(r.label)
+from .terms import App, Rule, Symbol, SymbolKind, Term, Var, size as term_size
 
 
 _MEMO_CAP = 200_000

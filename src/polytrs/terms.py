@@ -1,4 +1,4 @@
-"""First-order terms over a sorted signature.
+"""First-order terms and rules over a sorted signature.
 
 Symbols carry a kind (constructor, defined, marked, compound) because almost
 every analysis downstream branches on it: marked symbols are the roots of
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 
 class SymbolKind(Enum):
@@ -51,10 +51,12 @@ class Symbol:
 
 @dataclass(frozen=True)
 class Var:
-    name: str
+    """Named by a str in input, by an int when fresh: the two never meet."""
+
+    name: str | int
 
     def __str__(self) -> str:
-        return self.name
+        return self.name if self.name.__class__ is str else f"%{self.name}"
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -116,8 +118,6 @@ class App:
 
 
 Term = Union[Var, App]
-
-Substitution = Mapping[str, Term]
 
 
 def compound(n: int) -> Symbol:
@@ -187,14 +187,8 @@ def symbols_of(t: Term) -> frozenset[Symbol]:
     return frozenset(s.sym for s in subterms(t) if isinstance(s, App))
 
 
-def apply_subst(t: Term, sigma: Substitution) -> Term:
-    if isinstance(t, Var):
-        return sigma.get(t.name, t)
-    return App(t.sym, tuple(apply_subst(a, sigma) for a in t.args))
-
-
 def match_term(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
-    """Substitution sigma with pattern*sigma == subject, or None."""
+    """The match sigma with pattern*sigma == subject, or None."""
     sigma: dict[str, Term] = {}
     todo = [(pattern, subject)]
     while todo:
@@ -209,22 +203,22 @@ def match_term(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
     return sigma
 
 
-def unify_terms(s: Term, t: Term) -> Optional[dict[str, Term]]:
+def unify_terms(s: Term, t: Term) -> Optional[dict[str | int, Term]]:
     """Most general unifier of s and t (with occurs check), or None.
 
-    s and t share their variables, so callers rename apart.  The result is
-    idempotent.  Bindings stay triangular, are looked up only when a
-    variable is met and are resolved once at the end (Baader and Snyder,
-    "Unification Theory", 2001).
+    s and t may share variables (estimate_dg's never do: one side is all
+    fresh).  The bindings are triangular: a bound term may name variables
+    bound in turn, and applying them until nothing changes gives the
+    idempotent unifier (Baader and Snyder, "Unification Theory", 2001).
     """
-    sigma: dict[str, Term] = {}
+    sigma: dict[str | int, Term] = {}
 
     def deref(u: Term) -> Term:
         while u.__class__ is Var and u.name in sigma:
             u = sigma[u.name]
         return u
 
-    def occurs(name: str, u: Term) -> bool:
+    def occurs(name: str | int, u: Term) -> bool:
         stack, seen = [u], set()
         while stack:
             u = stack.pop()
@@ -252,36 +246,48 @@ def unify_terms(s: Term, t: Term) -> Optional[dict[str, Term]]:
             work.extend(zip(a.args, b.args))
         else:
             return None
-    done: dict[str, Term] = {}
-
-    def resolve(u: Term) -> Term:
-        if u.__class__ is App:
-            return App(u.sym, tuple(resolve(a) for a in u.args))
-        if u.name in sigma and u.name not in done:
-            done[u.name] = resolve(sigma[u.name])
-        return done.get(u.name, u)
-
-    return {x: resolve(v) for x, v in sigma.items()}
+    return sigma
 
 
 _fresh_counter = itertools.count(1)
 
 
 def fresh_var() -> Var:
-    """A variable no other call returns.  Input may name a variable %1 too:
-    estimate_dg unifies only terms whose variables are all fresh."""
-    return Var(f"%{next(_fresh_counter)}")
-
-
-def rename_apart(t: Term) -> Term:
-    """Replace every variable of t consistently by a fresh one."""
-    ren = {x: fresh_var() for x in variables(t)}
-    return apply_subst(t, ren)
+    """A variable no other call returns, and no input names: it is numbered
+    by an int, where input variables are named by a str."""
+    return Var(next(_fresh_counter))
 
 
 def render(t: Term) -> str:
     if isinstance(t, Var):
-        return t.name
+        return str(t)
     if not t.args:
         return t.sym.display_name
     return f"{t.sym.display_name}({', '.join(render(a) for a in t.args)})"
+
+
+@dataclass(frozen=True)
+class Rule:
+    lhs: App
+    rhs: Term
+    label: str
+
+    def __post_init__(self) -> None:
+        if isinstance(self.lhs, Var):
+            raise ValueError("left-hand side must not be a variable")
+        extra = set(variables(self.rhs)) - set(variables(self.lhs))
+        if extra:
+            raise ValueError(
+                f"rule {self.label}: right-hand side introduces {sorted(extra)}"
+            )
+
+    def __str__(self) -> str:
+        return f"{render(self.lhs)} -> {render(self.rhs)}"
+
+
+def check_labels(rules: Iterable[Rule]) -> None:
+    seen: set[str] = set()
+    for r in rules:
+        if r.label in seen:
+            raise ValueError(f"duplicate rule label {r.label!r}")
+        seen.add(r.label)

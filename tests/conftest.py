@@ -14,8 +14,18 @@ from polytrs.framework import Problem
 from polytrs.interpretations import PolyInterp, SymbolPoly
 from polytrs.parsing import parse_file
 from polytrs.processors import default_strategy
-from polytrs.rewriting import OracleResult, Rule, q_successors
-from polytrs.terms import App, SymbolKind, Term, Var, components, render
+from polytrs.rewriting import OracleResult, q_successors
+from polytrs.terms import (
+    App,
+    Rule,
+    SymbolKind,
+    Term,
+    Var,
+    components,
+    fresh_var,
+    render,
+    variables,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -71,6 +81,30 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
     args = list(t.args)
     args[i - 1] = replace_at(args[i - 1], p[1:], s)
     return App(t.sym, tuple(args))
+
+
+# Substitutions, which only the tests apply: the library asks only whether a
+# unifier exists, and renames nothing.
+Substitution = Mapping[str | int, Term]
+
+
+def apply_subst(t: Term, sigma: Substitution) -> Term:
+    if isinstance(t, Var):
+        return sigma.get(t.name, t)
+    return App(t.sym, tuple(apply_subst(a, sigma) for a in t.args))
+
+
+def apply_bindings(t: Term, sigma: Substitution) -> Term:
+    """t under triangular bindings, such as unify_terms returns, applied
+    until nothing changes."""
+    while (u := apply_subst(t, sigma)) != t:
+        t = u
+    return t
+
+
+def rename_apart(t: Term) -> Term:
+    """Replace every variable of t consistently by a fresh one."""
+    return apply_subst(t, {x: fresh_var() for x in variables(t)})
 
 
 # Pointwise values of an interpretation, the reference for its polynomials.

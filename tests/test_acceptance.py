@@ -32,11 +32,10 @@ from polytrs.proofs import (
 )
 from polytrs.rewriting import (
     OracleResult,
-    Rule,
     dh_oracle,
     strict_step_oracle,
 )
-from polytrs.terms import App, Symbol, SymbolKind, compound, mark
+from polytrs.terms import App, Rule, Symbol, SymbolKind, compound, mark
 from tests.conftest import (
     ROOT,
     chains_of,

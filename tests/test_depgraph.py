@@ -19,7 +19,6 @@ from polytrs.terms import (
     Var,
     components,
     fresh_var,
-    rename_apart,
     render,
 )
 from tests.conftest import (
@@ -29,6 +28,7 @@ from tests.conftest import (
     enumerate_derivation_trees,
     leaf,
     marked_sym,
+    rename_apart,
 )
 from tests.test_terms import reference_unify
 
@@ -174,18 +174,21 @@ class TestEstimate:
             ("4", "4"),
         }
 
-    def test_input_variable_named_like_a_fresh_one(self, monkeypatch):
-        # fresh variables are %1, %2, ..., and input may name one %1 too:
-        # every term that estimate_dg unifies has fresh variables only
+    @pytest.mark.parametrize("name", ["%1", "1", "%2"])
+    def test_input_variable_named_like_a_fresh_one(self, monkeypatch, name):
+        # fresh variables are numbered 1, 2, ... and shown as %1, %2, ...;
+        # input may name a variable either way, and none equals a fresh one
         text = (ROOT / "problems" / "mult.trs").read_text()
-        renamed = parse_problem(re.sub(r"\bx\b", "%1", text))
-        assert "%1" in str(renamed.strict_trs[1])
+        renamed = parse_problem(re.sub(r"\bx\b", name, text))
+        assert name in str(renamed.strict_trs[1])
         for transform in (dt_problem, wdp_problem):
             g = estimate_dg(transform(parse_problem(text)))
             want = {(src.label, dst.label, i) for src, dst, i in g.edges}
             monkeypatch.setattr(terms, "_fresh_counter", itertools.count(1))
-            g = estimate_dg(transform(renamed))
+            p = transform(renamed)
+            g = estimate_dg(p)
             assert {(src.label, dst.label, i) for src, dst, i in g.edges} == want
+            assert g.edges == reference_edges(p)
 
 
 class TestAgainstReference:

@@ -1,6 +1,7 @@
 """The package's module graph, read from the source with ast: the certificate
-checker in proofs.py must not load the search, the CLI or the parser, and
-the checker's half of interpretations.py must not use its solver."""
+checker in proofs.py must not load the search, the CLI or the parser, only
+the oracles' users load rewriting.py, and the checker's half of
+interpretations.py must not use its solver."""
 
 from __future__ import annotations
 
@@ -39,6 +40,13 @@ def reachable(graph: dict[str, set[str]], start: str) -> set[str]:
 def test_module_graph_has_no_cycle():
     graph = import_graph()
     assert sorted(m for m in graph if m in reachable(graph, m)) == []
+
+
+def test_only_oracle_users_import_rewriting():
+    # rewriting holds only the oracles; Rule and check_labels are in terms
+    graph = import_graph()
+    importers = sorted(m for m, deps in graph.items() if "rewriting" in deps)
+    assert importers == ["__init__", "cli", "framework"]
 
 
 def test_checker_reaches_no_search_cli_or_parser():

@@ -27,8 +27,7 @@ from polytrs.interpretations import (
 )
 from polytrs.parsing import parse_problem
 from polytrs.processors import apply_processor, default_strategy
-from polytrs.rewriting import Rule
-from polytrs.terms import App, Symbol, SymbolKind, Var, symbols_of, variables
+from polytrs.terms import App, Rule, Symbol, SymbolKind, Var, symbols_of, variables
 from tests.conftest import FULL_START, eval_term
 
 

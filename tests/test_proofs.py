@@ -21,8 +21,7 @@ from polytrs.proofs import (
     symbol_to_json,
     validate_proof,
 )
-from polytrs.rewriting import Rule
-from polytrs.terms import App, Symbol, SymbolKind, Var, compound
+from polytrs.terms import App, Rule, Symbol, SymbolKind, Var, compound
 from tests.conftest import ROOT, constructor
 from tests.test_depgraph import CORPUS
 

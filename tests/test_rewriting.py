@@ -7,9 +7,7 @@ from polytrs.framework import cc_rows, start_terms_up_to
 from polytrs.parsing import parse_problem
 from polytrs.rewriting import (
     OracleResult,
-    Rule,
     basic_terms,
-    check_labels,
     dh_oracle,
     ground_terms,
     is_q_normal_form,
@@ -18,14 +16,15 @@ from polytrs.rewriting import (
 )
 from polytrs.terms import (
     App,
+    Rule,
     Symbol,
     SymbolKind,
     Var,
-    apply_subst,
+    check_labels,
     match_term,
     subterms,
 )
-from tests.conftest import positions, replace_at, subterm_at
+from tests.conftest import apply_subst, positions, replace_at, subterm_at
 
 ZERO = Symbol("0", 0, SymbolKind.CONSTRUCTOR)
 S = Symbol("s", 1, SymbolKind.CONSTRUCTOR)

@@ -14,13 +14,12 @@ from polytrs.terms import (
     Symbol,
     SymbolKind,
     Var,
-    apply_subst,
     com,
     compound,
+    fresh_var,
     mark,
     marked,
     match_term,
-    rename_apart,
     render,
     size,
     subterms,
@@ -30,7 +29,14 @@ from polytrs.terms import (
     unmarked,
     variables,
 )
-from tests.conftest import InvalidPositionError, positions, replace_at, subterm_at
+from tests.conftest import (
+    InvalidPositionError,
+    apply_bindings,
+    apply_subst,
+    positions,
+    replace_at,
+    subterm_at,
+)
 
 ZERO = Symbol("0", 0, SymbolKind.CONSTRUCTOR)
 S = Symbol("s", 1, SymbolKind.CONSTRUCTOR)
@@ -298,7 +304,7 @@ class TestSubstitution:
         right = unify_terms(t, s)
         assert (left is None) == (right is None)
         if left is not None:
-            assert apply_subst(s, left) == apply_subst(t, left)
+            assert apply_bindings(s, left) == apply_bindings(t, left)
 
     def test_unify_occurs_check(self):
         assert unify_terms(X, App(S, (X,))) is None
@@ -313,18 +319,18 @@ class TestSubstitution:
         sigma = unify_terms(s, t)
         assert (sigma is None) == (reference_unify(s, t) is None)
         if sigma is not None:
-            assert apply_subst(s, sigma) == apply_subst(t, sigma)
-            assert all(apply_subst(v, sigma) == v for v in sigma.values())
+            assert apply_bindings(s, sigma) == apply_bindings(t, sigma)
 
     def test_match_is_one_way(self):
         assert match_term(App(S, (X,)), App(S, (num(0),))) == {"x": num(0)}
         assert match_term(App(S, (num(0),)), App(S, (X,))) is None
 
-    def test_rename_apart_disjoint(self):
-        t = App(PLUS, (X, Y))
-        renamed = rename_apart(t)
-        assert not set(variables(renamed)) & set(variables(t))
-        assert unify_terms(t, renamed) is not None
+    def test_fresh_variables_are_numbered(self):
+        # input variables are named by a str, so none equals a fresh one
+        v = fresh_var()
+        assert not isinstance(v.name, str)
+        assert v != Var(str(v.name)) and v != Var(f"%{v.name}")
+        assert str(v) == render(App(S, (v,)))[2:-1] == f"%{v.name}"
 
 
 class TestReplacementMap:
