@@ -11,14 +11,15 @@ cover are the tests' reference, in tests/conftest.py.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable
 
 from .framework import Problem
 from .terms import App, Rule, Term, Var, components, fresh_var, unify_terms
 
 
-def tcap(t: Term, lhss: Sequence[Term]) -> Term:
+def tcap(t: Term, lhss: Collection[Term]) -> Term:
     """Cap t from below: fresh variable wherever a root step is possible.
 
     lhss are left-hand sides as written: the capped term's variables are all
@@ -71,8 +72,14 @@ def estimate_dg(p: Problem) -> DepGraph:
     """
     if not p.is_dp_problem():
         raise ValueError("dependency graph needs a DP problem")
-    dps = p.dps
-    base = [r.lhs for r in p.strict_trs + p.weak_trs]
+    base = frozenset(r.lhs for r in p.strict_trs + p.weak_trs)
+    return DepGraph(p.dps, _edges(frozenset(p.dps), base))
+
+
+@functools.lru_cache(maxsize=64)
+def _edges(dps: frozenset[Rule], base: frozenset[App]) -> frozenset[Edge]:
+    """The edges among dps under the left-hand sides base: problems that
+    differ only in which pairs are strict share them."""
     edges = set()
     for d1 in dps:
         for i, comp in enumerate(components(d1.rhs), start=1):
@@ -80,7 +87,7 @@ def estimate_dg(p: Problem) -> DepGraph:
             for d2 in dps:
                 if unify_terms(capped, d2.lhs) is not None:
                     edges.add((d1, d2, i))
-    return DepGraph(dps, frozenset(edges))
+    return frozenset(edges)
 
 
 def sep(dps: Iterable[Rule]) -> tuple[Rule, ...]:

@@ -13,6 +13,7 @@ the synthesis searches the box of one degree and coefficient cap completely.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -496,17 +497,21 @@ def _value(terms: Sequence[tuple[int, tuple[int, ...]]], pos: list[int], neg: li
 def _candidates(lo: list[int], hi: list[int]) -> Iterator[tuple[int, ...]]:
     """The vectors of the box lo..hi by sum, then lexicographically, one at a
     time: the box can be far larger than the part extraction tries."""
-    for total in range(sum(lo), sum(hi) + 1):
-        yield from _with_sum(lo, hi, total)
-
-
-def _with_sum(lo: list[int], hi: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    """The vectors of the box lo..hi whose entries sum to total, in
-    lexicographic order."""
-    if not lo:
-        yield ()
-        return
-    rest_lo, rest_hi = sum(lo[1:]), sum(hi[1:])
-    for x in range(max(lo[0], total - rest_hi), min(hi[0], total - rest_lo) + 1):
-        for rest in _with_sum(lo[1:], hi[1:], total - x):
-            yield (x, *rest)
+    # the sums of lo[i:] and of hi[i:], for i = 0..len(lo)
+    lo_from = [*itertools.accumulate(lo[::-1], initial=0)][::-1]
+    hi_from = [*itertools.accumulate(hi[::-1], initial=0)][::-1]
+    n = len(lo)
+    # (i, x, left): entry i is x and the entries after it sum to left; each
+    # sum starts from (-1, 0, total), which sets the spare entry vec[n]
+    vec = [0] * (n + 1)
+    stack = [(-1, 0, total) for total in range(hi_from[0], lo_from[0] - 1, -1)]
+    while stack:
+        i, x, left = stack.pop()
+        vec[i] = x
+        if i + 1 == n:
+            yield tuple(vec[:n])
+        else:
+            i += 1
+            first = max(lo[i], left - hi_from[i + 1])
+            last = min(hi[i], left - lo_from[i + 1])
+            stack.extend((i, x, left - x) for x in range(last, first - 1, -1))

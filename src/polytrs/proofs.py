@@ -367,31 +367,19 @@ def _dependency_tuples(params: dict, p: Problem):
 
 
 def _predecessor_estimation(params: dict, p: Problem):
-    if not p.is_dp_problem():
-        return None
     s1 = _resolve(params["rules"], p.strict_dps)
     if not s1:
         return None
-    g = estimate_dg(p)
-    pre = g.predecessors(s1)
-    chosen = set(s1)
-    strict_set = set(p.strict_dps)
-    weak_set = set(p.weak_dps)
-    new_strict = tuple(
-        d
-        for d in p.dps
-        if (d in strict_set and d not in chosen) or d in pre
+    strict = (set(p.strict_dps) - set(s1)) | estimate_dg(p).predecessors(s1)
+    sub = replace(
+        p,
+        strict_dps=tuple(d for d in p.dps if d in strict),
+        weak_dps=tuple(d for d in p.dps if d not in strict),
     )
-    kept = set(new_strict)
-    new_weak = tuple(
-        d for d in p.dps if (d in weak_set or d in chosen) and d not in kept
-    )
-    return [replace(p, strict_dps=new_strict, weak_dps=new_weak)], _sum
+    return [sub], _sum
 
 
 def _remove_weak_suffix(params: dict, p: Problem):
-    if not p.is_dp_problem():
-        return None
     if not p.strict_dps or p.strict_trs:
         return None
     w1 = _resolve(params["rules"], p.weak_dps)
@@ -406,8 +394,6 @@ def _remove_weak_suffix(params: dict, p: Problem):
 
 
 def _dg_decomposition(params: dict, p: Problem):
-    if not p.is_dp_problem():
-        return None
     s_down = _resolve(params["strict_down"], p.strict_dps)
     w_down = _resolve(params.get("weak_down", []), p.weak_dps)
     if not s_down or w_down is None:
@@ -446,10 +432,10 @@ def apply_processor(
     """Run one processor: its sub-problems and the function computing its bound
     from theirs, or None when its side conditions reject (p, params).
 
-    Malformed parameters (unknown labels or keys, missing interpretation
-    entries, values of the wrong type, rule sets that break problem
-    invariants) count as rejection, since params may come from an untrusted
-    serialized proof.
+    A problem of the wrong kind and malformed parameters (unknown labels or
+    keys, missing interpretation entries, values of the wrong type, rule sets
+    that break problem invariants) count as rejection, since params may come
+    from an untrusted serialized proof.
     """
     if proc not in _PROCESSORS:
         raise ValueError(f"unknown processor {proc!r}")

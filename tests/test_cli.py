@@ -54,6 +54,18 @@ class TestAnalyze:
         code = main(["analyze", str(weak_only), "--proof", "none"])
         assert (code, capsys.readouterr().out) == (0, "WORST_CASE(?, O(1))\n")
 
+    def test_wide_symbol_is_not_deep_input(self, capsys, tmp_path):
+        # c's unknown vector has 2 * 600 + 1 entries, more than the
+        # recursion limit allows frames
+        ys = [f"y{i}" for i in range(600)]
+        wide = tmp_path / "wide.trs"
+        wide.write_text(
+            f"(VAR x {' '.join(ys)})\n(RULES\n  g(c({', '.join(ys)})) -> f(y0)\n"
+            "  f(s(x)) -> f(x)\n  f(0) -> 0\n)\n(STRATEGY INNERMOST)\n"
+        )
+        code = main(["analyze", str(wide), "--proof", "none"])
+        assert (code, capsys.readouterr().out) == (0, "WORST_CASE(?, O(n^1))\n")
+
     def test_exp_stays_open(self, capsys):
         code = main(["analyze", EXP])
         out = capsys.readouterr().out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ import time
 
 import pytest
 
+from polytrs import depgraph, processors, proofs
 from polytrs.dependency_pairs import dt_problem, wdp_problem
+from polytrs.depgraph import estimate_dg
 from polytrs.framework import (
     Bound,
     Problem,
@@ -31,6 +34,7 @@ from polytrs.proofs import (
     Inference,
     interp_from_json,
     interp_to_json,
+    is_closed,
     iter_nodes,
     proof_from_json,
     proof_to_json,
@@ -262,6 +266,21 @@ class TestDpTransforms:
             assert apply_processor("weak_dependency_pairs", {}, basic) is None
             assert apply_processor("dependency_tuples", {}, basic) is None
 
+    @pytest.mark.parametrize(
+        "proc",
+        ["predecessor_estimation", "remove_weak_suffix", "dependency_graph_decomposition"],
+    )
+    def test_graph_processors_reject_basic_problem_with_dps(self, mult_dt, proc):
+        # estimate_dg is the one check of the problem kind
+        p, params = {
+            "predecessor_estimation": (mult_dt, {"rules": ["1", "3"]}),
+            "remove_weak_suffix": (pe_then(mult_dt), {"rules": ["1", "3"]}),
+            "dependency_graph_decomposition": (simplified(mult_dt), {"strict_down": ["2"]}),
+        }[proc]
+        assert apply_processor(proc, params, p) is not None
+        basic = dataclasses.replace(p, start_terms=StartKind.BASIC)
+        assert apply_processor(proc, params, basic) is None
+
     def test_dependency_tuples_need_innermost(self, mult_problem):
         full = Problem(
             strict_dps=(),
@@ -312,6 +331,25 @@ class TestPredecessorEstimation:
             apply_processor("predecessor_estimation", {"rules": ["a"]}, mult_problem)
             is None
         )
+
+    @pytest.mark.parametrize("name", ["mult_dt", "exp_dt"])
+    def test_splits_as_the_theorem_says(self, request, name):
+        """For every nonempty S1 of the strict pairs S: the strict pairs
+        become (S - S1) | Pre(S1), and every other pair is weak, in p.dps
+        order."""
+        p = request.getfixturevalue(name)
+        edges = estimate_dg(p).edges
+        for k in range(1, len(p.strict_dps) + 1):
+            for s1 in itertools.combinations(p.strict_dps, k):
+                pre = {src for src, dst, _ in edges if dst in s1}
+                strict = [
+                    d for d in p.dps if (d in p.strict_dps and d not in s1) or d in pre
+                ]
+                weak = tuple(d for d in p.dps if d not in strict)
+                want = dataclasses.replace(p, strict_dps=tuple(strict), weak_dps=weak)
+                rules = [d.label for d in s1]
+                subs, _ = apply_processor("predecessor_estimation", {"rules": rules}, p)
+                assert subs == [want], rules
 
 
 def pe_then(p: Problem) -> Problem:
@@ -587,6 +625,26 @@ class TestDefaultStrategy:
         proof = default_strategy(p, StrategyConfig(timeout=0.5))
         assert time.monotonic() - start < 0.7
         assert "[open: timeout]" in render_proof(proof)
+
+    def test_chain_is_estimated_once(self, monkeypatch):
+        # predecessor estimation moves one pair of the chain at a time, and
+        # every problem it derives shares one estimate
+        rules = [f"f{i}(s(x)) -> f{i + 1}(x)" for i in range(39)] + ["f39(x) -> x"]
+        p = parse_problem(
+            "(VAR x)\n(RULES\n" + "\n".join(rules) + "\n)\n(STRATEGY INNERMOST)\n"
+        )
+        calls = []
+
+        def counted(q: Problem):
+            calls.append(q)
+            return estimate_dg(q)
+
+        for module in (processors, proofs):
+            monkeypatch.setattr(module, "estimate_dg", counted)
+        depgraph._edges.cache_clear()
+        assert len(dt_problem(p).dps) == 40
+        assert is_closed(default_strategy(p))
+        assert (len(calls), depgraph._edges.cache_info().misses) == (80, 1)
 
     def test_proof_bytes_independent_of_hash_seed(self, tmp_path):
         # f -> g -> f on FULL start terms closes at degree 1, cap 1 only by
