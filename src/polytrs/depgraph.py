@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from .framework import Problem
-from .terms import App, Rule, Term, Var, components, fresh_var, unify_terms
+from .terms import App, Rule, Term, Var, components, fresh_var, render, unify_terms
 
 
 def tcap(t: Term, lhss: Collection[Term]) -> Term:
@@ -79,11 +79,13 @@ def estimate_dg(p: Problem) -> DepGraph:
 @functools.lru_cache(maxsize=64)
 def _edges(dps: frozenset[Rule], base: frozenset[App]) -> frozenset[Edge]:
     """The edges among dps under the left-hand sides base: problems that
-    differ only in which pairs are strict share them."""
+    differ only in which pairs are strict share them.  tcap tries the
+    left-hand sides in one order, so it does the same work in every run."""
+    lhss = sorted(base, key=render)
     edges = set()
     for d1 in dps:
         for i, comp in enumerate(components(d1.rhs), start=1):
-            capped = tcap(comp, base)
+            capped = tcap(comp, lhss)
             for d2 in dps:
                 if unify_terms(capped, d2.lhs) is not None:
                     edges.add((d1, d2, i))

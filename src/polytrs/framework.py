@@ -27,7 +27,6 @@ from .terms import (
     check_labels,
     components,
     match_term,
-    size,
     symbols_of,
     unmark,
 )
@@ -182,15 +181,20 @@ def is_innermost(p: Problem) -> bool:
     return True
 
 
+def _start_symbols(p: Problem) -> tuple[frozenset[Symbol], Optional[SymbolKind]]:
+    """The symbols of p's start terms, and the kind of their roots when they
+    are basic (None: all ground terms)."""
+    if p.start_terms is StartKind.BASIC:
+        return p.signature, SymbolKind.DEFINED
+    if p.start_terms is StartKind.MARKED_BASIC:
+        return p.signature, SymbolKind.MARKED
+    return frozenset(s for s in p.signature if s.kind is not SymbolKind.COMPOUND), None
+
+
 def start_terms_up_to(p: Problem, n: int) -> list[Term]:
     """Concrete start terms of size at most n, for the oracles."""
-    if p.start_terms is StartKind.BASIC:
-        return rewriting.basic_terms(p.signature, n, SymbolKind.DEFINED)
-    if p.start_terms is StartKind.MARKED_BASIC:
-        return rewriting.basic_terms(p.signature, n, SymbolKind.MARKED)
-    return rewriting.ground_terms(
-        (s for s in p.signature if s.kind is not SymbolKind.COMPOUND), n
-    )
+    symbols, roots = _start_symbols(p)
+    return rewriting.basic_terms(symbols, n, roots)
 
 
 def cc_rows(p: Problem, n: int, budget: int) -> Iterator[OracleResult]:
@@ -201,17 +205,18 @@ def cc_rows(p: Problem, n: int, budget: int) -> Iterator[OracleResult]:
     at size k, rows k..n are AtLeast(budget), as each of them would be.
     """
     heights = Heights(p.strict, p.weak, p.q, budget)
+    symbols, roots = _start_symbols(p)
     best = 0
     done = 0  # rows yielded so far
-    for t in sorted(start_terms_up_to(p, n) if p.strict else (), key=size):
-        k = size(t)
-        yield from repeat(OracleResult.exactly(best), k - done)
-        done = k
-        r = heights(t)
-        if not r.exact:
-            yield from repeat(r, n + 1 - done)
+    for k, start in heights.starts(symbols, n, roots) if p.strict else ():
+        if k > done:
+            yield from repeat(OracleResult.exactly(best), k - done)
+            done = k
+        h = heights(start)
+        if h is None:
+            yield from repeat(OracleResult.at_least(budget), n + 1 - done)
             return
-        best = max(best, r.value)
+        best = max(best, h)
     yield from repeat(OracleResult.exactly(best), n + 1 - done)
 
 

@@ -4,19 +4,15 @@ A rule (terms.Rule) applies at a position only if the instantiated
 arguments of its left-hand side are normal forms of Q.  Q empty gives plain
 rewriting, Q equal to the rule set gives innermost rewriting.
 
-The oracles, which cross-check the proof machinery on small inputs, answer
-"how many (strict) steps can a derivation from t take" by exploring the
-reachable term graph breadth-first up to a depth budget and taking longest
-paths over its strongly connected components.  Heights answers the start
-terms of one table together: it memoises the derivation height of each
-reached term, and explores a term breadth-first only when its region has a
-cycle or a path longer than the budget.  Reached terms are hash-consed
-(Filliatre and Conchon, "Type-safe modular hash-consing", 2006) into nodes of
-one shared system per (rules, Q), which memoises each node's steps: the
-oracles run over integers, build no term and recurse on no reached term's
-depth.  Steps carry no position: the oracles only count them.  The
-references (each position addressed from the root, the table recomputed for
-every size) live in the tests.
+Terms are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006) into the nodes of one shared system per (rules, Q),
+which memoises each node's steps; start terms are enumerated straight into
+it.  The oracles count steps over node numbers, build no term and recurse on
+no reached term's depth.  strict_step_oracle explores the reachable graph
+breadth-first up to a depth budget and takes longest paths over its strongly
+connected components.  Heights answers the start terms of a table with one
+summary per reached node instead (see there); the references live in the
+tests.
 """
 
 from __future__ import annotations
@@ -24,12 +20,17 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .terms import App, Rule, Symbol, SymbolKind, Term, Var, size as term_size
+from .terms import App, Rule, Symbol, SymbolKind, Term, Var
 
 
 _MEMO_CAP = 200_000
+
+Steps = tuple[tuple[Rule, int], ...]  # (rule, reduct node) per step
+_NORMAL: tuple[bool, Steps] = (False, ())  # no Q-redex, no root step
+_BLOCKED: tuple[bool, Steps] = (True, ())  # a Q-redex, no root step
 
 
 class _System:
@@ -37,9 +38,9 @@ class _System:
 
     Node i is (symbol, argument nodes...) or (variable,); one dict maps each
     key to its node, so equal terms share a number, given after their
-    arguments'.  Each node's (has a Q-redex, ((rule, reduct node), ...)) is
-    computed once, from its arguments' steps; left-hand sides are matched on
-    node numbers and right-hand sides built straight into nodes."""
+    arguments'.  A node's root steps, and its steps anywhere, are computed
+    once from its arguments'; left-hand sides are matched on node numbers
+    and right-hand sides built straight into nodes."""
 
     def __init__(self, rules: tuple[Rule, ...], q: tuple[Rule, ...]) -> None:
         self.rules = rules
@@ -50,24 +51,29 @@ class _System:
         self.by_root: dict[Symbol, list[tuple[App, Optional[Rule], bool]]] = {}
         for lhs, r in [(r.lhs, r) for r in rules] + [(lhs, None) for lhs in q_only]:
             self.by_root.setdefault(lhs.sym, []).append((lhs, r, lhs in q_lhss))
+        # innermost: every redex is a Q-redex, so a Q-normal node has no step
+        self.innermost = all(r.lhs in q_lhss for r in rules)
         self.forget()
 
     def forget(self) -> None:
         self.ids: dict[Union[tuple, Term], int] = {}  # keys and numbered terms
         self.nodes: list[tuple] = []  # node i's key
-        self.steps: list[Optional[tuple[bool, tuple[tuple[Rule, int], ...]]]] = []
+        self.roots: list[Optional[tuple[bool, Steps]]] = []  # (has a Q-redex, root steps)
+        self.steps: list[Optional[Steps]] = []  # its steps anywhere
         self.terms: list[Term] = []  # node i's term, built in node order
 
     def node(self, key: tuple) -> int:
         i = self.ids.setdefault(key, len(self.nodes))
         if i == len(self.nodes):
             self.nodes.append(key)
+            self.roots.append(None)
             self.steps.append(None)
         return i
 
     def number(self, t: Term) -> int:
         """t's node, in a new bank once this one holds more than _MEMO_CAP
-        nodes; term objects are remembered, as start terms share arguments."""
+        nodes; term objects are remembered, as a caller's terms often share
+        arguments."""
         if len(self.nodes) > _MEMO_CAP:
             self.forget()
         done, todo = self.ids, [t]
@@ -83,37 +89,49 @@ class _System:
                     done[s] = self.node((s.sym, *[done[a] for a in s.args]))
         return done[t]
 
-    def edges(self, i: int) -> tuple[tuple[Rule, int], ...]:
-        """(rule, reduct node) per step of node i in leftmost-outermost
-        order, rules in order: the root steps (when every argument is
-        Q-normal), then each argument's steps in place."""
-        return (self.steps[i] or self._fill(i))[1]
+    def root(self, i: int) -> tuple[bool, Steps]:
+        """(node i has a Q-redex, its root steps in rule order)."""
+        return self.roots[i] or self._fill(i, self.roots, self._root)
 
-    def _fill(self, i: int) -> tuple[bool, tuple[tuple[Rule, int], ...]]:
-        nodes, steps, todo = self.nodes, self.steps, [i]
-        while todo:  # post-order, so that arguments have their steps first
+    def edges(self, i: int) -> Steps:
+        """Node i's steps in leftmost-outermost order, rules in order: the
+        root steps, then each argument's steps in place."""
+        self.root(i)
+        return self._fill(i, self.steps, self._edges)
+
+    def _fill(self, i: int, memo: list, compute) -> tuple:
+        """memo[i], computed for every subterm of node i that lacks it,
+        arguments first."""
+        nodes, todo = self.nodes, [i]
+        while todo:
             j = todo.pop()
-            key = nodes[j]
-            new = [a for a in key[1:] if steps[a] is None]
-            if new:
-                todo += [j, *new]
-                continue
-            if steps[j] is not None:
-                continue
-            hit = any([steps[a][0] for a in key[1:]])
-            out = []
-            if not hit:  # every argument is Q-normal
-                for lhs, rule, in_q in self.by_root.get(key[0], ()):
-                    sigma: dict[str, int] = {}
-                    if all(map(self._match, lhs.args, key[1:], itertools.repeat(sigma))):
-                        hit = hit or in_q
-                        if rule is not None:
-                            out.append((rule, self._build(rule.rhs, sigma)))
-            for p in range(1, len(key)):
-                for rule, r in steps[key[p]][1]:
-                    out.append((rule, self.node(key[:p] + (r,) + key[p + 1 :])))
-            steps[j] = (hit, tuple(out))
-        return steps[i]
+            if memo[j] is None:
+                new = [a for a in nodes[j][1:] if memo[a] is None]
+                if new:
+                    todo += [j, *new]
+                else:
+                    memo[j] = compute(j)
+        return memo[i]
+
+    def _root(self, i: int) -> tuple[bool, Steps]:
+        key, roots = self.nodes[i], self.roots
+        if any([roots[a][0] for a in key[1:]]):  # the root waits
+            return _BLOCKED
+        hit, out = False, []
+        for lhs, rule, in_q in self.by_root.get(key[0], ()):
+            sigma: dict[str, int] = {}
+            if all(map(self._match, lhs.args, key[1:], itertools.repeat(sigma))):
+                hit = hit or in_q
+                if rule is not None:
+                    out.append((rule, self._build(rule.rhs, sigma)))
+        return (hit, tuple(out)) if out else (_BLOCKED if hit else _NORMAL)
+
+    def _edges(self, i: int) -> Steps:
+        key, out = self.nodes[i], list(self.roots[i][1])
+        for p in range(1, len(key)):
+            for rule, r in self.steps[key[p]]:
+                out.append((rule, self.node(key[:p] + (r,) + key[p + 1 :])))
+        return tuple(out)
 
     def _match(self, p: Term, i: int, sigma: dict[str, int]) -> bool:
         """Bind sigma so that p instantiated is node i; recursive on a rule's term."""
@@ -143,7 +161,7 @@ _system = functools.lru_cache(maxsize=16)(_System)
 def is_q_normal_form(t: Term, q: Sequence[Rule]) -> bool:
     """No left-hand side of q matches any subterm of t."""
     system = _system((), tuple(q))
-    return not system._fill(system.number(t))[0]
+    return not system.root(system.number(t))[0]
 
 
 def q_successors(
@@ -204,37 +222,6 @@ def _explore(
     return succ
 
 
-def _sccs(succ: dict[int, list[tuple[int, int]]], start: int) -> dict[int, int]:
-    """Kosaraju: a component id per node, ids in topological order; every node
-    is reachable from start, whose component is 0."""
-    order: list[int] = []  # nodes as a depth-first search from start leaves them
-    seen, work = {start}, [(start, iter(succ[start]))]
-    while work:
-        for w, _ in work[-1][1]:
-            if w not in seen:
-                seen.add(w)
-                work.append((w, iter(succ[w])))
-                break
-        else:
-            order.append(work.pop()[0])
-    pred: dict[int, list[int]] = {u: [] for u in succ}
-    for u, vs in succ.items():
-        for v, _ in vs:
-            pred[v].append(u)
-    comp: dict[int, int] = {}
-    ncomp = 0
-    for root in reversed(order):  # each search of pred finds one component
-        if root not in comp:
-            comp[root], todo = ncomp, [root]
-            while todo:
-                for w in pred[todo.pop()]:
-                    if w not in comp:
-                        comp[w] = ncomp
-                        todo.append(w)
-            ncomp += 1
-    return comp
-
-
 def strict_step_oracle(
     t: Term,
     strict: Sequence[Rule],
@@ -245,29 +232,12 @@ def strict_step_oracle(
     """Maximum number of strict-rule applications over all derivations from t
     in the combined system, or AtLeast(budget) when the search is truncated or
     a pumpable loop through a strict step exists."""
-    strict = tuple(strict)
     if not strict:
         return OracleResult.exactly(0)
-    system = _system(strict + tuple(weak), tuple(q))
-    # the system is shared by equal rule tuples and by every strict/weak
-    # split of them, so strictness is decided on its own rule objects
-    counted = {id(r) for r in system.rules if r in strict}
-    start = system.number(t)  # a new bank starts here if at all, as edges hold numbers
-    succ = _explore(system, start, budget, counted)
-    if succ is None:
-        return OracleResult.at_least(budget)
-    comp = _sccs(succ, start)
-    # Longest path over the component DAG: components in reverse id order, so
-    # that every edge out of one leads to a finished one.  An edge inside one
-    # is weight 0 and adds nothing, unless it is strict and can be pumped.
-    best = [0] * len(succ)
-    for u in sorted(succ, key=comp.__getitem__, reverse=True):
-        for v, w in succ[u]:
-            if comp[u] != comp[v]:
-                best[comp[u]] = max(best[comp[u]], w + best[comp[v]])
-            elif w:
-                return OracleResult.at_least(budget)
-    return OracleResult.exactly(best[comp[start]])
+    heights = Heights(strict, weak, q, budget)
+    # a new bank starts here if at all, as edges hold numbers
+    h = heights.search(heights.system.number(t))
+    return OracleResult.at_least(budget) if h is None else OracleResult.exactly(h)
 
 
 def dh_oracle(t: Term, rules: Sequence[Rule], q: Sequence[Rule], budget: int) -> OracleResult:
@@ -275,59 +245,174 @@ def dh_oracle(t: Term, rules: Sequence[Rule], q: Sequence[Rule], budget: int) ->
     return strict_step_oracle(t, rules, (), q, budget)
 
 
+Summary = dict[int, tuple[int, int, int]]  # normal form: (longest, strict, shortest)
+_NONE, _STRICT, _WEAK = (0, 0, 0), (1, 1, 1), (1, 0, 1)
+
+
 class Heights:
-    """strict_step_oracle(t, strict, weak, q, budget) for many t, each reached
-    term solved once.  A node whose longest derivation is at most budget has a
-    finite acyclic region within breadth-first distance budget, so its most
-    strict steps are what strict_step_oracle counts; the other nodes (on a
-    cycle, or with a longer derivation) go to strict_step_oracle."""
+    """strict_step_oracle's count for the start nodes of one table, None for
+    AtLeast(budget).  Each reached node is summarised once: per normal form,
+    the longest derivation to it, the most strict steps on one and the
+    shortest.
+
+    Where every rule's left-hand side is one of Q's, a node whose argument
+    has a Q-redex takes no root step until its arguments are normal forms,
+    and steps at parallel positions commute (Baader and Nipkow, "Term
+    Rewriting and All That", 1998, on parallel moves).  So its summary
+    combines its arguments' and goes on from f(their normal forms), without
+    the interleavings.  A start node whose derivations all fit in the budget
+    is answered by its summary, and so is one with a normal form further
+    than the budget, as the breadth-first search must stop short of it.  The
+    others go to that search, as do nodes on a cycle or over budget steps
+    deep."""
 
     def __init__(self, strict, weak, q, budget: int) -> None:
-        self.args = (tuple(strict), tuple(weak), tuple(q), budget)
-        self.system = _system(self.args[0] + self.args[1], self.args[2])
-        self.counted = {id(r) for r in self.system.rules if r in self.args[0]}
-        self.nodes, self.memo = None, {}
+        strict = tuple(strict)
+        self.system = _system(strict + tuple(weak), tuple(q))
+        # the system is shared by equal rule tuples and by every strict/weak
+        # split of them, so strictness is decided on its own rule objects
+        self.counted = {id(r) for r in self.system.rules if r in strict}
+        self.budget = budget
+        self.memo: dict[int, Optional[Summary]] = {}  # {} while on the stack
 
-    def __call__(self, t: Term) -> OracleResult:
-        start = self.system.number(t)
-        if self.system.nodes is not self.nodes:  # renumbered: the records are void
-            self.nodes, self.memo = self.system.nodes, {}
-        h = self._solve(start)
-        return strict_step_oracle(t, *self.args) if h is None else OracleResult.exactly(h[1])
+    def starts(
+        self, symbols: Iterable[Symbol], max_size: int, roots: Optional[SymbolKind]
+    ) -> Iterator[tuple[int, int]]:
+        """(size, node) per start term up to max_size (see _start_nodes), by
+        size.  Between start terms, once explorations have added more than
+        _MEMO_CAP nodes to the bank, it is forgotten, and the start terms are
+        numbered again and their summaries dropped, to go on from the one due."""
+        symbols, system, bank = list(symbols), self.system, None
+        for i in itertools.count():
+            if bank is system.nodes and len(bank) > base + _MEMO_CAP:
+                system.forget()
+            if bank is not system.nodes:
+                starts = sorted(_start_nodes(system, symbols, max_size, roots), key=itemgetter(0))
+                bank, base, self.memo = system.nodes, len(system.nodes), {}
+            if i == len(starts):
+                return
+            yield starts[i]
 
-    def _solve(self, start: int) -> Optional[tuple[int, int]]:
-        # memo: node -> (longest, strict), None when given up, () on the path
-        memo, edges, counted, budget = self.memo, self.system.edges, self.counted, self.args[3]
+    def __call__(self, start: int) -> Optional[int]:
+        summary = self._solve(start)
+        if summary is not None:
+            longest, strict, shortest = map(max, zip(*summary.values()))
+            if longest <= self.budget:
+                return strict
+            if shortest > self.budget:
+                return None
+        return self.search(start)
+
+    def search(self, start: int) -> Optional[int]:
+        """Breadth-first up to budget steps, then the longest path over the
+        strongly connected components, which Tarjan's algorithm finishes
+        each after every one its edges lead to.  An edge inside a component
+        adds nothing, unless it is strict and can be pumped."""
+        succ = _explore(self.system, start, self.budget, self.counted)
+        if succ is None:
+            return None
+        order, low, root, best = {start: 0}, {start: 0}, {}, {}
+        stack, work = [start], [(start, iter(succ[start]))]
+        while work:
+            u, todo = work[-1]
+            for v, _ in todo:
+                if v not in order:
+                    order[v] = low[v] = len(order)
+                    stack.append(v)
+                    work.append((v, iter(succ[v])))
+                    break
+                if v not in root:  # on the stack
+                    low[u] = min(low[u], order[v])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
+                if low[u] == order[u]:  # u's component is complete
+                    members = [stack.pop()]
+                    while members[-1] != u:
+                        members.append(stack.pop())
+                    root.update(dict.fromkeys(members, u))
+                    best[u] = 0
+                    for w in members:
+                        for v, s in succ[w]:
+                            if root[v] != u:
+                                best[u] = max(best[u], s + best[root[v]])
+                            elif s:
+                                return None
+        return best[start]
+
+    def _solve(self, start: int) -> Optional[Summary]:
+        memo, budget = self.memo, self.budget
         if start in memo:
             return memo[start]
-        memo[start] = ()
-        path, todo = [start], [iter(edges(start))]  # each node a successor of the last
-        while path:
-            for _, v in todo[-1]:
+        memo[start] = {}
+        # a frame: [node, its step from the frame below, an iterator over its
+        # pairs, the step to each, its pairs or None while its arguments go
+        # first]; a pair is the (longest, strict, shortest) to a node, or
+        # None for an argument, and the node
+        stack, depth = [self._open(start, 0)], 0  # depth: steps on the stack
+        while stack:
+            frame = stack[-1]
+            for _, v in frame[2]:
                 if v not in memo:
-                    if len(path) > budget:  # start goes too deep; the others may not
-                        return self._give_up(path, 1)
-                    memo[v] = ()
-                    path.append(v)
-                    todo.append(iter(edges(v)))
+                    depth += frame[3]
+                    if depth > budget:  # start goes too deep; the others may not
+                        return self._give_up(stack, 1)
+                    memo[v] = {}
+                    stack.append(self._open(v, frame[3]))
                     break
                 if not memo[v]:  # given up, or a cycle
-                    return self._give_up(path, len(path))
-            else:  # every successor is solved
-                longest = strict = 0
-                for rule, v in edges(path[-1]):
-                    n, s = memo[v]
-                    longest, strict = max(longest, n + 1), max(strict, s + (id(rule) in counted))
-                if longest > budget:
-                    return self._give_up(path, len(path))
-                memo[path.pop()] = (longest, strict)
-                todo.pop()
+                    return self._give_up(stack, len(stack))
+            else:  # every node it needs is summarised
+                summary = self._close(frame)
+                if summary is not None:
+                    memo[frame[0]] = summary
+                    depth -= frame[1]
+                    stack.pop()
         return memo[start]
 
-    def _give_up(self, path: list[int], known: int) -> None:
-        for u in path[known:]:  # unsolved
-            del self.memo[u]
-        self.memo.update(dict.fromkeys(path[:known]))
+    def _open(self, u: int, step: int) -> list:
+        system = self.system
+        if system.innermost:
+            steps = system.root(u)[1]
+            moving = [(None, a) for a in system.nodes[u][1:] if system.roots[a][0]]
+            if moving:
+                return [u, step, iter(moving), 0, None]
+        else:
+            steps = system.edges(u)
+        pairs = [(_STRICT if id(rule) in self.counted else _WEAK, v) for rule, v in steps]
+        return [u, step, iter(pairs), 1, pairs]
+
+    def _close(self, frame: list) -> Optional[Summary]:
+        """The summary of the frame's node, or None when it goes on from
+        f(its arguments' normal forms), one node per combination."""
+        u, _, _, _, pairs = frame
+        memo, system = self.memo, self.system
+        if pairs is None:
+            f, *args = system.nodes[u]
+            parts = [memo[a].items() if system.roots[a][0] else ((a, _NONE),) for a in args]
+            pairs = []
+            for combination in itertools.product(*parts):
+                nfs, extras = zip(*combination)
+                pairs.append((tuple(map(sum, zip(*extras))), system.node((f, *nfs))))
+            if pairs[0][1] == u:  # every argument is a normal form
+                return {u: _NONE}
+            frame[2:] = iter(pairs), 1, pairs
+            return None
+        out: Summary = {}
+        for (dn, ds, dh), v in pairs:
+            for nf, (n, s, h) in memo[v].items():
+                n, s, h = n + dn, s + ds, h + dh
+                if nf in out:
+                    old = out[nf]
+                    n, s, h = max(n, old[0]), max(s, old[1]), min(h, old[2])
+                out[nf] = (n, s, h)
+        return out or {u: _NONE}
+
+    def _give_up(self, stack: list[list], known: int) -> None:
+        for frame in stack[known:]:  # unsolved
+            del self.memo[frame[0]]
+        self.memo.update(dict.fromkeys([frame[0] for frame in stack[:known]]))
 
 
 # Start-term enumeration raises TooLargeError past this many terms.
@@ -337,51 +422,60 @@ _START_TERMS_CAP = 200_000
 def ground_terms(symbols: Iterable[Symbol], max_size: int) -> list[Term]:
     """All ground terms over symbols up to max_size: by size, then by symbol
     (arity, name); TooLargeError once there are more than _START_TERMS_CAP."""
-    syms = sorted(symbols, key=lambda s: (s.arity, s.name))
-    by_size: list[list[Term]] = [[]]  # the terms of each size, filled in order
-
-    def terms() -> Iterator[Term]:
-        for inner in range(max_size):
-            by_size.append([])
-            for f in syms:
-                for t in _apps(f, by_size, inner):
-                    by_size[-1].append(t)
-                    yield t
-
-    return _capped(terms())
+    return basic_terms(symbols, max_size, None)
 
 
-def basic_terms(symbols: Iterable[Symbol], max_size: int, roots: SymbolKind) -> list[Term]:
+def basic_terms(
+    symbols: Iterable[Symbol], max_size: int, roots: Optional[SymbolKind]
+) -> list[Term]:
     """Ground basic terms (roots of the given kind, constructor arguments) up
-    to max_size: by root symbol (arity, name), then by size."""
-    symbols = list(symbols)
-    heads = sorted(
-        (s for s in symbols if s.kind is roots), key=lambda s: (s.arity, s.name)
+    to max_size: by root symbol (arity, name), then by size; with roots
+    None, ground_terms."""
+    system = _System((), ())
+    return [system.term(i) for _, i in _start_nodes(system, symbols, max_size, roots)]
+
+
+def _start_nodes(
+    system: _System, symbols: Iterable[Symbol], max_size: int, roots: Optional[SymbolKind]
+) -> list[tuple[int, int]]:
+    """(size, node) per term of basic_terms(symbols, max_size, roots), in
+    its order, numbered in system."""
+    syms = sorted(symbols, key=lambda s: (s.arity, s.name))
+    by_size: list[list[int]] = [[]]  # the nodes of each size, filled in order
+
+    def ground(fs: list[Symbol], max_size: int) -> Iterator[tuple[int, int]]:
+        for k in range(max_size):
+            by_size.append([])
+            for i in (i for f in fs for i in _apps(system, f, by_size, k)):
+                by_size[-1].append(i)
+                yield k + 1, i
+
+    if roots is None:
+        return _capped(ground(syms, max_size))
+    _capped(ground([s for s in syms if s.kind is SymbolKind.CONSTRUCTOR], max_size - 1))
+    heads = [s for s in syms if s.kind is roots]
+    return _capped(
+        (k + 1, i) for h in heads for k in range(max_size) for i in _apps(system, h, by_size, k)
     )
-    ctors = (s for s in symbols if s.kind is SymbolKind.CONSTRUCTOR)
-    by_size: list[list[Term]] = [[] for _ in range(max_size)]
-    for g in ground_terms(ctors, max_size - 1):
-        by_size[term_size(g)].append(g)
-    terms = (t for h in heads for inner in range(max_size) for t in _apps(h, by_size, inner))
-    return _capped(terms)
 
 
-def _apps(f: Symbol, by_size: list[list[Term]], inner: int) -> Iterator[App]:
-    """Every f(t1, ..., tk) with arguments from by_size whose sizes sum to
-    inner: the argument sizes in lexicographic order, then the arguments."""
+def _apps(system: _System, f: Symbol, by_size: list[list[int]], inner: int) -> Iterator[int]:
+    """The node of every f(t1, ..., tk) with arguments from by_size whose
+    sizes sum to inner: the argument sizes in lexicographic order, then the
+    arguments."""
     if f.arity == 0:
         if inner == 0:
-            yield App(f)
+            yield system.node((f,))
         return
     for cuts in itertools.combinations(range(1, inner), f.arity - 1):
         bounds = (0, *cuts, inner)
         pools = [by_size[b - a] for a, b in zip(bounds, bounds[1:])]
         for args in itertools.product(*pools):
-            yield App(f, args)
+            yield system.node((f, *args))
 
 
-def _capped(terms: Iterator[Term]) -> list[Term]:
-    out = list(itertools.islice(terms, _START_TERMS_CAP + 1))
+def _capped(items: Iterator) -> list:
+    out = list(itertools.islice(items, _START_TERMS_CAP + 1))
     if len(out) > _START_TERMS_CAP:
         raise TooLargeError(f"more than {_START_TERMS_CAP} start terms")
     return out

@@ -248,10 +248,10 @@ class TestErrors:
         # overflow: the error is the input's, after the rows already printed
         real = Heights.__call__
 
-        def overflow_at_size_2(self, t):
-            if size(t) == 2:
+        def overflow_at_size_2(self, start):
+            if size(self.system.term(start)) == 2:
                 raise RecursionError("maximum recursion depth exceeded")
-            return real(self, t)
+            return real(self, start)
 
         monkeypatch.setattr(Heights, "__call__", overflow_at_size_2)
         code = main(["oracle", EXP, "--size", "4", "--budget", "300"])

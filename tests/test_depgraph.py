@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -298,3 +301,30 @@ class TestDot:
 
     def test_empty_graph(self):
         assert to_dot(DepGraph((), frozenset())) == "digraph dependency_graph {\n}"
+
+
+def test_unify_calls_do_not_depend_on_the_hash_seed():
+    # tcap tries left-hand sides in one order, so the corpus pass makes the
+    # same unify_terms calls whatever order a frozenset of terms iterates in
+    script = (
+        "import glob, sys\n"
+        "import polytrs.depgraph as depgraph\n"
+        "from polytrs import default_strategy, parse_file\n"
+        "inner, calls = depgraph.unify_terms, []\n"
+        "depgraph.unify_terms = lambda s, t: calls.append(1) or inner(s, t)\n"
+        "for path in sorted(glob.glob(sys.argv[1] + '/*.trs')):\n"
+        "    default_strategy(parse_file(path))\n"
+        "print(len(calls))\n"
+    )
+    counts = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(ROOT / "bench" / "problems")],
+            env=env,
+            capture_output=True,
+            check=True,
+            text=True,
+        )
+        counts.append(int(run.stdout))
+    assert counts[0] == counts[1] > 0

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polytrs import framework, rewriting
+from polytrs import rewriting
 from polytrs.framework import (
     Bound,
     Problem,
@@ -172,6 +172,29 @@ CHAIN = """
 )
 (STARTTERM FULL)
 """
+# g(c5) reaches p(a, a), whose longest derivation takes 10 more steps, but
+# every term it reaches is within 3 steps of g(c5)
+CHAIN_PAIRS = """
+(VAR x)
+(RULES
+  a -> c1  a -> c2  a -> c3  a -> c4  a -> c5
+  c1 -> c2  c2 -> c3  c3 -> c4  c4 -> c5
+  g(x) -> p(a, a)
+)
+(STRATEGY INNERMOST)
+(STARTTERM CONSTRUCTOR-BASED)
+"""
+PLUS_COIN = """
+(VAR x y)
+(RULES
+  plus(0, y) -> y
+  plus(s(x), y) -> s(plus(x, y))
+  c -> 0
+  c -> s(0)
+)
+(STRATEGY INNERMOST)
+(STARTTERM FULL)
+"""
 # f(s^k(0)) and g(s^k(0)) form a cycle of weak steps only
 WEAK_CYCLE = """
 (VAR x)
@@ -262,34 +285,41 @@ class TestCcRows:
 
     def test_nodes_renumbered_during_a_table(self, monkeypatch, mult_problem, exp_problem):
         monkeypatch.setattr(rewriting, "_MEMO_CAP", 50)
-        # exp's reducts are deep; len_app is relative
+        forgets = []
+        forget = rewriting._System.forget
+        monkeypatch.setattr(rewriting._System, "forget", lambda s: forgets.append(1) or forget(s))
+        # exp's reducts are deep; len_app is relative.  The reducts of mult's
+        # and plus_full's start terms add fewer than 50 nodes to the bank.
         tables = [
-            (mult_problem, 7, 60),
-            (parse_problem(INLINE["plus_full"]), 7, 60),
-            (exp_problem, 9, 100),
-            (parse_problem(INLINE["len_app"]), 7, 60),
+            (mult_problem, 7, 60, False),
+            (parse_problem(INLINE["plus_full"]), 7, 60, False),
+            (exp_problem, 9, 100, True),
+            (parse_problem(INLINE["len_app"]), 7, 60, True),
         ]
-        for p, n, budget in tables:
+        for p, n, budget, renewed in tables:
             rewriting._system.cache_clear()
-            assert list(cc_rows(p, n, budget)) == reference_rows(p, n, budget)
+            rewriting._system(p.strict + p.weak, p.q)  # so that a forget below renumbers
+            forgets.clear()
+            rows = list(cc_rows(p, n, budget))
+            assert bool(forgets) == renewed
+            assert rows == reference_rows(p, n, budget)
 
     @pytest.mark.parametrize(
         "name, n, budget, last",
         [
             ("mult", 10, 100, OracleResult.exactly(21)),
-            ("exp", 10, 200, OracleResult.at_least(200)),  # explored breadth-first too
+            ("exp", 10, 200, OracleResult.at_least(200)),  # a normal form beyond the budget
             ("plus_full", 9, 60, OracleResult.exactly(10)),
         ],
     )
     def test_no_term_built_once_the_start_terms_are_enumerated(
         self, request, monkeypatch, name, n, budget, last
     ):
+        # start terms are enumerated as nodes, so the whole table builds no term
         if name in INLINE:
             p = parse_problem(INLINE[name])
         else:
             p = request.getfixturevalue(f"{name}_problem")
-        starts = start_terms_up_to(p, n)
-        monkeypatch.setattr(framework, "start_terms_up_to", lambda q, k: starts)
         built = []
         post_init = App.__post_init__
 
@@ -303,6 +333,47 @@ class TestCcRows:
         monkeypatch.undo()
         assert built == []
         assert rows[-1] == last
+
+
+class TestSummaries:
+    """Heights answers a start term from its summary, or falls back to the
+    breadth-first search; either way the rows are the reference's."""
+
+    def test_normal_form_beyond_the_budget_needs_no_search(self, monkeypatch, exp_problem):
+        want = reference_rows(exp_problem, 10, 200)
+
+        def no_search(*args):
+            raise AssertionError("breadth-first search")
+
+        monkeypatch.setattr(rewriting, "_explore", no_search)
+        rewriting._system.cache_clear()
+        rows = list(cc_rows(exp_problem, 10, 200))
+        assert rows == want
+        assert rows[-1] == OracleResult.at_least(200)
+
+    def test_close_normal_forms_fall_back_to_the_search(self):
+        # the budget of 4 does not truncate the search from g(c5)
+        p = parse_problem(CHAIN_PAIRS)
+        rows = list(cc_rows(p, 3, 4))
+        assert rows == reference_rows(p, 3, 4)
+        assert rows[-1] == OracleResult.exactly(11)
+
+    def test_argument_with_two_normal_forms(self):
+        # c reduces to 0 and to s(0), so plus(c, c) goes on from four terms
+        p = parse_problem(PLUS_COIN)
+        rows = list(cc_rows(p, 5, 30))
+        assert rows == reference_rows(p, 5, 30)
+        assert rows[-1] == OracleResult.exactly(8)
+
+    def test_term_rewritten_to_one_containing_it(self):
+        # f(0) -> s(f(0)) -> s(s(f(0))) -> ...
+        p = parse_problem(
+            "(VAR x)(RULES f(x) -> s(f(x))  g(x) -> 0)(STRATEGY INNERMOST)"
+            "(STARTTERM CONSTRUCTOR-BASED)"
+        )
+        rows = list(cc_rows(p, 3, 20))
+        assert rows == reference_rows(p, 3, 20)
+        assert rows[-1] == OracleResult.at_least(20)
 
 
 # rules that recurse, loop or grow, so that derivations outrun small budgets
