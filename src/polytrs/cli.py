@@ -29,9 +29,7 @@ from .rewriting import TooLargeError
 def _at_least(low: int) -> Callable[[str], int]:
     def parse(text: str) -> int:
         if not text.strip().isdecimal() or int(text) < low:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}"
-            )
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return int(text)
 
     return parse
@@ -142,10 +140,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
                 print(f"{n}\t{row}")
                 n += 1
         except TooLargeError as err:
-            print(
-                f"error: {err} up to size {args.size}; try a smaller --size",
-                file=sys.stderr,
-            )
+            print(f"error: {err} up to size {args.size}; try a smaller --size", file=sys.stderr)
             return 2
     return 0
 

@@ -30,11 +30,7 @@ def constructor_prefix_components(t: Term) -> list[Term]:
 
 def defined_rooted_subterms(t: Term) -> list[Term]:
     """Subterms with a defined root, leftmost-outermost order."""
-    return [
-        s
-        for s in subterms(t)
-        if isinstance(s, App) and s.sym.kind is SymbolKind.DEFINED
-    ]
+    return [s for s in subterms(t) if isinstance(s, App) and s.sym.kind is SymbolKind.DEFINED]
 
 
 def _marked_pair(

@@ -79,9 +79,8 @@ def estimate_dg(p: Problem) -> DepGraph:
 @functools.lru_cache(maxsize=64)
 def _edges(dps: frozenset[Rule], base: frozenset[App]) -> frozenset[Edge]:
     """The edges among dps under the left-hand sides base: problems that
-    differ only in which pairs are strict share them.  tcap tries the
-    left-hand sides in one order, so it does the same work in every run."""
-    lhss = sorted(base, key=render)
+    differ only in which pairs are strict share them."""
+    lhss = sorted(base, key=render)  # one order, so tcap does the same work in every run
     edges = set()
     for d1 in dps:
         for i, comp in enumerate(components(d1.rhs), start=1):

@@ -20,15 +20,7 @@ from typing import Iterator, Optional
 from . import rewriting
 from .rewriting import Heights, OracleResult
 from .terms import (
-    Rule,
-    Symbol,
-    SymbolKind,
-    Term,
-    check_labels,
-    components,
-    match_term,
-    symbols_of,
-    unmark,
+    Rule, Symbol, SymbolKind, Term, check_labels, components, match_term, symbols_of, unmark
 )
 
 
@@ -134,9 +126,7 @@ class Problem:
             return "{" + ",".join(r.label for r in rs) + "}"
 
         q = "Q=S+W" if set(self.q) == set(self.all_rules) else f"Q={len(self.q)} rules"
-        return (
-            f"<{lbls(self.strict)} / {lbls(self.weak)}, {q}, {self.start_terms}>"
-        )
+        return f"<{lbls(self.strict)} / {lbls(self.weak)}, {q}, {self.start_terms}>"
 
 
 def is_well_formed_dp(rule: Rule) -> bool:
@@ -182,13 +172,10 @@ def is_innermost(p: Problem) -> bool:
 
 
 def _start_symbols(p: Problem) -> tuple[frozenset[Symbol], Optional[SymbolKind]]:
-    """The symbols of p's start terms, and the kind of their roots when they
-    are basic (None: all ground terms)."""
-    if p.start_terms is StartKind.BASIC:
-        return p.signature, SymbolKind.DEFINED
-    if p.start_terms is StartKind.MARKED_BASIC:
-        return p.signature, SymbolKind.MARKED
-    return frozenset(s for s in p.signature if s.kind is not SymbolKind.COMPOUND), None
+    """basic_terms' symbols and root kind (None: all ground terms) for p's start terms."""
+    roots = {StartKind.BASIC: SymbolKind.DEFINED, StartKind.MARKED_BASIC: SymbolKind.MARKED}
+    symbols = frozenset(s for s in p.signature if s.kind is not SymbolKind.COMPOUND)
+    return symbols, roots.get(p.start_terms)
 
 
 def start_terms_up_to(p: Problem, n: int) -> list[Term]:
@@ -206,8 +193,7 @@ def cc_rows(p: Problem, n: int, budget: int) -> Iterator[OracleResult]:
     """
     heights = Heights(p.strict, p.weak, p.q, budget)
     symbols, roots = _start_symbols(p)
-    best = 0
-    done = 0  # rows yielded so far
+    best = done = 0  # done: rows yielded so far
     for k, start in heights.starts(symbols, n, roots) if p.strict else ():
         if k > done:
             yield from repeat(OracleResult.exactly(best), k - done)

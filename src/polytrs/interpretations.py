@@ -293,16 +293,9 @@ class _Solver:
     ) -> None:
         self.deadline = deadline
         self.nodes = 0
-        syms: set[Symbol] = set()
-        for r in p.all_rules:
-            syms |= symbols_of(r.lhs) | symbols_of(r.rhs)
-        kind_rank = {
-            SymbolKind.CONSTRUCTOR: 0,
-            SymbolKind.COMPOUND: 0,
-            SymbolKind.DEFINED: 1,
-            SymbolKind.MARKED: 2,
-        }
-        self.order = sorted(syms, key=lambda s: (kind_rank[s.kind], s.arity, s.name))
+        syms = {s for r in p.all_rules for s in symbols_of(r.lhs) | symbols_of(r.rhs)}
+        rank = {SymbolKind.DEFINED: 1, SymbolKind.MARKED: 2}  # constructors and compounds 0
+        self.order = sorted(syms, key=lambda s: (rank.get(s.kind, 0), s.arity, s.name))
 
         # each symbol's domains, laid out as expand_rule reads its unknowns
         boxes = {}

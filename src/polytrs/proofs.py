@@ -30,22 +30,8 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .dependency_pairs import dt_problem, wdp_problem
 from .depgraph import estimate_dg, sep
-from .framework import (
-    Bound,
-    Judgement,
-    Problem,
-    StartKind,
-    bound_add,
-    bound_mul,
-    problems_equal,
-)
-from .interpretations import (
-    PolyInterp,
-    SymbolPoly,
-    check_orientation,
-    induced_bound,
-    mu_monotone,
-)
+from .framework import Bound, Judgement, Problem, StartKind, bound_add, bound_mul, problems_equal
+from .interpretations import PolyInterp, SymbolPoly, check_orientation, induced_bound, mu_monotone
 from .terms import App, Rule, Symbol, SymbolKind, Term, Var
 
 SCHEMA_VERSION = 3

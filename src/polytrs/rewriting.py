@@ -6,13 +6,10 @@ rewriting, Q equal to the rule set gives innermost rewriting.
 
 Terms are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006) into the nodes of one shared system per (rules, Q),
-which memoises each node's steps; start terms are enumerated straight into
-it.  The oracles count steps over node numbers, build no term and recurse on
-no reached term's depth.  strict_step_oracle explores the reachable graph
-breadth-first up to a depth budget and takes longest paths over its strongly
-connected components.  Heights answers the start terms of a table with one
-summary per reached node instead (see there); the references live in the
-tests.
+which memoises each node's steps and into which start terms are enumerated.
+The oracles count steps over node numbers and recurse on no reached term's
+depth: strict_step_oracle breadth-first up to a depth budget, Heights with
+one summary per reached node (see there).  The references live in the tests.
 """
 
 from __future__ import annotations
@@ -28,19 +25,15 @@ from .terms import App, Rule, Symbol, SymbolKind, Term, Var
 
 _MEMO_CAP = 200_000
 
-Steps = tuple[tuple[Rule, int], ...]  # (rule, reduct node) per step
-_NORMAL: tuple[bool, Steps] = (False, ())  # no Q-redex, no root step
-_BLOCKED: tuple[bool, Steps] = (True, ())  # a Q-redex, no root step
-
 
 class _System:
     """The rewrite relation of (rules, q) over a bank of hash-consed nodes.
 
     Node i is (symbol, argument nodes...) or (variable,); one dict maps each
     key to its node, so equal terms share a number, given after their
-    arguments'.  A node's root steps, and its steps anywhere, are computed
-    once from its arguments'; left-hand sides are matched on node numbers
-    and right-hand sides built straight into nodes."""
+    arguments'.  Each node's (has a Q-redex, ((rule, reduct node), ...)) is
+    computed once, from its arguments' steps; left-hand sides are matched on
+    node numbers and right-hand sides built straight into nodes."""
 
     def __init__(self, rules: tuple[Rule, ...], q: tuple[Rule, ...]) -> None:
         self.rules = rules
@@ -58,22 +51,19 @@ class _System:
     def forget(self) -> None:
         self.ids: dict[Union[tuple, Term], int] = {}  # keys and numbered terms
         self.nodes: list[tuple] = []  # node i's key
-        self.roots: list[Optional[tuple[bool, Steps]]] = []  # (has a Q-redex, root steps)
-        self.steps: list[Optional[Steps]] = []  # its steps anywhere
+        self.steps: list[Optional[tuple[bool, tuple[tuple[Rule, int], ...]]]] = []
         self.terms: list[Term] = []  # node i's term, built in node order
 
     def node(self, key: tuple) -> int:
         i = self.ids.setdefault(key, len(self.nodes))
         if i == len(self.nodes):
             self.nodes.append(key)
-            self.roots.append(None)
             self.steps.append(None)
         return i
 
     def number(self, t: Term) -> int:
         """t's node, in a new bank once this one holds more than _MEMO_CAP
-        nodes; term objects are remembered, as a caller's terms often share
-        arguments."""
+        nodes; term objects are remembered, as a caller's terms may share arguments."""
         if len(self.nodes) > _MEMO_CAP:
             self.forget()
         done, todo = self.ids, [t]
@@ -89,49 +79,37 @@ class _System:
                     done[s] = self.node((s.sym, *[done[a] for a in s.args]))
         return done[t]
 
-    def root(self, i: int) -> tuple[bool, Steps]:
-        """(node i has a Q-redex, its root steps in rule order)."""
-        return self.roots[i] or self._fill(i, self.roots, self._root)
+    def edges(self, i: int) -> tuple[tuple[Rule, int], ...]:
+        """(rule, reduct node) per step of node i in leftmost-outermost
+        order, rules in order: the root steps (when every argument is
+        Q-normal), then each argument's steps in place."""
+        return (self.steps[i] or self._fill(i))[1]
 
-    def edges(self, i: int) -> Steps:
-        """Node i's steps in leftmost-outermost order, rules in order: the
-        root steps, then each argument's steps in place."""
-        self.root(i)
-        return self._fill(i, self.steps, self._edges)
-
-    def _fill(self, i: int, memo: list, compute) -> tuple:
-        """memo[i], computed for every subterm of node i that lacks it,
-        arguments first."""
-        nodes, todo = self.nodes, [i]
-        while todo:
+    def _fill(self, i: int) -> tuple[bool, tuple[tuple[Rule, int], ...]]:
+        nodes, steps, todo = self.nodes, self.steps, [i]
+        while todo:  # post-order, so that arguments have their steps first
             j = todo.pop()
-            if memo[j] is None:
-                new = [a for a in nodes[j][1:] if memo[a] is None]
-                if new:
-                    todo += [j, *new]
-                else:
-                    memo[j] = compute(j)
-        return memo[i]
-
-    def _root(self, i: int) -> tuple[bool, Steps]:
-        key, roots = self.nodes[i], self.roots
-        if any([roots[a][0] for a in key[1:]]):  # the root waits
-            return _BLOCKED
-        hit, out = False, []
-        for lhs, rule, in_q in self.by_root.get(key[0], ()):
-            sigma: dict[str, int] = {}
-            if all(map(self._match, lhs.args, key[1:], itertools.repeat(sigma))):
-                hit = hit or in_q
-                if rule is not None:
-                    out.append((rule, self._build(rule.rhs, sigma)))
-        return (hit, tuple(out)) if out else (_BLOCKED if hit else _NORMAL)
-
-    def _edges(self, i: int) -> Steps:
-        key, out = self.nodes[i], list(self.roots[i][1])
-        for p in range(1, len(key)):
-            for rule, r in self.steps[key[p]]:
-                out.append((rule, self.node(key[:p] + (r,) + key[p + 1 :])))
-        return tuple(out)
+            key = nodes[j]
+            new = [a for a in key[1:] if steps[a] is None]
+            if new:
+                todo += [j, *new]
+                continue
+            if steps[j] is not None:
+                continue
+            hit = any([steps[a][0] for a in key[1:]])
+            out = []
+            if not hit:  # every argument is Q-normal
+                for lhs, rule, in_q in self.by_root.get(key[0], ()):
+                    sigma: dict[str, int] = {}
+                    if all(map(self._match, lhs.args, key[1:], itertools.repeat(sigma))):
+                        hit = hit or in_q
+                        if rule is not None:
+                            out.append((rule, self._build(rule.rhs, sigma)))
+            for p in range(1, len(key)):
+                for rule, r in steps[key[p]][1]:
+                    out.append((rule, self.node(key[:p] + (r,) + key[p + 1 :])))
+            steps[j] = (hit, tuple(out))
+        return steps[i]
 
     def _match(self, p: Term, i: int, sigma: dict[str, int]) -> bool:
         """Bind sigma so that p instantiated is node i; recursive on a rule's term."""
@@ -161,7 +139,7 @@ _system = functools.lru_cache(maxsize=16)(_System)
 def is_q_normal_form(t: Term, q: Sequence[Rule]) -> bool:
     """No left-hand side of q matches any subterm of t."""
     system = _system((), tuple(q))
-    return not system.root(system.number(t))[0]
+    return not system._fill(system.number(t))[0]
 
 
 def q_successors(
@@ -223,11 +201,7 @@ def _explore(
 
 
 def strict_step_oracle(
-    t: Term,
-    strict: Sequence[Rule],
-    weak: Sequence[Rule],
-    q: Sequence[Rule],
-    budget: int,
+    t: Term, strict: Sequence[Rule], weak: Sequence[Rule], q: Sequence[Rule], budget: int
 ) -> OracleResult:
     """Maximum number of strict-rule applications over all derivations from t
     in the combined system, or AtLeast(budget) when the search is truncated or
@@ -251,20 +225,16 @@ _NONE, _STRICT, _WEAK = (0, 0, 0), (1, 1, 1), (1, 0, 1)
 
 class Heights:
     """strict_step_oracle's count for the start nodes of one table, None for
-    AtLeast(budget).  Each reached node is summarised once: per normal form,
-    the longest derivation to it, the most strict steps on one and the
-    shortest.
-
-    Where every rule's left-hand side is one of Q's, a node whose argument
-    has a Q-redex takes no root step until its arguments are normal forms,
-    and steps at parallel positions commute (Baader and Nipkow, "Term
-    Rewriting and All That", 1998, on parallel moves).  So its summary
-    combines its arguments' and goes on from f(their normal forms), without
-    the interleavings.  A start node whose derivations all fit in the budget
-    is answered by its summary, and so is one with a normal form further
-    than the budget, as the breadth-first search must stop short of it.  The
-    others go to that search, as do nodes on a cycle or over budget steps
-    deep."""
+    AtLeast(budget), from one summary per reached node: per normal form, the
+    longest derivation to it, the most strict steps on one and the shortest.
+    Where every rule's left-hand side is one of Q's, a node with a Q-redex in
+    an argument takes no root step until its arguments are normal forms, and
+    steps at parallel positions commute (Baader and Nipkow, "Term Rewriting
+    and All That", 1998), so its summary combines its arguments' and goes on
+    from f(their normal forms).  A start node is answered by its summary when
+    its derivations fit in the budget, or when a normal form is further, as
+    breadth-first search must stop short of it; otherwise by that search, as
+    is one that reaches a cycle, a node given up or more than budget steps."""
 
     def __init__(self, strict, weak, q, budget: int) -> None:
         strict = tuple(strict)
@@ -279,9 +249,11 @@ class Heights:
         self, symbols: Iterable[Symbol], max_size: int, roots: Optional[SymbolKind]
     ) -> Iterator[tuple[int, int]]:
         """(size, node) per start term up to max_size (see _start_nodes), by
-        size.  Between start terms, once explorations have added more than
-        _MEMO_CAP nodes to the bank, it is forgotten, and the start terms are
-        numbered again and their summaries dropped, to go on from the one due."""
+        size.  Between two start terms, the bank is forgotten once the
+        explorations have added more than _MEMO_CAP nodes to it; then, or once
+        another caller has forgotten it, the start terms are numbered again and
+        the summaries dropped.  The cap counts from the start terms' nodes, not
+        from none as number's does, lest a bank they fill go after each one."""
         symbols, system, bank = list(symbols), self.system, None
         for i in itertools.count():
             if bank is system.nodes and len(bank) > base + _MEMO_CAP:
@@ -332,87 +304,58 @@ class Heights:
                     while members[-1] != u:
                         members.append(stack.pop())
                     root.update(dict.fromkeys(members, u))
-                    best[u] = 0
-                    for w in members:
-                        for v, s in succ[w]:
-                            if root[v] != u:
-                                best[u] = max(best[u], s + best[root[v]])
-                            elif s:
-                                return None
+                    edges = [(v, s) for w in members for v, s in succ[w]]
+                    if any(s and root[v] == u for v, s in edges):
+                        return None
+                    best[u] = max([s + best[root[v]] for v, s in edges if root[v] != u], default=0)
         return best[start]
 
     def _solve(self, start: int) -> Optional[Summary]:
-        memo, budget = self.memo, self.budget
+        memo = self.memo
         if start in memo:
             return memo[start]
         memo[start] = {}
-        # a frame: [node, its step from the frame below, an iterator over its
-        # pairs, the step to each, its pairs or None while its arguments go
-        # first]; a pair is the (longest, strict, shortest) to a node, or
-        # None for an argument, and the node
-        stack, depth = [self._open(start, 0)], 0  # depth: steps on the stack
+        stack = [(start, 0, self._summary(start))]  # (node, steps from start, _summary)
         while stack:
-            frame = stack[-1]
-            for _, v in frame[2]:
-                if v not in memo:
-                    depth += frame[3]
-                    if depth > budget:  # start goes too deep; the others may not
-                        return self._give_up(stack, 1)
-                    memo[v] = {}
-                    stack.append(self._open(v, frame[3]))
-                    break
-                if not memo[v]:  # given up, or a cycle
-                    return self._give_up(stack, len(stack))
-            else:  # every node it needs is summarised
-                summary = self._close(frame)
-                if summary is not None:
-                    memo[frame[0]] = summary
-                    depth -= frame[1]
-                    stack.pop()
+            u, depth, summary = stack[-1]
+            d, v = next(summary)
+            if d is None:  # v is u's summary
+                memo[u] = v
+                stack.pop()
+            elif v not in memo and depth + d <= self.budget:
+                memo[v] = {}
+                stack.append((v, depth + d, self._summary(v)))
+            elif not memo.get(v):  # too deep, given up, or on the stack: a cycle
+                memo.update(dict.fromkeys([frame[0] for frame in stack]))
+                return None
         return memo[start]
 
-    def _open(self, u: int, step: int) -> list:
-        system = self.system
-        if system.innermost:
-            steps = system.root(u)[1]
-            moving = [(None, a) for a in system.nodes[u][1:] if system.roots[a][0]]
-            if moving:
-                return [u, step, iter(moving), 0, None]
-        else:
-            steps = system.edges(u)
-        pairs = [(_STRICT if id(rule) in self.counted else _WEAK, v) for rule, v in steps]
-        return [u, step, iter(pairs), 1, pairs]
-
-    def _close(self, frame: list) -> Optional[Summary]:
-        """The summary of the frame's node, or None when it goes on from
-        f(its arguments' normal forms), one node per combination."""
-        u, _, _, _, pairs = frame
-        memo, system = self.memo, self.system
-        if pairs is None:
-            f, *args = system.nodes[u]
-            parts = [memo[a].items() if system.roots[a][0] else ((a, _NONE),) for a in args]
-            pairs = []
-            for combination in itertools.product(*parts):
-                nfs, extras = zip(*combination)
-                pairs.append((tuple(map(sum, zip(*extras))), system.node((f, *nfs))))
+    def _summary(self, u: int) -> Iterator[tuple]:
+        """Yields (steps from u, node) per node whose summary u's reads and
+        lacks, made by _solve before it resumes, then (None, u's summary)."""
+        system, memo = self.system, self.memo
+        f, *args = system.nodes[u]
+        moving = [a for a in args if system.innermost and (system.steps[a] or system._fill(a))[0]]
+        if moving:  # f(its arguments' normal forms), one node per combination
+            yield from ((0, a) for a in moving if not memo.get(a))
+            parts = [memo[a].items() if a in moving else ((a, _NONE),) for a in args]
+            combos = (zip(*c) for c in itertools.product(*parts))
+            pairs = [(tuple(map(sum, zip(*ds))), system.node((f, *nfs))) for nfs, ds in combos]
             if pairs[0][1] == u:  # every argument is a normal form
-                return {u: _NONE}
-            frame[2:] = iter(pairs), 1, pairs
-            return None
+                pairs = []
+        else:
+            pairs = [(_STRICT if id(r) in self.counted else _WEAK, v) for r, v in system.edges(u)]
         out: Summary = {}
         for (dn, ds, dh), v in pairs:
+            if not memo.get(v):
+                yield 1, v
             for nf, (n, s, h) in memo[v].items():
                 n, s, h = n + dn, s + ds, h + dh
                 if nf in out:
                     old = out[nf]
                     n, s, h = max(n, old[0]), max(s, old[1]), min(h, old[2])
                 out[nf] = (n, s, h)
-        return out or {u: _NONE}
-
-    def _give_up(self, stack: list[list], known: int) -> None:
-        for frame in stack[known:]:  # unsolved
-            del self.memo[frame[0]]
-        self.memo.update(dict.fromkeys([frame[0] for frame in stack[:known]]))
+        yield None, out or {u: _NONE}
 
 
 # Start-term enumeration raises TooLargeError past this many terms.
