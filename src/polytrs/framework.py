@@ -188,8 +188,9 @@ def cc_rows(p: Problem, n: int, budget: int) -> Iterator[OracleResult]:
     """cc_oracle(p, k, budget) for k = 0..n, each reached term solved once.
 
     Start terms are explored in size order, and row k is yielded as soon as
-    every term of size at most k is done.  At the first truncated exploration,
-    at size k, rows k..n are AtLeast(budget), as each of them would be.
+    every term of size at most k is done.  At the first start term with a
+    derivation longer than budget steps, weak ones included, or a cycle, at
+    size k, rows k..n are AtLeast(budget), as each of them would be.
     """
     heights = Heights(p.strict, p.weak, p.q, budget)
     symbols, roots = _start_symbols(p)

@@ -8,8 +8,10 @@ Terms are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006) into the nodes of one shared system per (rules, Q),
 which memoises each node's steps and into which start terms are enumerated.
 The oracles count steps over node numbers and recurse on no reached term's
-depth: strict_step_oracle breadth-first up to a depth budget, Heights with
-one summary per reached node (see there).  The references live in the tests.
+depth: Heights summarises each reached node once (see there), and
+strict_step_oracle is Heights on one start term.  A budget bounds the length
+of the derivations explored, weak steps included.  The references live in
+the tests.
 """
 
 from __future__ import annotations
@@ -157,7 +159,8 @@ def q_successors(
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact(n): the maximum is n.  AtLeast(b): search truncated at budget b."""
+    """Exact(n): the maximum is n.  AtLeast(b): a derivation takes more than
+    budget b steps, or does not end."""
 
     value: int
     exact: bool
@@ -178,39 +181,16 @@ class TooLargeError(RuntimeError):
     """Start-term enumeration exceeded its cap."""
 
 
-def _explore(
-    system: _System, start: int, budget: int, counted: set[int]
-) -> Optional[dict[int, list[tuple[int, int]]]]:
-    """Breadth-first reachable region from node start up to distance budget:
-    per node its (successor, 1 for a counted rule else 0); None when a node
-    on the budget frontier has a successor outside the region."""
-    succ: dict[int, list[tuple[int, int]]] = {start: []}
-    frontier = [start]
-    for depth in range(budget + 1):
-        nxt: list[int] = []
-        for u in frontier:
-            for rule, v in system.edges(u):
-                if v not in succ:
-                    if depth == budget:
-                        return None
-                    succ[v] = []
-                    nxt.append(v)
-                succ[u].append((v, 1 if id(rule) in counted else 0))
-        frontier = nxt
-    return succ
-
-
 def strict_step_oracle(
     t: Term, strict: Sequence[Rule], weak: Sequence[Rule], q: Sequence[Rule], budget: int
 ) -> OracleResult:
     """Maximum number of strict-rule applications over all derivations from t
-    in the combined system, or AtLeast(budget) when the search is truncated or
-    a pumpable loop through a strict step exists."""
+    in the combined system, or AtLeast(budget) when a derivation from t takes
+    more than budget steps, weak ones included, or reaches a cycle."""
     if not strict:
         return OracleResult.exactly(0)
     heights = Heights(strict, weak, q, budget)
-    # a new bank starts here if at all, as edges hold numbers
-    h = heights.search(heights.system.number(t))
+    h = heights(heights.system.number(t))
     return OracleResult.at_least(budget) if h is None else OracleResult.exactly(h)
 
 
@@ -219,22 +199,21 @@ def dh_oracle(t: Term, rules: Sequence[Rule], q: Sequence[Rule], budget: int) ->
     return strict_step_oracle(t, rules, (), q, budget)
 
 
-Summary = dict[int, tuple[int, int, int]]  # normal form: (longest, strict, shortest)
-_NONE, _STRICT, _WEAK = (0, 0, 0), (1, 1, 1), (1, 0, 1)
+Summary = dict[int, tuple[int, int]]  # normal form: (longest, strict)
+_NONE, _STRICT, _WEAK = (0, 0), (1, 1), (1, 0)
 
 
 class Heights:
     """strict_step_oracle's count for the start nodes of one table, None for
     AtLeast(budget), from one summary per reached node: per normal form, the
-    longest derivation to it, the most strict steps on one and the shortest.
-    Where every rule's left-hand side is one of Q's, a node with a Q-redex in
-    an argument takes no root step until its arguments are normal forms, and
-    steps at parallel positions commute (Baader and Nipkow, "Term Rewriting
-    and All That", 1998), so its summary combines its arguments' and goes on
-    from f(their normal forms).  A start node is answered by its summary when
-    its derivations fit in the budget, or when a normal form is further, as
-    breadth-first search must stop short of it; otherwise by that search, as
-    is one that reaches a cycle, a node given up or more than budget steps."""
+    longest derivation to it and the most strict steps on one.  Where every
+    rule's left-hand side is one of Q's, a node with a Q-redex in an argument
+    takes no root step until its arguments are normal forms, and steps at
+    parallel positions commute (Baader and Nipkow, "Term Rewriting and All
+    That", 1998), so its summary combines its arguments' and goes on from
+    f(their normal forms).  A start node's count is its summary's most strict
+    steps when its longest derivation takes at most budget steps; it is None
+    once a node is reached more than budget steps deep, or on a cycle."""
 
     def __init__(self, strict, weak, q, budget: int) -> None:
         strict = tuple(strict)
@@ -243,7 +222,7 @@ class Heights:
         # split of them, so strictness is decided on its own rule objects
         self.counted = {id(r) for r in self.system.rules if r in strict}
         self.budget = budget
-        self.memo: dict[int, Optional[Summary]] = {}  # {} while on the stack
+        self.memo: dict[int, Summary] = {}  # {} while on the stack
 
     def starts(
         self, symbols: Iterable[Symbol], max_size: int, roots: Optional[SymbolKind]
@@ -268,47 +247,10 @@ class Heights:
     def __call__(self, start: int) -> Optional[int]:
         summary = self._solve(start)
         if summary is not None:
-            longest, strict, shortest = map(max, zip(*summary.values()))
+            longest, strict = map(max, zip(*summary.values()))
             if longest <= self.budget:
                 return strict
-            if shortest > self.budget:
-                return None
-        return self.search(start)
-
-    def search(self, start: int) -> Optional[int]:
-        """Breadth-first up to budget steps, then the longest path over the
-        strongly connected components, which Tarjan's algorithm finishes
-        each after every one its edges lead to.  An edge inside a component
-        adds nothing, unless it is strict and can be pumped."""
-        succ = _explore(self.system, start, self.budget, self.counted)
-        if succ is None:
-            return None
-        order, low, root, best = {start: 0}, {start: 0}, {}, {}
-        stack, work = [start], [(start, iter(succ[start]))]
-        while work:
-            u, todo = work[-1]
-            for v, _ in todo:
-                if v not in order:
-                    order[v] = low[v] = len(order)
-                    stack.append(v)
-                    work.append((v, iter(succ[v])))
-                    break
-                if v not in root:  # on the stack
-                    low[u] = min(low[u], order[v])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
-                if low[u] == order[u]:  # u's component is complete
-                    members = [stack.pop()]
-                    while members[-1] != u:
-                        members.append(stack.pop())
-                    root.update(dict.fromkeys(members, u))
-                    edges = [(v, s) for w in members for v, s in succ[w]]
-                    if any(s and root[v] == u for v, s in edges):
-                        return None
-                    best[u] = max([s + best[root[v]] for v, s in edges if root[v] != u], default=0)
-        return best[start]
+        return None
 
     def _solve(self, start: int) -> Optional[Summary]:
         memo = self.memo
@@ -325,8 +267,9 @@ class Heights:
             elif v not in memo and depth + d <= self.budget:
                 memo[v] = {}
                 stack.append((v, depth + d, self._summary(v)))
-            elif not memo.get(v):  # too deep, given up, or on the stack: a cycle
-                memo.update(dict.fromkeys([frame[0] for frame in stack]))
+            elif not memo.get(v):  # too deep, or on the stack: a cycle
+                for frame in stack:  # to be solved again from another start
+                    del memo[frame[0]]
                 return None
         return memo[start]
 
@@ -346,15 +289,14 @@ class Heights:
         else:
             pairs = [(_STRICT if id(r) in self.counted else _WEAK, v) for r, v in system.edges(u)]
         out: Summary = {}
-        for (dn, ds, dh), v in pairs:
+        for (dn, ds), v in pairs:
             if not memo.get(v):
                 yield 1, v
-            for nf, (n, s, h) in memo[v].items():
-                n, s, h = n + dn, s + ds, h + dh
+            for nf, (n, s) in memo[v].items():
+                n, s = n + dn, s + ds
                 if nf in out:
-                    old = out[nf]
-                    n, s, h = max(n, old[0]), max(s, old[1]), min(h, old[2])
-                out[nf] = (n, s, h)
+                    n, s = max(n, out[nf][0]), max(s, out[nf][1])
+                out[nf] = (n, s)
         yield None, out or {u: _NONE}
 
 

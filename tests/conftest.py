@@ -83,6 +83,40 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
     return App(t.sym, tuple(args))
 
 
+def reference_heights(
+    t: Term, strict: Sequence[Rule], weak: Sequence[Rule], q: Sequence[Rule], budget: int
+) -> OracleResult:
+    """The oracles' definition, over every interleaving of steps: the most
+    strict steps on a derivation from t, or AtLeast(budget) when a derivation
+    takes more than budget steps, weak ones included, or reaches a cycle."""
+    rules, counted = (*strict, *weak), set(strict)
+    memo: dict[Term, tuple[int, int]] = {}  # term: (longest, most strict)
+    on_path: set[Term] = set()
+
+    def walk(u: Term, depth: int) -> Optional[tuple[int, int]]:
+        if u in memo:
+            return memo[u]
+        if u in on_path or depth > budget:
+            return None
+        on_path.add(u)
+        longest = most = 0
+        # rules are compared by equality: q_successors returns the rules of
+        # a system shared by every equal rule tuple
+        for rule, v in q_successors(u, rules, q):
+            h = walk(v, depth + 1)
+            if h is None:
+                return None
+            longest, most = max(longest, h[0] + 1), max(most, h[1] + (rule in counted))
+        on_path.remove(u)
+        memo[u] = longest, most
+        return memo[u]
+
+    h = walk(t, 0)
+    if h is None or h[0] > budget:
+        return OracleResult.at_least(budget)
+    return OracleResult.exactly(h[1])
+
+
 # Substitutions, which only the tests apply: the library asks only whether a
 # unifier exists, and renames nothing.
 Substitution = Mapping[str | int, Term]

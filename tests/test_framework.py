@@ -17,9 +17,9 @@ from polytrs.framework import (
     start_terms_up_to,
 )
 from polytrs.parsing import parse_problem
-from polytrs.rewriting import OracleResult, strict_step_oracle
+from polytrs.rewriting import OracleResult
 from polytrs.terms import App, SymbolKind
-from tests.conftest import systems
+from tests.conftest import defined, reference_heights, systems
 
 bounds = st.one_of(
     st.just(Bound.unknown()), st.integers(min_value=0, max_value=6).map(Bound.poly)
@@ -164,7 +164,7 @@ INLINE = {
     "plus_wdp": PLUS + "(STARTTERM CONSTRUCTOR-BASED)",
 }
 # a -> ci for each i, and c1 -> c2 -> ... -> c5: a's longest derivation has 5
-# steps, and every term a reaches is at breadth-first distance 1
+# steps, though every term a reaches is one step away
 CHAIN = """
 (RULES
   a -> c1  a -> c2  a -> c3  a -> c4  a -> c5
@@ -172,7 +172,7 @@ CHAIN = """
 )
 (STARTTERM FULL)
 """
-# g(c5) reaches p(a, a), whose longest derivation takes 10 more steps, but
+# g(c5) reaches p(a, a), whose longest derivation takes 10 more steps, though
 # every term it reaches is within 3 steps of g(c5)
 CHAIN_PAIRS = """
 (VAR x)
@@ -219,13 +219,13 @@ STRICT_CYCLE = """
 
 
 def reference_rows(p, n, budget):
-    """Row k is the worst strict_step_oracle over the start terms of size at
+    """Row k is the worst reference_heights over the start terms of size at
     most k, or the first truncated result among them."""
     rows = []
     for k in range(n + 1):
         best = OracleResult.exactly(0)
         for t in start_terms_up_to(p, k) if p.strict else ():
-            r = strict_step_oracle(t, p.strict, p.weak, p.q, budget)
+            r = reference_heights(t, p.strict, p.weak, p.q, budget)
             if not r.exact:
                 best = r
                 break
@@ -258,11 +258,12 @@ class TestCcRows:
         if name == "plus_wdp":
             assert not p.q
 
-    def test_derivation_longer_than_budget_within_radius(self):
+    def test_budget_bounds_derivation_length_not_distance(self):
         p = parse_problem(CHAIN)
-        rows = list(cc_rows(p, 2, 4))
-        assert rows == reference_rows(p, 2, 4)
-        assert rows[-1] == OracleResult.exactly(5)
+        for budget, last in [(4, OracleResult.at_least(4)), (5, OracleResult.exactly(5))]:
+            rows = list(cc_rows(p, 2, budget))
+            assert rows == reference_rows(p, 2, budget)
+            assert rows[-1] == last
 
     def test_budget_cut_above_solved_successors(self):
         # a, b and c are solved first; d's derivation is one step too long
@@ -272,10 +273,11 @@ class TestCcRows:
         assert rows[-1] == OracleResult.at_least(2)
 
     def test_weak_cycle(self):
+        # a cycle has derivations of every length, weak steps or not
         p = parse_problem(WEAK_CYCLE)
         rows = list(cc_rows(p, 6, 30))
         assert rows == reference_rows(p, 6, 30)
-        assert rows[-1] == OracleResult.exactly(5)
+        assert rows[2:] == [OracleResult.at_least(30)] * 5
 
     def test_strict_cycle(self):
         p = parse_problem(STRICT_CYCLE)
@@ -337,27 +339,25 @@ class TestCcRows:
 
 
 class TestSummaries:
-    """Heights answers a start term from its summary, or falls back to the
-    breadth-first search; either way the rows are the reference's."""
+    """Heights answers every start term from its summary, and the rows are
+    the reference's."""
 
-    def test_normal_form_beyond_the_budget_needs_no_search(self, monkeypatch, exp_problem):
-        want = reference_rows(exp_problem, 10, 200)
-
-        def no_search(*args):
-            raise AssertionError("breadth-first search")
-
-        monkeypatch.setattr(rewriting, "_explore", no_search)
-        rewriting._system.cache_clear()
-        rows = list(cc_rows(exp_problem, 10, 200))
-        assert rows == want
-        assert rows[-1] == OracleResult.at_least(200)
-
-    def test_close_normal_forms_fall_back_to_the_search(self):
-        # the budget of 4 does not truncate the search from g(c5)
+    def test_close_normal_forms_far_along_a_derivation(self):
+        # every term g(c5) reaches is within 3 steps, but its longest
+        # derivation takes 11
         p = parse_problem(CHAIN_PAIRS)
-        rows = list(cc_rows(p, 3, 4))
-        assert rows == reference_rows(p, 3, 4)
-        assert rows[-1] == OracleResult.exactly(11)
+        for budget, last in [(4, OracleResult.at_least(4)), (11, OracleResult.exactly(11))]:
+            rows = list(cc_rows(p, 3, budget))
+            assert rows == reference_rows(p, 3, budget)
+            assert rows[-1] == last
+
+    def test_start_solved_after_a_longer_one_is_cut(self):
+        # a's walk is cut past c4, 4 steps deep; c1's derivations take 4
+        p = parse_problem(CHAIN)
+        heights = rewriting.Heights(p.strict, p.weak, p.q, 4)
+        a, c1 = (heights.system.number(App(defined(p, c), ())) for c in ["a", "c1"])
+        assert heights(a) is None
+        assert heights(c1) == 4
 
     def test_argument_with_two_normal_forms(self):
         # c reduces to 0 and to s(0), so plus(c, c) goes on from four terms

@@ -33,8 +33,9 @@ from polytrs.proofs import (
     proof_to_json,
     validate_proof,
 )
-from polytrs.rewriting import strict_step_oracle
-from tests.conftest import FULL_START, ROOT, eval_term, systems
+from polytrs.rewriting import OracleResult, strict_step_oracle
+from polytrs.terms import App
+from tests.conftest import FULL_START, ROOT, constructor, defined, eval_term, systems
 
 PROBLEMS = sorted((ROOT / "bench" / "problems").glob("*.trs"))
 
@@ -116,10 +117,10 @@ def test_decomposition_needs_the_callers_of_the_down_set_strict():
     )
     proof = default_strategy(p)
     assert is_closed(proof) and proof.judgement.bound == Bound.poly(2)
-    # quadratic: f(s^n(a)) takes n(n-1)/2 steps; size 10 (28) takes 10 s
-    rows = list(cc_rows(p, 9, 200))
+    # quadratic: f(s^n(a)) takes n(n-1)/2 steps
+    rows = list(cc_rows(p, 10, 200))
     assert all(r.exact for r in rows)
-    assert [r.value for r in rows] == [0, 0, 1, 1, 2, 3, 6, 10, 15, 21]
+    assert [r.value for r in rows] == [0, 0, 1, 1, 2, 3, 6, 10, 15, 21, 28]
     (node,) = {
         n.judgement.problem
         for n in iter_nodes(proof)
@@ -129,14 +130,31 @@ def test_decomposition_needs_the_callers_of_the_down_set_strict():
     assert apply_processor("dependency_graph_decomposition", params, node) is None
 
 
+CALLS = ", ".join(["h(x)"] * 25)
+TUPLE_OF_27 = parse_problem(
+    f"(VAR x y)(RULES f(s(x), y) -> c({CALLS}, g(y), f(x, d(y))) d(0) -> 0 "
+    "d(s(y)) -> s(s(d(y))) g(s(y)) -> g(y) h(x) -> a)(STRATEGY INNERMOST)"
+)
+
+
 def test_tuple_of_27_components_keeps_the_last():
     # splitting the tuple of f used to drop every component after the 26th,
     # here f#(x, d(y)), and the proof closed at O(n^3); the derivation
     # heights from f(s^k(0), s(0)) grow exponentially in k
-    calls = ", ".join(["h(x)"] * 25)
-    p = parse_problem(
-        f"(VAR x y)(RULES f(s(x), y) -> c({calls}, g(y), f(x, d(y))) d(0) -> 0 "
-        "d(s(y)) -> s(s(d(y))) g(s(y)) -> g(y) h(x) -> a)(STRATEGY INNERMOST)"
-    )
-    proof = default_strategy(p, StrategyConfig(degree_max=1, coeff_max=2))
+    proof = default_strategy(TUPLE_OF_27, StrategyConfig(degree_max=1, coeff_max=2))
     assert not is_closed(proof) or proof.judgement.bound.is_unknown
+
+
+def test_tuple_of_27_components_heights():
+    # the 25 calls h(x) of each step reduce in any order; the oracle
+    # summarises them argument by argument instead of walking the orders
+    p = TUPLE_OF_27
+    f, s, zero = defined(p, "f"), constructor(p, "s"), constructor(p, "0")
+    numeral = App(zero, ())
+    heights = []
+    for _ in range(10):
+        numeral = App(s, (numeral,))
+        t = App(f, (numeral, App(s, (App(zero, ()),))))
+        heights.append(strict_step_oracle(t, p.strict, p.weak, p.q, 5000))
+    want = [29, 60, 95, 138, 197, 288, 443, 726, 1265, 2316]
+    assert heights == [OracleResult.exactly(h) for h in want]
