@@ -109,7 +109,7 @@ def _layout(unknowns: Mapping[Symbol, Sequence]) -> tuple[dict[Symbol, slice], l
 
 def expand_rule(
     rule: Rule, strict: bool, slots: Mapping[Symbol, slice], lo: Sequence[int],
-    hi: Sequence[int], tick: Callable[[], None] = lambda: None,
+    hi: Sequence[int], tick: Callable[[int], None] = lambda units: None,
 ) -> _Parametric:
     """[lhs] - [rhs], minus 1 when strict, over the unknowns of the box lo..hi.
 
@@ -117,8 +117,8 @@ def expand_rule(
     as _layout places them.  An unknown whose domain is one value is
     substituted by it, so over a box that fixes every unknown the result is
     a polynomial in the rule's variables alone.  Nested squares grow fast:
-    tick runs once per row of each square, so that a caller can stop the
-    expansion by raising.
+    tick runs once per row of each square, with the row's length, so that a
+    caller can charge the work and stop the expansion by raising.
     """
 
     def times_unknown(poly: _Parametric, u: int, out: _Parametric) -> None:
@@ -137,7 +137,7 @@ def expand_rule(
         out: _Parametric = {}
         items = list(poly.items())
         for (m1, u1), c1 in items:
-            tick()
+            tick(len(items))
             for (m2, u2), c2 in items:
                 key = (_mul_monomials(m1, m2), tuple(sorted(u1 + u2)))
                 out[key] = out.get(key, 0) + c1 * c2
@@ -216,13 +216,45 @@ def induced_bound(interp: PolyInterp, p: Problem) -> Bound:
     )
 
 
+# The work units one proof search may spend: a processor application and a
+# solver node cost one each, a row of an expanded square one per term.
+_FUEL = 120_000
+
+
+class OutOfFuel(Exception):
+    """Fuel.burn refused; the reason is the last of Fuel.cuts."""
+
+
+class Fuel:
+    """The one budget that stops a proof search: work units, with an optional
+    deadline beside them.  burn raises OutOfFuel instead of spending below
+    the reserve ("out of fuel") or after the deadline ("timeout"); cuts lists
+    the reasons of those refusals."""
+
+    def __init__(self, timeout: Optional[float] = None) -> None:
+        self.left = _FUEL
+        self.reserve = 0
+        self.deadline = None if timeout is None else time.monotonic() + timeout
+        self.cuts: list[str] = []
+
+    def burn(self, units: int = 1) -> None:
+        if self.left - units < self.reserve:
+            self.cuts.append("out of fuel")
+        else:
+            self.left -= units
+            if self.deadline is None or time.monotonic() <= self.deadline:
+                return
+            self.cuts.append("timeout")
+        raise OutOfFuel
+
+
 @dataclass(frozen=True)
 class Synthesis:
     """Result of one interpretation search.
 
     outcome is "found", "refuted" (the whole box was searched and holds no
-    compatible interpretation), "budget" or "deadline" (the search stopped
-    early, so interp is None without proving anything).  nodes counts the
+    compatible interpretation), "budget" or "deadline" (the fuel or the time
+    ran out, so interp is None without proving anything).  nodes counts the
     propagations after a branching decision or a candidate trial.
     """
 
@@ -231,23 +263,15 @@ class Synthesis:
     nodes: int
 
 
-class _Stop(Exception):
-    """The node budget or the deadline ran out; args are (outcome, nodes)."""
-
-
-# A search stops after this many nodes.
-_NODE_LIMIT = 60_000
-
-
 def synthesize(
-    p: Problem, degree: int, coeff_max: int, deadline: Optional[float] = None
+    p: Problem, degree: int, coeff_max: int, fuel: Optional[Fuel] = None
 ) -> Optional[PolyInterp]:
     """search_interpretation's interpretation: None unless the outcome is found."""
-    return search_interpretation(p, degree, coeff_max, deadline).interp
+    return search_interpretation(p, degree, coeff_max, fuel).interp
 
 
 def search_interpretation(
-    p: Problem, degree: int, coeff_max: int, deadline: Optional[float] = None
+    p: Problem, degree: int, coeff_max: int, fuel: Optional[Fuel] = None
 ) -> Synthesis:
     """Complete search over one box of interpretations, with statistics.
 
@@ -258,16 +282,22 @@ def search_interpretation(
     coefficient sum, then (sq, lin, const); the answer is the first
     assignment in this lexicographic order that orients every rule, which is
     what a backtracking enumeration of the candidates would return first.
-    The search stops early after _NODE_LIMIT nodes or at deadline, a
-    time.monotonic() value.
+    The search spends at most half of fuel's units left (a fresh Fuel by
+    default), so that the proof steps after it keep the rest.
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
+    fuel = fuel or Fuel()
+    fuel.reserve = fuel.left - fuel.left // 2
+    solver = None
     try:
-        solver = _Solver(p, degree, coeff_max, deadline)
+        solver = _Solver(p, degree, coeff_max, fuel)
         interp = solver.first_solution()
-    except _Stop as stop:
-        return Synthesis(None, *stop.args)
+    except OutOfFuel:
+        outcome = "budget" if fuel.cuts[-1] == "out of fuel" else "deadline"
+        return Synthesis(None, outcome, solver.nodes if solver else 0)
+    finally:
+        fuel.reserve = 0
     return Synthesis(interp, "refuted" if interp is None else "found", solver.nodes)
 
 
@@ -284,14 +314,8 @@ class _Solver:
     Regin, CP 1996).  The order moves node counts, never answers.
     """
 
-    def __init__(
-        self,
-        p: Problem,
-        degree: int,
-        coeff_max: int,
-        deadline: Optional[float],
-    ) -> None:
-        self.deadline = deadline
+    def __init__(self, p: Problem, degree: int, coeff_max: int, fuel: Fuel) -> None:
+        self.fuel = fuel
         self.nodes = 0
         syms = {s for r in p.all_rules for s in symbols_of(r.lhs) | symbols_of(r.rhs)}
         rank = {SymbolKind.DEFINED: 1, SymbolKind.MARKED: 2}  # constructors and compounds 0
@@ -326,7 +350,7 @@ class _Solver:
     # --- constraints ---------------------------------------------------------
 
     def _add_rule(self, rule: Rule, strict: bool) -> None:
-        diff = expand_rule(rule, strict, self.slots, self.lo, self.hi, self._check_deadline)
+        diff = expand_rule(rule, strict, self.slots, self.lo, self.hi, self.fuel.burn)
         groups: dict[Monomial, list[tuple[int, tuple[int, ...]]]] = {}
         for (mono, unknowns), c in diff.items():
             if c:
@@ -346,16 +370,6 @@ class _Solver:
             self.occurs.append(tuple((u, tuple(ks)) for u, ks in where.items()))
 
     # --- search --------------------------------------------------------------
-
-    def _check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Stop("deadline", self.nodes)
-
-    def _node(self) -> None:
-        self.nodes += 1
-        if self.nodes > _NODE_LIMIT:
-            raise _Stop("budget", self.nodes)
-        self._check_deadline()
 
     def _propagate(self, lo: list[int], hi: list[int], queue: Iterable[int]) -> bool:
         """Narrow lo..hi until no constraint can shave an end of a domain.
@@ -410,8 +424,9 @@ class _Solver:
         self, lo: list[int], hi: list[int], s: slice, low: Sequence[int], high: Sequence[int]
     ) -> Optional[tuple[list[int], list[int]]]:
         """A propagated copy of the box with the unknowns s in low..high, or
-        None when propagation empties it."""
-        self._node()
+        None when propagation empties it.  This is one node of the search."""
+        self.nodes += 1
+        self.fuel.burn()
         lo, hi = lo[:], hi[:]
         lo[s], hi[s] = low, high
         queue = {ci for w in self.watch[s] for ci in w}

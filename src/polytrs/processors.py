@@ -4,20 +4,22 @@ The search proposes processor applications and keeps the ones that
 proofs.apply_processor accepts, so every step it records is one the
 checker replays.  It is one ordered list of processor applications per
 problem, _steps, that _prove tries in turn through _chain, as TcT (Avanzini,
-Moser and Schaper, TACAS 2016) writes a strategy.  A problem stays open when
-none is accepted, when the step cap stops the search ("step budget
-exhausted") or once the deadline has passed ("timeout").
+Moser and Schaper, TACAS 2016) writes a strategy.  One Fuel, a count of
+work units with the optional deadline beside it, stops the whole search:
+each application costs a unit, and each interpretation search may spend at
+most half of the units left, so the steps after it keep the rest.  A problem
+stays open when none is accepted; its note says "out of fuel" or "timeout"
+when the fuel or the deadline cut the search below it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .depgraph import DepGraph, estimate_dg
 from .framework import Bound, Judgement, Problem, StartKind
-from .interpretations import synthesize
+from .interpretations import Fuel, OutOfFuel, synthesize
 from .proofs import (
     Assumption,
     Axiom,
@@ -32,8 +34,6 @@ from .terms import Rule
 
 # DG decomposition tries at most this many down-sets per DP problem.
 _DGD_CANDIDATES = 8
-# A search applies at most this many processors before it gives up.
-_STEP_CAP = 500
 
 
 @dataclass
@@ -41,26 +41,6 @@ class StrategyConfig:
     degree_max: int = 2
     coeff_max: int = 3
     timeout: Optional[float] = None
-
-
-class _SearchState:
-    def __init__(self, cfg: StrategyConfig) -> None:
-        self.remaining = _STEP_CAP
-        self.deadline = (
-            None if cfg.timeout is None else time.monotonic() + cfg.timeout
-        )
-
-    def timed_out(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-    def spend(self) -> Optional[str]:
-        """Charge one processor application; a reason means stop searching."""
-        if self.remaining <= 0:
-            return "step budget exhausted"
-        self.remaining -= 1
-        if self.timed_out():
-            return "timeout"
-        return None
 
 
 def default_strategy(p: Problem, config: Optional[StrategyConfig] = None) -> ProofTree:
@@ -74,52 +54,46 @@ def default_strategy(p: Problem, config: Optional[StrategyConfig] = None) -> Pro
     decomposition.
     """
     cfg = config or StrategyConfig()
-    return _prove(p, cfg, _SearchState(cfg))
+    return _prove(p, cfg, Fuel(cfg.timeout))
 
 
 def _chain(
-    proc: str,
-    params: dict,
-    p: Problem,
-    cfg: StrategyConfig,
-    st: _SearchState,
-    closed: bool,
+    proc: str, params: dict, p: Problem, cfg: StrategyConfig, fuel: Fuel, closed: bool
 ) -> Optional[Inference]:
     """Apply proc and prove its sub-problems in order; None when it rejects,
     or with closed, as soon as one sub-proof stays open."""
+    fuel.burn()
     res = apply_processor(proc, params, p)
     if res is None:
         return None
     subs, bound_of = res
     premises = []
     for sub in subs:
-        premises.append(_prove(sub, cfg, st))
+        premises.append(_prove(sub, cfg, fuel))
         if closed and not is_closed(premises[-1]):
             return None
     bound = bound_of([pr.judgement.bound for pr in premises])
     return Inference(proc, params, Judgement(p, bound), tuple(premises))
 
 
-def _prove(p: Problem, cfg: StrategyConfig, st: _SearchState) -> ProofTree:
-    """The first of _steps that _chain accepts; an open leaf when none does
-    or when the step cap or the deadline stops the search."""
-    note = st.spend()
-    if note is None:
-        if not p.strict:
-            return Axiom(Judgement(p, Bound.poly(0)))
-        for proc, params, closed in _steps(p, cfg, st):
-            if st.timed_out():
-                break
-            node = _chain(proc, params, p, cfg, st, closed)
+def _prove(p: Problem, cfg: StrategyConfig, fuel: Fuel) -> ProofTree:
+    """The first of _steps that _chain accepts; an open leaf when none does,
+    noted with the last reason the fuel refused while searching below it."""
+    if not p.strict:
+        return Axiom(Judgement(p, Bound.poly(0)))
+    cuts = len(fuel.cuts)
+    try:
+        for proc, params, closed in _steps(p, cfg, fuel):
+            node = _chain(proc, params, p, cfg, fuel, closed)
             if node is not None:
                 return node
-        note = "timeout" if st.timed_out() else None
+    except OutOfFuel:
+        pass
+    note = fuel.cuts[-1] if len(fuel.cuts) > cuts else None
     return Assumption(Judgement(p, Bound.unknown()), note)
 
 
-def _steps(
-    p: Problem, cfg: StrategyConfig, st: _SearchState
-) -> Iterator[tuple[str, dict, bool]]:
+def _steps(p: Problem, cfg: StrategyConfig, fuel: Fuel) -> Iterator[tuple[str, dict, bool]]:
     """The processor applications to try on p, in order, as (processor,
     params, closed); with closed, a node counts only once every sub-proof is
     closed."""
@@ -144,7 +118,7 @@ def _steps(
     # degree 2 is the box of degree 1
     top = 1 if p.start_terms is StartKind.ALL else min(cfg.degree_max, 2)
     for degree in range(1, top + 1):
-        interp = synthesize(p, degree, cfg.coeff_max, deadline=st.deadline)
+        interp = synthesize(p, degree, cfg.coeff_max, fuel)
         if interp is not None:
             params = {
                 "degree": degree,

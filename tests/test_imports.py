@@ -57,8 +57,8 @@ def test_checker_reaches_no_search_cli_or_parser():
 
 CHECKER = {"check_orientation", "orients_strictly", "orients_weakly", "mu_monotone",
            "induced_bound", "expand_rule"}
-SOLVER = {"_Solver", "search_interpretation", "synthesize", "Synthesis", "_Stop",
-          "_NODE_LIMIT", "_candidates", "_with_sum", "_value"}
+SOLVER = {"_Solver", "search_interpretation", "synthesize", "Synthesis", "Fuel",
+          "OutOfFuel", "_FUEL", "_candidates", "_with_sum", "_value"}
 
 
 def test_orientation_checker_uses_no_solver_name():

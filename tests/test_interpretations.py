@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 import tracemalloc
 
 import pytest
@@ -12,6 +11,7 @@ from polytrs import interpretations
 from polytrs.dependency_pairs import dt_problem, wdp_problem
 from polytrs.framework import Bound, Problem, StartKind
 from polytrs.interpretations import (
+    Fuel,
     PolyInterp,
     SymbolPoly,
     _candidates,
@@ -210,13 +210,14 @@ class TestExpandRule:
         expansion_matches_eval_term(random.Random(int(open_share * 10)), open_share)
 
     def test_tick_runs_per_row_of_a_square(self):
-        # [s](x) = x^2: the square of [x] has one row, of [s(x)] one too
+        # [s](x) = x^2: the square of [x] has one row of one term, of [s(x)]
+        # one too
         interp = PolyInterp({S: SymbolPoly((0,), (1,), 0)})
         slots, values = unknowns_of(interp)
         rule = Rule(App(S, (App(S, (Var("x"),)),)), Var("x"), "r")
         rows = []
-        diff = expand_rule(rule, True, slots, values, values, lambda: rows.append(1))
-        assert len(rows) == 2
+        diff = expand_rule(rule, True, slots, values, values, rows.append)
+        assert rows == [1, 1]
         assert {m: c for (m, _), c in diff.items() if c} == {
             (("x", 4),): 1, (("x", 1),): -1, (): -1
         }
@@ -383,23 +384,22 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(relative_problem({"c"}), 3, 1)
 
-    def test_search_limit_gives_up(self, monkeypatch):
-        p = descending_problem()
-        monkeypatch.setattr("polytrs.interpretations._NODE_LIMIT", 1)
-        assert synthesize(p, 1, 3) is None
-        assert search_interpretation(p, 1, 3).outcome == "budget"
-        monkeypatch.undo()
-        assert synthesize(p, 1, 3) is not None
-
     def test_deadline_gives_up(self):
-        got = search_interpretation(descending_problem(), 2, 3, deadline=time.monotonic() - 1)
+        got = search_interpretation(descending_problem(), 2, 3, Fuel(timeout=-1))
         assert (got.interp, got.outcome) == (None, "deadline")
 
-    def test_refutation_is_exhaustive(self, monkeypatch):
+    def test_refutation_is_exhaustive(self):
         # absolute positiveness rules the box out by propagation alone
-        monkeypatch.setattr("polytrs.interpretations._NODE_LIMIT", 1)
         got = search_interpretation(relative_problem({"b"}), 1, 3)
         assert (got.interp, got.outcome, got.nodes) == (None, "refuted", 0)
+
+    def test_search_spends_half_the_fuel_left(self):
+        # the search takes 3 nodes, one unit each; of 5 units it may spend 2
+        for left, outcome in ((5, "budget"), (6, "found")):
+            fuel = Fuel()
+            fuel.left = left
+            got = search_interpretation(descending_problem(), 1, 3, fuel)
+            assert (got.outcome, fuel.left, fuel.reserve) == (outcome, 3, 0)
 
     def test_answer_depends_on_the_cap(self):
         # the first interpretation of a box need not lie in a smaller box
@@ -432,8 +432,8 @@ class TestSynthesize:
         searches = []
         inner = interpretations.search_interpretation
 
-        def recorded(p, degree, coeff_max, deadline=None):
-            got = inner(p, degree, coeff_max, deadline)
+        def recorded(p, degree, coeff_max, fuel=None):
+            got = inner(p, degree, coeff_max, fuel)
             searches.append((degree, got.outcome, got.nodes))
             return got
 

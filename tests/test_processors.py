@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from polytrs import depgraph, processors, proofs
+from polytrs import depgraph, interpretations, processors, proofs
 from polytrs.dependency_pairs import dt_problem, wdp_problem
 from polytrs.depgraph import estimate_dg
 from polytrs.framework import (
@@ -55,6 +55,20 @@ P0 = Bound.poly(0)
 P1 = Bound.poly(1)
 P2 = Bound.poly(2)
 UNK = Bound.unknown()
+
+
+def nested_f(k: int) -> str:
+    """g(s(x)) -> f^k(x) and f(s(x)) -> s(f(x)), runtime complexity."""
+    return f"(VAR x)\n(RULES\n  g(s(x)) -> {'f(' * k}x{')' * k}\n  f(s(x)) -> s(f(x))\n)\n"
+
+
+def chain(k: int) -> str:
+    """h_i(s(x), y) -> h_i(x, y) and h_i(0, y) -> h_{i+1}(y, y) for i < k,
+    h_k(x, y) -> y, innermost; its runtime is linear."""
+    rules = [f"h{k}(x, y) -> y"]
+    for i in range(k):
+        rules += [f"h{i}(s(x), y) -> h{i}(x, y)", f"h{i}(0, y) -> h{i + 1}(y, y)"]
+    return "(VAR x y)\n(RULES\n  " + "\n  ".join(rules) + "\n)\n(STRATEGY INNERMOST)\n"
 
 
 def num(p, n):
@@ -603,24 +617,38 @@ class TestDefaultStrategy:
         assert isinstance(proof, Axiom)
         assert proof.judgement.bound == P0
 
-    def test_step_cap_reports_exhaustion(self, mult_problem, monkeypatch):
-        monkeypatch.setattr("polytrs.processors._STEP_CAP", 0)
+    def test_fuel_total_bounds_the_search(self, mult_problem, monkeypatch):
+        # of 40 units, dependency tuples take one and the interpretation
+        # searches on the pairs run out of their shares
+        monkeypatch.setattr("polytrs.interpretations._FUEL", 40)
+        outcomes = []
+        inner = interpretations.search_interpretation
+
+        def recorded(p, degree, coeff_max, fuel=None):
+            got = inner(p, degree, coeff_max, fuel)
+            outcomes.append(got.outcome)
+            return got
+
+        monkeypatch.setattr(interpretations, "search_interpretation", recorded)
         proof = default_strategy(mult_problem)
-        assert isinstance(proof, Assumption)
-        assert proof.note == "step budget exhausted"
-        assert "[open" in render_proof(proof)
+        assert proof.processor == "dependency_tuples" and not is_closed(proof)
+        assert "budget" in outcomes
+        assert "[open: out of fuel]" in render_proof(proof)
+        # without fuel not even the first step is applied
+        monkeypatch.setattr("polytrs.interpretations._FUEL", 0)
+        proof = default_strategy(mult_problem)
+        assert (type(proof), proof.note) == (Assumption, "out of fuel")
 
     def test_timeout_bounds_wall_time(self, mult_problem):
         start = time.monotonic()
         default_strategy(mult_problem, StrategyConfig(timeout=0.5))
         assert time.monotonic() - start < 0.7
 
-    def test_timeout_stops_interpretation_search(self):
-        # expanding six nested degree-2 interpretations takes tens of seconds
-        nested = "f(f(f(f(f(f(x))))))"
-        p = parse_problem(
-            f"(VAR x)\n(RULES\n  g(s(x)) -> {nested}\n  f(s(x)) -> s(f(x))\n)\n"
-        )
+    def test_timeout_stops_interpretation_search(self, monkeypatch):
+        # expanding six nested degree-2 interpretations takes tens of
+        # seconds; with fuel for all of it, the deadline stops it mid-square
+        monkeypatch.setattr("polytrs.interpretations._FUEL", 10**9)
+        p = parse_problem(nested_f(6))
         start = time.monotonic()
         proof = default_strategy(p, StrategyConfig(timeout=0.5))
         assert time.monotonic() - start < 0.7
@@ -694,3 +722,66 @@ class TestDefaultStrategy:
             "5fd7d87bd17d555f7173b13ba464c072d38d7cde59873da86a3740c3988b9665",
             "923b85c3cb5cd22000c4fa958a18469095abef78e40dda8903dc660b05391545",
         ]
+
+    def test_fuel_spent_does_not_depend_on_the_hash_seed(self):
+        # the units each corpus file spends under the default strategy
+        script = (
+            "import sys\n"
+            "import polytrs.processors as processors\n"
+            "from polytrs import default_strategy, parse_file\n"
+            "from polytrs.interpretations import _FUEL\n"
+            "made = []\n"
+            "class Counted(processors.Fuel):\n"
+            "    def __init__(self, *args):\n"
+            "        super().__init__(*args)\n"
+            "        made.append(self)\n"
+            "processors.Fuel = Counted\n"
+            "for path in sys.argv[1:]:\n"
+            "    default_strategy(parse_file(path))\n"
+            "    print(_FUEL - made[-1].left)\n"
+        )
+        files = sorted((ROOT / "problems").glob("*.trs"))
+        files += sorted((ROOT / "bench" / "problems").glob("*.trs"))
+        spent = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+            run = subprocess.run(
+                [sys.executable, "-c", script, *map(str, files)],
+                env=env,
+                capture_output=True,
+                check=True,
+                text=True,
+            )
+            names = (str(f.relative_to(ROOT)) for f in files)
+            spent.append(dict(zip(names, map(int, run.stdout.split()))))
+        assert spent[0] == spent[1] == {
+            "problems/exp.trs": 126,
+            "problems/mult.trs": 132,
+            "bench/problems/ack.trs": 189,
+            "bench/problems/exp.trs": 126,
+            "bench/problems/half.trs": 21,
+            "bench/problems/len_app.trs": 22,
+            "bench/problems/mult.trs": 132,
+            "bench/problems/plus_full.trs": 10,
+            "bench/problems/plus_wdp.trs": 15,
+            "bench/problems/quot.trs": 145,
+            "bench/problems/reverse.trs": 109,
+        }
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [
+        *[(chain(k), bound) for k, bound in zip(range(4, 8), ["O(n^1)", *["O(n^2)"] * 3])],
+        (nested_f(3), "O(n^2)"),
+        (nested_f(4), "O(n^2)"),
+        # expanding the degree-2 search from f^5 on outgrows its fuel share
+        *[(nested_f(k), "?") for k in (5, 6, 7)],
+    ],
+)
+def test_generated_families_end_within_fuel(text, bound):
+    start = time.monotonic()
+    proof = default_strategy(parse_problem(text))
+    assert time.monotonic() - start < 2
+    assert str(proof.judgement.bound) == bound
+    assert ("[open: out of fuel]" in render_proof(proof)) == (bound == "?")

@@ -94,7 +94,7 @@ def test_fuzzed_proofs_replay_and_bound_strict_steps():
     )
     @given(systems(extra=RECURSIVE))
     def check(text):
-        proof = default_strategy(parse_problem(text), StrategyConfig(timeout=2.0))
+        proof = default_strategy(parse_problem(text))
         if not is_closed(proof):
             return
         blob = json.dumps(proof_to_json(proof), sort_keys=True)
