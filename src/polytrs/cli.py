@@ -144,7 +144,8 @@ def _run_oracle(args: argparse.Namespace) -> int:
                 print(f"{n}\t{row}")
                 n += 1
         except TooLargeError as err:
-            print(f"error: {err} up to size {args.size}; try a smaller --size", file=sys.stderr)
+            hint = "try a smaller --size or --budget"
+            print(f"error: {err} up to size {args.size}; {hint}", file=sys.stderr)
             return 2
     return 0
 

@@ -5,8 +5,9 @@ arguments of its left-hand side are normal forms of Q.  Q empty gives plain
 rewriting, Q equal to the rule set gives innermost rewriting.
 
 Terms are hash-consed (Filliatre and Conchon, "Type-safe modular
-hash-consing", 2006) into the nodes of one shared system per (rules, Q),
-which memoises each node's steps and into which start terms are enumerated.
+hash-consing", 2006) into the nodes of one system per oracle call, which
+memoises each node's steps, into which start terms are enumerated, and which
+raises TooLargeError rather than number more than _NODE_CAP nodes.
 The oracles count steps over node numbers and recurse on no reached term's
 depth: Heights summarises each reached node once (see there), and
 strict_step_oracle is Heights on one start term.  A budget bounds the length
@@ -16,7 +17,6 @@ the tests.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -25,7 +25,11 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .terms import App, Rule, Symbol, SymbolKind, Term, Var
 
 
-_MEMO_CAP = 200_000
+_NODE_CAP = 200_000
+
+
+class TooLargeError(RuntimeError):
+    """An oracle call would number more than _NODE_CAP terms."""
 
 
 class _System:
@@ -38,7 +42,6 @@ class _System:
     node numbers and right-hand sides built straight into nodes."""
 
     def __init__(self, rules: tuple[Rule, ...], q: tuple[Rule, ...]) -> None:
-        self.rules = rules
         # per root symbol, each left-hand side to match: the rules' in rule
         # order, then Q's other ones; (lhs, rule or None, lhs is Q's)
         q_lhss = {r.lhs for r in q}
@@ -48,9 +51,6 @@ class _System:
             self.by_root.setdefault(lhs.sym, []).append((lhs, r, lhs in q_lhss))
         # innermost: every redex is a Q-redex, so a Q-normal node has no step
         self.innermost = all(r.lhs in q_lhss for r in rules)
-        self.forget()
-
-    def forget(self) -> None:
         self.ids: dict[Union[tuple, Term], int] = {}  # keys and numbered terms
         self.nodes: list[tuple] = []  # node i's key
         self.steps: list[Optional[tuple[bool, tuple[tuple[Rule, int], ...]]]] = []
@@ -59,15 +59,14 @@ class _System:
     def node(self, key: tuple) -> int:
         i = self.ids.setdefault(key, len(self.nodes))
         if i == len(self.nodes):
+            if i == _NODE_CAP:
+                raise TooLargeError(f"more than {_NODE_CAP} terms")
             self.nodes.append(key)
             self.steps.append(None)
         return i
 
     def number(self, t: Term) -> int:
-        """t's node, in a new bank once this one holds more than _MEMO_CAP
-        nodes; term objects are remembered, as a caller's terms may share arguments."""
-        if len(self.nodes) > _MEMO_CAP:
-            self.forget()
+        """t's node; term objects are remembered, as a caller's terms may share arguments."""
         done, todo = self.ids, [t]
         while todo:
             s = todo.pop()
@@ -134,13 +133,9 @@ class _System:
         return terms[i]
 
 
-# one shared system per (rules, q), cleared with the other functools caches
-_system = functools.lru_cache(maxsize=16)(_System)
-
-
 def is_q_normal_form(t: Term, q: Sequence[Rule]) -> bool:
     """No left-hand side of q matches any subterm of t."""
-    system = _system((), tuple(q))
+    system = _System((), tuple(q))
     return not system._fill(system.number(t))[0]
 
 
@@ -153,7 +148,7 @@ def q_successors(
     A rule fires at a subterm only when its lhs matches and every argument of
     the matched instance is a normal form of q.
     """
-    system = _system(tuple(rules), tuple(q))
+    system = _System(tuple(rules), tuple(q))
     return tuple((rule, system.term(v)) for rule, v in system.edges(system.number(t)))
 
 
@@ -175,10 +170,6 @@ class OracleResult:
 
     def __str__(self) -> str:
         return f"Exact({self.value})" if self.exact else f"AtLeast({self.value})"
-
-
-class TooLargeError(RuntimeError):
-    """Start-term enumeration exceeded its cap."""
 
 
 def strict_step_oracle(
@@ -217,32 +208,16 @@ class Heights:
 
     def __init__(self, strict, weak, q, budget: int) -> None:
         strict = tuple(strict)
-        self.system = _system(strict + tuple(weak), tuple(q))
-        # the system is shared by equal rule tuples and by every strict/weak
-        # split of them, so strictness is decided on its own rule objects
-        self.counted = {id(r) for r in self.system.rules if r in strict}
+        self.system = _System(strict + tuple(weak), tuple(q))
+        self.counted = set(map(id, strict))
         self.budget = budget
         self.memo: dict[int, Summary] = {}  # {} while on the stack
 
     def starts(
         self, symbols: Iterable[Symbol], max_size: int, roots: Optional[SymbolKind]
-    ) -> Iterator[tuple[int, int]]:
-        """(size, node) per start term up to max_size (see _start_nodes), by
-        size.  Between two start terms, the bank is forgotten once the
-        explorations have added more than _MEMO_CAP nodes to it; then, or once
-        another caller has forgotten it, the start terms are numbered again and
-        the summaries dropped.  The cap counts from the start terms' nodes, not
-        from none as number's does, lest a bank they fill go after each one."""
-        symbols, system, bank = list(symbols), self.system, None
-        for i in itertools.count():
-            if bank is system.nodes and len(bank) > base + _MEMO_CAP:
-                system.forget()
-            if bank is not system.nodes:
-                starts = sorted(_start_nodes(system, symbols, max_size, roots), key=itemgetter(0))
-                bank, base, self.memo = system.nodes, len(system.nodes), {}
-            if i == len(starts):
-                return
-            yield starts[i]
+    ) -> list[tuple[int, int]]:
+        """(size, node) per start term up to max_size (see _start_nodes), by size."""
+        return sorted(_start_nodes(self.system, symbols, max_size, roots), key=itemgetter(0))
 
     def __call__(self, start: int) -> Optional[int]:
         summary = self._solve(start)
@@ -300,22 +275,12 @@ class Heights:
         yield None, out or {u: _NONE}
 
 
-# Start-term enumeration raises TooLargeError past this many terms.
-_START_TERMS_CAP = 200_000
-
-
-def ground_terms(symbols: Iterable[Symbol], max_size: int) -> list[Term]:
-    """All ground terms over symbols up to max_size: by size, then by symbol
-    (arity, name); TooLargeError once there are more than _START_TERMS_CAP."""
-    return basic_terms(symbols, max_size, None)
-
-
 def basic_terms(
     symbols: Iterable[Symbol], max_size: int, roots: Optional[SymbolKind]
 ) -> list[Term]:
     """Ground basic terms (roots of the given kind, constructor arguments) up
     to max_size: by root symbol (arity, name), then by size; with roots
-    None, ground_terms."""
+    None, all ground terms: by size, then by symbol (arity, name)."""
     system = _System((), ())
     return [system.term(i) for _, i in _start_nodes(system, symbols, max_size, roots)]
 
@@ -326,22 +291,20 @@ def _start_nodes(
     """(size, node) per term of basic_terms(symbols, max_size, roots), in
     its order, numbered in system."""
     syms = sorted(symbols, key=lambda s: (s.arity, s.name))
-    by_size: list[list[int]] = [[]]  # the nodes of each size, filled in order
+    by_size: list[list[int]] = [[]]  # the nodes of each size
 
-    def ground(fs: list[Symbol], max_size: int) -> Iterator[tuple[int, int]]:
+    def ground(fs: list[Symbol], max_size: int) -> list[tuple[int, int]]:
         for k in range(max_size):
-            by_size.append([])
-            for i in (i for f in fs for i in _apps(system, f, by_size, k)):
-                by_size[-1].append(i)
-                yield k + 1, i
+            by_size.append([i for f in fs for i in _apps(system, f, by_size, k)])
+        return [(k, i) for k, nodes in enumerate(by_size) for i in nodes]
 
     if roots is None:
-        return _capped(ground(syms, max_size))
-    _capped(ground([s for s in syms if s.kind is SymbolKind.CONSTRUCTOR], max_size - 1))
+        return ground(syms, max_size)
+    ground([s for s in syms if s.kind is SymbolKind.CONSTRUCTOR], max_size - 1)
     heads = [s for s in syms if s.kind is roots]
-    return _capped(
+    return [
         (k + 1, i) for h in heads for k in range(max_size) for i in _apps(system, h, by_size, k)
-    )
+    ]
 
 
 def _apps(system: _System, f: Symbol, by_size: list[list[int]], inner: int) -> Iterator[int]:
@@ -358,9 +321,3 @@ def _apps(system: _System, f: Symbol, by_size: list[list[int]], inner: int) -> I
         for args in itertools.product(*pools):
             yield system.node((f, *args))
 
-
-def _capped(items: Iterator) -> list:
-    out = list(itertools.islice(items, _START_TERMS_CAP + 1))
-    if len(out) > _START_TERMS_CAP:
-        raise TooLargeError(f"more than {_START_TERMS_CAP} start terms")
-    return out

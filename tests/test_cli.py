@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from polytrs import rewriting
 from polytrs.cli import main
 from polytrs.proofs import proof_from_json, proof_to_json, validate_proof
 from polytrs.rewriting import Heights
@@ -261,6 +262,7 @@ class TestErrors:
         assert captured.err == "error: input nested too deeply\n"
 
     def test_oracle_too_many_start_terms(self, capsys, tmp_path):
+        # the start terms alone are more than the node cap
         plus_full = tmp_path / "plus_full.trs"
         plus_full.write_text(
             "(VAR x y)\n(RULES\n  plus(0, y) -> y\n"
@@ -271,7 +273,20 @@ class TestErrors:
         assert code == 2
         assert captured.out == "n\tcc\n"
         assert captured.err == (
-            "error: more than 200000 start terms up to size 16; try a smaller --size\n"
+            "error: more than 200000 terms up to size 16; try a smaller --size or --budget\n"
+        )
+
+    def test_oracle_too_many_terms_mid_table(self, capsys, monkeypatch):
+        # exp's reducts outgrow a small node cap while size 7 is explored
+        monkeypatch.setattr(rewriting, "_NODE_CAP", 100)
+        code = main(["oracle", EXP, "--size", "8", "--budget", "100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines() == ["n\tcc"] + [
+            f"{n}\tExact({h})" for n, h in enumerate([0, 0, 1, 4, 8, 14, 24])
+        ]
+        assert captured.err == (
+            "error: more than 100 terms up to size 8; try a smaller --size or --budget\n"
         )
 
     def test_parse_error(self, capsys, tmp_path):

@@ -16,10 +16,12 @@ from polytrs.framework import (
     problems_equal,
     start_terms_up_to,
 )
-from polytrs.parsing import parse_problem
+from polytrs.parsing import parse_file, parse_problem
+from polytrs.processors import default_strategy
+from polytrs.proofs import Assumption, iter_nodes
 from polytrs.rewriting import OracleResult
 from polytrs.terms import App, SymbolKind
-from tests.conftest import defined, reference_heights, systems
+from tests.conftest import ROOT, defined, reference_heights, systems
 
 bounds = st.one_of(
     st.just(Bound.unknown()), st.integers(min_value=0, max_value=6).map(Bound.poly)
@@ -285,27 +287,18 @@ class TestCcRows:
         assert rows == reference_rows(p, 4, 30)
         assert rows[1:] == [OracleResult.exactly(0)] + [OracleResult.at_least(30)] * 3
 
-    def test_nodes_renumbered_during_a_table(self, monkeypatch, mult_problem, exp_problem):
-        monkeypatch.setattr(rewriting, "_MEMO_CAP", 50)
-        forgets = []
-        forget = rewriting._System.forget
-        monkeypatch.setattr(rewriting._System, "forget", lambda s: forgets.append(1) or forget(s))
-        # exp's reducts are deep; len_app is relative.  The reducts of mult's
-        # and plus_full's start terms add fewer than 50 nodes to the bank, so
-        # those tables need no new one.
-        tables = [
-            (mult_problem, 7, 60, False),
-            (parse_problem(INLINE["plus_full"]), 7, 60, False),
-            (exp_problem, 9, 100, True),
-            (parse_problem(INLINE["len_app"]), 7, 60, True),
-        ]
-        for p, n, budget, renewed in tables:
-            rewriting._system.cache_clear()
-            rewriting._system(p.strict + p.weak, p.q)  # so that a forget below renumbers
-            forgets.clear()
-            rows = list(cc_rows(p, n, budget))
-            assert forgets or not renewed, "the bank was never renewed"
-            assert rows == reference_rows(p, n, budget)
+    def test_node_cap_ends_a_walk_with_too_large(self, monkeypatch):
+        # ack's open leaf <{2,3} / {a,b,c}> walks every interleaving of its
+        # independent steps: at budget 100 its size-7 start terms reach more
+        # nodes than the cap
+        tree = default_strategy(parse_file(str(ROOT / "bench" / "problems" / "ack.trs")))
+        (leaf,) = [n.judgement.problem for n in iter_nodes(tree) if isinstance(n, Assumption)]
+        monkeypatch.setattr(rewriting, "_NODE_CAP", 20_000)
+        rows = cc_rows(leaf, 7, 100)
+        want = [OracleResult.exactly(h) for h in (0, 0, 0, 0, 1, 3, 9)]
+        assert [next(rows) for _ in want] == want
+        with pytest.raises(rewriting.TooLargeError, match="more than 20000 terms"):
+            next(rows)
 
     @pytest.mark.parametrize(
         "name, n, budget, last",
@@ -331,7 +324,6 @@ class TestCcRows:
             post_init(t)
 
         monkeypatch.setattr(App, "__post_init__", counted)
-        rewriting._system.cache_clear()
         rows = list(cc_rows(p, n, budget))
         monkeypatch.undo()
         assert built == []

@@ -9,7 +9,6 @@ from polytrs.rewriting import (
     OracleResult,
     basic_terms,
     dh_oracle,
-    ground_terms,
     is_q_normal_form,
     q_successors,
     strict_step_oracle,
@@ -191,9 +190,10 @@ class TestSuccessorsAgainstReference:
         assert len(seen) > 100
 
 
-class TestSharedSystem:
-    """Equal rule tuples share one memoised system, whatever the split into
-    strict and weak rules and whichever rule objects built it."""
+class TestCallsApart:
+    """An oracle call's answer does not depend on the calls before it: not
+    on another split of equal rules into strict and weak ones, nor on equal
+    rules of another parse."""
 
     def test_each_split_counts_its_own_strict_rules(self):
         a, b = MULT_RULES[0], MULT_RULES[1]
@@ -204,21 +204,16 @@ class TestSharedSystem:
         }
         want = {"b strict": OracleResult.exactly(2), "both strict": OracleResult.exactly(3)}
         for order in (["b strict", "both strict"], ["both strict", "b strict"]):
-            rewriting._system.cache_clear()
             assert {name: calls[name]() for name in order} == want
-            assert rewriting._system.cache_info().misses == 1
 
     def test_equal_rules_of_another_parse_give_the_cold_table(self):
         first, second = parse_problem(LEN_APP), parse_problem(LEN_APP)
         assert first.strict == second.strict
         assert first.strict[0] is not second.strict[0]
-        rewriting._system.cache_clear()
         cold = list(cc_rows(second, 7, 60))
         assert cold[-1] == OracleResult.exactly(3)
-        rewriting._system.cache_clear()
         list(cc_rows(first, 7, 60))
         assert list(cc_rows(second, 7, 60)) == cold
-        assert rewriting._system.cache_info().misses == 1
 
 
 class TestOracles:
@@ -269,7 +264,7 @@ class TestOracles:
 
 class TestEnumeration:
     def test_ground_constructor_terms(self):
-        got = ground_terms([ZERO, S], 3)
+        got = basic_terms([ZERO, S], 3, None)
         assert got == [num(0), num(1), num(2)]
 
     def test_basic_terms_smallest(self):
@@ -286,7 +281,7 @@ class TestEnumeration:
         # by size, then by symbol (arity, name), then argument sizes and
         # arguments in lexicographic order
         z, one = num(0), num(1)
-        assert ground_terms([PLUS, S, ZERO], 4) == [
+        assert basic_terms([PLUS, S, ZERO], 4, None) == [
             z,
             one,
             num(2),
@@ -317,12 +312,15 @@ class TestEnumeration:
         ]
 
     def test_cap_counts_terms(self, monkeypatch):
+        # every ground term is a node; a basic term's constructor arguments
+        # (0, s(0), s(s(0)) and s(s(s(0))) up to size 5) are nodes too
         sig = {ZERO, S, PLUS, TIMES}
-        monkeypatch.setattr(rewriting, "_START_TERMS_CAP", 12)
-        assert len(ground_terms(sig, 4)) == 12
-        assert len(basic_terms(sig, 5, SymbolKind.DEFINED)) == 12
-        monkeypatch.setattr(rewriting, "_START_TERMS_CAP", 11)
-        with pytest.raises(rewriting.TooLargeError, match="more than 11 start terms"):
-            ground_terms(sig, 4)
-        with pytest.raises(rewriting.TooLargeError, match="more than 11 start terms"):
+        monkeypatch.setattr(rewriting, "_NODE_CAP", 12)
+        assert len(basic_terms(sig, 4, None)) == 12
+        with pytest.raises(rewriting.TooLargeError, match="more than 12 terms"):
             basic_terms(sig, 5, SymbolKind.DEFINED)
+        monkeypatch.setattr(rewriting, "_NODE_CAP", 16)
+        assert len(basic_terms(sig, 5, SymbolKind.DEFINED)) == 12
+        monkeypatch.setattr(rewriting, "_NODE_CAP", 11)
+        with pytest.raises(rewriting.TooLargeError, match="more than 11 terms"):
+            basic_terms(sig, 4, None)
