@@ -32,10 +32,6 @@ from .proofs import (
 from .terms import Rule
 
 
-# DG decomposition tries at most this many down-sets per DP problem.
-_DGD_CANDIDATES = 8
-
-
 @dataclass
 class StrategyConfig:
     degree_max: int = 2
@@ -153,4 +149,4 @@ def _dgd_candidates(p: Problem, g: DepGraph) -> list[tuple[list[str], list[str]]
         w_down = [r.label for r in p.weak_dps if r in down]
         ranked.append(((len(down), sorted(r.label for r in down)), s_down, w_down))
     ranked.sort(key=lambda c: c[0])
-    return [(s, w) for _, s, w in ranked[:_DGD_CANDIDATES]]
+    return [(s, w) for _, s, w in ranked]

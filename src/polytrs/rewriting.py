@@ -9,10 +9,10 @@ hash-consing", 2006) into the nodes of one system per oracle call, which
 memoises each node's steps, into which start terms are enumerated, and which
 raises TooLargeError rather than number more than _NODE_CAP nodes.
 The oracles count steps over node numbers and recurse on no reached term's
-depth: Heights summarises each reached node once (see there), and
-strict_step_oracle is Heights on one start term.  A budget bounds the length
-of the derivations explored, weak steps included.  The references live in
-the tests.
+depth: Heights summarises each reached node once, from its arguments' where
+its root cannot step before them (see there), and strict_step_oracle is
+Heights on one start term.  A budget bounds the length of the derivations
+explored, weak steps included.  The references live in the tests.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class _System:
         self.by_root: dict[Symbol, list[tuple[App, Optional[Rule], bool]]] = {}
         for lhs, r in [(r.lhs, r) for r in rules] + [(lhs, None) for lhs in q_only]:
             self.by_root.setdefault(lhs.sym, []).append((lhs, r, lhs in q_lhss))
-        # innermost: every redex is a Q-redex, so a Q-normal node has no step
-        self.innermost = all(r.lhs in q_lhss for r in rules)
+        # the roots that may step before their arguments are normal forms:
+        # none when every redex is a Q-redex, else those of the rules
+        self.eager = set() if all(r.lhs in q_lhss for r in rules) else {r.lhs.sym for r in rules}
         self.ids: dict[Union[tuple, Term], int] = {}  # keys and numbered terms
         self.nodes: list[tuple] = []  # node i's key
         self.steps: list[Optional[tuple[bool, tuple[tuple[Rule, int], ...]]]] = []
@@ -197,14 +198,15 @@ _NONE, _STRICT, _WEAK = (0, 0), (1, 1), (1, 0)
 class Heights:
     """strict_step_oracle's count for the start nodes of one table, None for
     AtLeast(budget), from one summary per reached node: per normal form, the
-    longest derivation to it and the most strict steps on one.  Where every
-    rule's left-hand side is one of Q's, a node with a Q-redex in an argument
-    takes no root step until its arguments are normal forms, and steps at
-    parallel positions commute (Baader and Nipkow, "Term Rewriting and All
-    That", 1998), so its summary combines its arguments' and goes on from
-    f(their normal forms).  A start node's count is its summary's most strict
-    steps when its longest derivation takes at most budget steps; it is None
-    once a node is reached more than budget steps deep, or on a cycle."""
+    longest derivation to it and the most strict steps on one.  A node whose
+    root steps only after its arguments are normal forms (every rule's
+    left-hand side is one of Q's) or never (no rule's root is its symbol)
+    interleaves its arguments' steps, and steps at parallel positions
+    commute (Baader and Nipkow, "Term Rewriting and All That", 1998), so its
+    summary combines its stepping arguments' and goes on from f(their normal
+    forms).  A start node's count is its summary's most strict steps when
+    its longest derivation takes at most budget steps; it is None once a
+    node is reached more than budget steps deep, or on a cycle."""
 
     def __init__(self, strict, weak, q, budget: int) -> None:
         strict = tuple(strict)
@@ -253,14 +255,12 @@ class Heights:
         lacks, made by _solve before it resumes, then (None, u's summary)."""
         system, memo = self.system, self.memo
         f, *args = system.nodes[u]
-        moving = [a for a in args if system.innermost and (system.steps[a] or system._fill(a))[0]]
+        moving = [a for a in args if f not in system.eager and system.edges(a)]
         if moving:  # f(its arguments' normal forms), one node per combination
             yield from ((0, a) for a in moving if not memo.get(a))
             parts = [memo[a].items() if a in moving else ((a, _NONE),) for a in args]
             combos = (zip(*c) for c in itertools.product(*parts))
             pairs = [(tuple(map(sum, zip(*ds))), system.node((f, *nfs))) for nfs, ds in combos]
-            if pairs[0][1] == u:  # every argument is a normal form
-                pairs = []
         else:
             pairs = [(_STRICT if id(r) in self.counted else _WEAK, v) for r, v in system.edges(u)]
         out: Summary = {}

@@ -63,16 +63,15 @@ class Var:
 class App:
     """A symbol applied to arguments.
 
-    The hash and the size are computed once, from the children's cached
-    ones, and equality walks with an explicit stack, so none of them is
-    bounded by the recursion limit (after Filliatre and Conchon, "Type-safe
-    modular hash-consing", 2006).
+    The hash is computed once, from the children's cached ones, and
+    equality walks with an explicit stack, so neither is bounded by the
+    recursion limit (after Filliatre and Conchon, "Type-safe modular
+    hash-consing", 2006).
     """
 
     sym: Symbol
     args: tuple["Term", ...] = ()
     _hash: int = field(init=False, repr=False)
-    _size: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.args) != self.sym.arity:
@@ -81,10 +80,6 @@ class App:
                 f"got {len(self.args)}"
             )
         object.__setattr__(self, "_hash", hash((self.sym, self.args)))
-        n = 1
-        for a in self.args:
-            n += a._size if a.__class__ is App else 1
-        object.__setattr__(self, "_size", n)
 
     def __hash__(self) -> int:
         return self._hash
@@ -162,10 +157,6 @@ def components(t: Term) -> tuple[Term, ...]:
     if isinstance(t, App) and t.sym.kind is SymbolKind.COMPOUND:
         return t.args
     return (t,)
-
-
-def size(t: Term) -> int:
-    return t._size if t.__class__ is App else 1
 
 
 def subterms(t: Term) -> Iterator[Term]:

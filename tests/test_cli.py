@@ -11,7 +11,7 @@ from polytrs import rewriting
 from polytrs.cli import main
 from polytrs.proofs import proof_from_json, proof_to_json, validate_proof
 from polytrs.rewriting import Heights
-from polytrs.terms import size
+from polytrs.terms import subterms
 from tests.conftest import FULL_START, ROOT
 
 MULT = str(ROOT / "problems" / "mult.trs")
@@ -250,7 +250,7 @@ class TestErrors:
         real = Heights.__call__
 
         def overflow_at_size_2(self, start):
-            if size(self.system.term(start)) == 2:
+            if len(list(subterms(self.system.term(start)))) == 2:
                 raise RecursionError("maximum recursion depth exceeded")
             return real(self, start)
 

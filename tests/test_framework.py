@@ -220,6 +220,13 @@ STRICT_CYCLE = """
 """
 
 
+def open_leaf(name):
+    """The problem of the one open leaf of name's default proof."""
+    tree = default_strategy(parse_file(str(ROOT / "bench" / "problems" / f"{name}.trs")))
+    (leaf,) = [n.judgement.problem for n in iter_nodes(tree) if isinstance(n, Assumption)]
+    return leaf
+
+
 def reference_rows(p, n, budget):
     """Row k is the worst reference_heights over the start terms of size at
     most k, or the first truncated result among them."""
@@ -288,17 +295,30 @@ class TestCcRows:
         assert rows[1:] == [OracleResult.exactly(0)] + [OracleResult.at_least(30)] * 3
 
     def test_node_cap_ends_a_walk_with_too_large(self, monkeypatch):
-        # ack's open leaf <{2,3} / {a,b,c}> walks every interleaving of its
-        # independent steps: at budget 100 its size-7 start terms reach more
-        # nodes than the cap
-        tree = default_strategy(parse_file(str(ROOT / "bench" / "problems" / "ack.trs")))
-        (leaf,) = [n.judgement.problem for n in iter_nodes(tree) if isinstance(n, Assumption)]
+        # at budget 100,000 the derivations of ack's open leaf <{2,3} /
+        # {a,b,c}> from its size-8 start terms reach more nodes than the cap
+        leaf = open_leaf("ack")
         monkeypatch.setattr(rewriting, "_NODE_CAP", 20_000)
-        rows = cc_rows(leaf, 7, 100)
-        want = [OracleResult.exactly(h) for h in (0, 0, 0, 0, 1, 3, 9)]
+        rows = cc_rows(leaf, 8, 100_000)
+        want = [OracleResult.exactly(h) for h in (0, 0, 0, 0, 1, 3, 9, 59)]
         assert [next(rows) for _ in want] == want
         with pytest.raises(rewriting.TooLargeError, match="more than 20000 terms"):
             next(rows)
+
+    @pytest.mark.parametrize(
+        "name, n, budget, exact",
+        [
+            # <{2,3} / {a,b,c}>: the compound roots take no step
+            ("ack", 9, 100, (0, 0, 0, 0, 1, 3, 9)),
+            ("ack", 9, 1000, (0, 0, 0, 0, 1, 3, 9, 59)),
+            # <{2,4} / {a,b,c,d}>
+            ("exp", 10, 400, (0, 0, 0, 2, 5, 10, 19, 36, 69, 134)),
+        ],
+    )
+    def test_open_leaf_rows(self, name, n, budget, exact):
+        rows = list(cc_rows(open_leaf(name), n, budget))
+        cut = [OracleResult.at_least(budget)] * (n + 1 - len(exact))
+        assert rows == [OracleResult.exactly(h) for h in exact] + cut
 
     @pytest.mark.parametrize(
         "name, n, budget, last",
@@ -392,6 +412,33 @@ RECURSIVE = [
 def test_fuzzed_rows_match_per_row_definition(text, budget):
     p = parse_problem(text)
     assert list(cc_rows(p, 5, budget)) == reference_rows(p, 5, budget)
+
+
+def test_fuzzed_proof_problems_match_per_row_definition(monkeypatch):
+    # every problem of a default proof, DP problems among them: their
+    # compound roots take no step, so their arguments are summarised first;
+    # a small fuel keeps each proof search short
+    monkeypatch.setattr("polytrs.interpretations._FUEL", 2_000)
+    compound = []
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(systems(extra=RECURSIVE), st.integers(min_value=1, max_value=12))
+    def check(text, budget):
+        for node in iter_nodes(default_strategy(parse_problem(text))):
+            p = node.judgement.problem
+            n = 4 if p.is_dp_problem() else 5
+            assert list(cc_rows(p, n, budget)) == reference_rows(p, n, budget)
+            if any(s.kind is SymbolKind.COMPOUND for s in p.signature):
+                compound.append(p)
+
+    check()
+    assert len(compound) >= 50
 
 
 class TestProblemsEqual:

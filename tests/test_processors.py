@@ -462,6 +462,15 @@ class TestDgDecomposition:
             is None
         )
 
+    def test_every_forward_closed_down_set_is_a_candidate(self):
+        # ten independent self-loops: each pair alone is a down-set, smallest
+        # first, then by label; the fuel, not a count, bounds how many are tried
+        rules = "\n  ".join(f"f{i}(s(x)) -> f{i}(x)" for i in range(10))
+        p = dt_problem(parse_problem(f"(VAR x)\n(RULES\n  {rules}\n)\n(STRATEGY INNERMOST)\n"))
+        labels = sorted(d.label for d in p.strict_dps)
+        assert len(labels) == 10
+        assert processors._dgd_candidates(p, estimate_dg(p)) == [([d], []) for d in labels]
+
     def test_desk_scale_soundness(self, mult_dt):
         """Tree-size inequality behind the product combinator, checked on
         every derivation tree from a small start term."""
