@@ -5,14 +5,17 @@ arguments of its left-hand side are normal forms of Q.  Q empty gives plain
 rewriting, Q equal to the rule set gives innermost rewriting.
 
 Terms are hash-consed (Filliatre and Conchon, "Type-safe modular
-hash-consing", 2006) into the nodes of one system per oracle call, which
-memoises each node's steps, into which start terms are enumerated, and which
-raises TooLargeError rather than number more than _NODE_CAP nodes.
-The oracles count steps over node numbers and recurse on no reached term's
-depth: Heights summarises each reached node once, from its arguments' where
-its root cannot step before them (see there), and strict_step_oracle is
-Heights on one start term.  A budget bounds the length of the derivations
-explored, weak steps included.  The references live in the tests.
+hash-consing", 2006) into the nodes of one system per oracle call, into
+which start terms are enumerated, and which raises TooLargeError rather
+than number more than _NODE_CAP nodes.  Each rule is compiled once per
+system into flat programs that match its left-hand side over node keys and
+build its right-hand side into nodes, and a node's facts are fixed when it
+is numbered (see _System).  The oracles count steps over node numbers and
+recurse on no reached term's depth: Heights summarises each reached node
+once, from its arguments' where its root cannot step before them (see
+there), and strict_step_oracle is Heights on one start term.  A budget
+bounds the length of the derivations explored, weak steps included.  The
+references live in the tests.
 """
 
 from __future__ import annotations
@@ -26,10 +29,43 @@ from .terms import App, Rule, Symbol, SymbolKind, Term, Var
 
 
 _NODE_CAP = 200_000
+_STEPS, _REDEX = 1, 2  # a node's flags: it has a step, it has a Q-redex
 
 
 class TooLargeError(RuntimeError):
     """An oracle call would number more than _NODE_CAP terms."""
+
+
+def _programs(lhs: App, rhs: Optional[Term]) -> tuple:
+    """lhs's match program over a node key, and rhs's build program.
+
+    Matching starts with the key (symbol, argument nodes...) as registers.
+    Each check (r, g) asks that register r's node have root g, and appends
+    that node's arguments to the registers; a variable is the register it
+    first occurs in, and same, None for a left-linear lhs, is a pair of
+    getters that must agree on the registers of each repeated variable.
+    The build program is rhs in postfix: (None, r) pushes register r, and
+    (g, n) replaces the top n entries by the node g(them)."""
+    checks, at, repeats = [], {}, []
+    todo = list(enumerate(lhs.args, 1))
+    for r, p in todo:  # breadth first, as the checks append registers
+        if p.__class__ is not Var:
+            todo += enumerate(p.args, len(todo) + 1)
+            checks.append((r, p.sym))
+        elif p.name in at:
+            repeats.append((at[p.name], r))
+        else:
+            at[p.name] = r
+    same = tuple(itemgetter(*column) for column in zip(*repeats)) if repeats else None
+    build, todo = [], [] if rhs is None else [rhs]
+    while todo:  # rhs in pre-order, arguments last first: its postfix reversed
+        t = todo.pop()
+        if t.__class__ is Var:
+            build.append((None, at[t.name]))
+        else:
+            build.append((t.sym, len(t.args)))
+            todo += t.args
+    return tuple(checks), same, tuple(reversed(build))
 
 
 class _System:
@@ -37,33 +73,65 @@ class _System:
 
     Node i is (symbol, argument nodes...) or (variable,); one dict maps each
     key to its node, so equal terms share a number, given after their
-    arguments'.  Each node's (has a Q-redex, ((rule, reduct node), ...)) is
-    computed once, from its arguments' steps; left-hand sides are matched on
-    node numbers and right-hand sides built straight into nodes."""
+    arguments'.  Left-hand sides are matched and right-hand sides built by
+    programs compiled once per system (see _programs; Maranget, "Compiling
+    pattern matching to good decision trees", 2008).  When node numbers a
+    key it fixes the node's flags (has a step, has a Q-redex) and its root
+    matches, from its arguments' flags: a root matches only when every
+    argument is Q-normal.  A node's root reducts are built when first read,
+    and its steps in context (edges) only on request, so a table numbers
+    the reducts that it reads and no others."""
 
     def __init__(self, rules: tuple[Rule, ...], q: tuple[Rule, ...]) -> None:
         # per root symbol, each left-hand side to match: the rules' in rule
-        # order, then Q's other ones; (lhs, rule or None, lhs is Q's)
-        q_lhss = {r.lhs for r in q}
-        q_only = [r.lhs for r in q if r.lhs not in {x.lhs for x in rules}]
-        self.by_root: dict[Symbol, list[tuple[App, Optional[Rule], bool]]] = {}
+        # order, then Q's other ones; (checks, same, flags a match adds,
+        # rule or None, build)
+        q_lhss, lhss = {r.lhs for r in q}, {r.lhs for r in rules}
+        q_only = [r.lhs for r in q if r.lhs not in lhss]
+        self.by_root: dict[Symbol, list[tuple]] = {}
         for lhs, r in [(r.lhs, r) for r in rules] + [(lhs, None) for lhs in q_only]:
-            self.by_root.setdefault(lhs.sym, []).append((lhs, r, lhs in q_lhss))
+            checks, same, build = _programs(lhs, r and r.rhs)
+            adds = (_REDEX if lhs in q_lhss else 0) | (_STEPS if r else 0)
+            self.by_root.setdefault(lhs.sym, []).append((checks, same, adds, r, build))
         # the roots that may step before their arguments are normal forms:
         # none when every redex is a Q-redex, else those of the rules
         self.eager = set() if all(r.lhs in q_lhss for r in rules) else {r.lhs.sym for r in rules}
         self.ids: dict[Union[tuple, Term], int] = {}  # keys and numbered terms
         self.nodes: list[tuple] = []  # node i's key
-        self.steps: list[Optional[tuple[bool, tuple[tuple[Rule, int], ...]]]] = []
+        self.flags: list[int] = []  # node i's _STEPS and _REDEX
+        # node i's root steps: (), a list of (rule, build, registers) per
+        # match until read, then ((rule, reduct node), ...)
+        self.roots: list[Union[tuple, list]] = []
+        self.steps: dict[int, tuple[tuple[Rule, int], ...]] = {}  # edges(i), once asked
         self.terms: list[Term] = []  # node i's term, built in node order
 
     def node(self, key: tuple) -> int:
-        i = self.ids.setdefault(key, len(self.nodes))
-        if i == len(self.nodes):
-            if i == _NODE_CAP:
-                raise TooLargeError(f"more than {_NODE_CAP} terms")
-            self.nodes.append(key)
-            self.steps.append(None)
+        i = self.ids.get(key)
+        if i is not None:
+            return i
+        nodes, flags = self.nodes, self.flags
+        i = self.ids[key] = len(nodes)
+        if i == _NODE_CAP:
+            raise TooLargeError(f"more than {_NODE_CAP} terms")
+        nodes.append(key)
+        fl, found = 0, ()
+        for a in key[1:]:
+            fl |= flags[a]
+        if not fl & _REDEX:  # every argument is Q-normal
+            for checks, same, adds, rule, build in self.by_root.get(key[0], ()):
+                regs = key
+                for r, g in checks:
+                    k = nodes[regs[r]]
+                    if k[0] is not g:
+                        break
+                    regs += k[1:]
+                else:
+                    if same is None or same[0](regs) == same[1](regs):
+                        fl |= adds
+                        if rule:
+                            found = [*found, (rule, build, regs)]
+        flags.append(fl)
+        self.roots.append(found)
         return i
 
     def number(self, t: Term) -> int:
@@ -81,50 +149,44 @@ class _System:
                     done[s] = self.node((s.sym, *[done[a] for a in s.args]))
         return done[t]
 
+    def reducts(self, i: int) -> tuple[tuple[Rule, int], ...]:
+        """(rule, reduct node) per root step of node i, rules in order."""
+        found = self.roots[i]
+        if found.__class__ is list:  # build the reducts, and drop the registers
+            out = []
+            for rule, build, regs in found:
+                stack: list[int] = []
+                for g, n in build:
+                    if g is None:
+                        stack.append(regs[n])
+                    elif n:
+                        stack[-n:] = [self.node((g, *stack[-n:]))]
+                    else:
+                        stack.append(self.node((g,)))
+                out.append((rule, stack[0]))
+            found = self.roots[i] = tuple(out)
+        return found
+
     def edges(self, i: int) -> tuple[tuple[Rule, int], ...]:
         """(rule, reduct node) per step of node i in leftmost-outermost
-        order, rules in order: the root steps (when every argument is
-        Q-normal), then each argument's steps in place."""
-        return (self.steps[i] or self._fill(i))[1]
-
-    def _fill(self, i: int) -> tuple[bool, tuple[tuple[Rule, int], ...]]:
-        nodes, steps, todo = self.nodes, self.steps, [i]
-        while todo:  # post-order, so that arguments have their steps first
+        order, rules in order: the root steps, then each argument's steps
+        in place."""
+        nodes, flags, done, todo = self.nodes, self.flags, self.steps, [i]
+        while todo:  # post-order over the subterms that step
             j = todo.pop()
+            if j in done:
+                continue
             key = nodes[j]
-            new = [a for a in key[1:] if steps[a] is None]
+            new = [a for a in key[1:] if flags[a] & _STEPS and a not in done]
             if new:
                 todo += [j, *new]
                 continue
-            if steps[j] is not None:
-                continue
-            hit = any([steps[a][0] for a in key[1:]])
-            out = []
-            if not hit:  # every argument is Q-normal
-                for lhs, rule, in_q in self.by_root.get(key[0], ()):
-                    sigma: dict[str, int] = {}
-                    if all(map(self._match, lhs.args, key[1:], itertools.repeat(sigma))):
-                        hit = hit or in_q
-                        if rule is not None:
-                            out.append((rule, self._build(rule.rhs, sigma)))
+            out = list(self.reducts(j))
             for p in range(1, len(key)):
-                for rule, r in steps[key[p]][1]:
+                for rule, r in done.get(key[p], ()):
                     out.append((rule, self.node(key[:p] + (r,) + key[p + 1 :])))
-            steps[j] = (hit, tuple(out))
-        return steps[i]
-
-    def _match(self, p: Term, i: int, sigma: dict[str, int]) -> bool:
-        """Bind sigma so that p instantiated is node i; recursive on a rule's term."""
-        if p.__class__ is Var:
-            return sigma.setdefault(p.name, i) == i
-        f, *args = self.nodes[i]
-        return f is p.sym and all(map(self._match, p.args, args, itertools.repeat(sigma)))
-
-    def _build(self, t: Term, sigma: dict[str, int]) -> int:
-        """The node of t instantiated by sigma; recursive on a rule's own term."""
-        if t.__class__ is Var:
-            return sigma[t.name]
-        return self.node((t.sym, *[self._build(a, sigma) for a in t.args]))
+            done[j] = tuple(out)
+        return done[i]
 
     def term(self, i: int) -> Term:
         terms = self.terms
@@ -137,7 +199,7 @@ class _System:
 def is_q_normal_form(t: Term, q: Sequence[Rule]) -> bool:
     """No left-hand side of q matches any subterm of t."""
     system = _System((), tuple(q))
-    return not system._fill(system.number(t))[0]
+    return not system.flags[system.number(t)] & _REDEX
 
 
 def q_successors(
@@ -206,7 +268,8 @@ class Heights:
     summary combines its stepping arguments' and goes on from f(their normal
     forms).  A start node's count is its summary's most strict steps when
     its longest derivation takes at most budget steps; it is None once a
-    node is reached more than budget steps deep, or on a cycle."""
+    node is reached more than budget steps deep, or on a cycle.  Summaries
+    are solved on an explicit stack of (node, steps from the start)."""
 
     def __init__(self, strict, weak, q, budget: int) -> None:
         strict = tuple(strict)
@@ -222,6 +285,8 @@ class Heights:
         return sorted(_start_nodes(self.system, symbols, max_size, roots), key=itemgetter(0))
 
     def __call__(self, start: int) -> Optional[int]:
+        if not self.system.flags[start] & _STEPS:
+            return 0
         summary = self._solve(start)
         if summary is not None:
             longest, strict = map(max, zip(*summary.values()))
@@ -234,45 +299,54 @@ class Heights:
         if start in memo:
             return memo[start]
         memo[start] = {}
-        stack = [(start, 0, self._summary(start))]  # (node, steps from start, _summary)
+        stack = [(start, 0)]  # (node, steps from start)
         while stack:
-            u, depth, summary = stack[-1]
-            d, v = next(summary)
-            if d is None:  # v is u's summary
-                memo[u] = v
+            u, depth = stack[-1]
+            got = self._summary(u, depth)
+            if got.__class__ is dict:
+                memo[u] = got
                 stack.pop()
-            elif v not in memo and depth + d <= self.budget:
-                memo[v] = {}
-                stack.append((v, depth + d, self._summary(v)))
-            elif not memo.get(v):  # too deep, or on the stack: a cycle
-                for frame in stack:  # to be solved again from another start
-                    del memo[frame[0]]
+                continue
+            d, v = got
+            if v in memo or depth + d > self.budget:  # on the stack (a cycle), or too deep
+                for w, _ in stack:  # to be solved again from another start
+                    del memo[w]
                 return None
+            memo[v] = {}  # only v: a node pushed but not yet asked would look like a cycle
+            stack.append((v, depth + d))
         return memo[start]
 
-    def _summary(self, u: int) -> Iterator[tuple]:
-        """Yields (steps from u, node) per node whose summary u's reads and
-        lacks, made by _solve before it resumes, then (None, u's summary)."""
+    def _summary(self, u: int, depth: int) -> Union[Summary, tuple[int, int]]:
+        """u's summary, or (steps from u, node) for the first node whose
+        summary u's reads and lacks, for _solve to solve before it asks u
+        again; a normal form reached within the budget is answered here."""
         system, memo = self.system, self.memo
-        f, *args = system.nodes[u]
-        moving = [a for a in args if f not in system.eager and system.edges(a)]
+        key, flags = system.nodes[u], system.flags
+        f = key[0]
+        moving = () if f in system.eager else [a for a in key[1:] if flags[a] & _STEPS]
         if moving:  # f(its arguments' normal forms), one node per combination
-            yield from ((0, a) for a in moving if not memo.get(a))
-            parts = [memo[a].items() if a in moving else ((a, _NONE),) for a in args]
+            for a in moving:
+                if not memo.get(a):
+                    return 0, a
+            parts = [memo[a].items() if a in moving else ((a, _NONE),) for a in key[1:]]
             combos = (zip(*c) for c in itertools.product(*parts))
             pairs = [(tuple(map(sum, zip(*ds))), system.node((f, *nfs))) for nfs, ds in combos]
         else:
-            pairs = [(_STRICT if id(r) in self.counted else _WEAK, v) for r, v in system.edges(u)]
+            steps = system.edges(u) if f in system.eager else system.reducts(u)
+            pairs = [(_STRICT if id(r) in self.counted else _WEAK, v) for r, v in steps]
         out: Summary = {}
         for (dn, ds), v in pairs:
-            if not memo.get(v):
-                yield 1, v
-            for nf, (n, s) in memo[v].items():
+            summary = memo.get(v)
+            if not summary:
+                if v in memo or flags[v] & _STEPS or depth + 1 > self.budget:
+                    return 1, v
+                summary = memo[v] = {v: _NONE}
+            for nf, (n, s) in summary.items():
                 n, s = n + dn, s + ds
                 if nf in out:
                     n, s = max(n, out[nf][0]), max(s, out[nf][1])
                 out[nf] = (n, s)
-        yield None, out or {u: _NONE}
+        return out or {u: _NONE}
 
 
 def basic_terms(

@@ -278,7 +278,7 @@ class TestErrors:
 
     def test_oracle_too_many_terms_mid_table(self, capsys, monkeypatch):
         # exp's reducts outgrow a small node cap while size 7 is explored
-        monkeypatch.setattr(rewriting, "_NODE_CAP", 100)
+        monkeypatch.setattr(rewriting, "_NODE_CAP", 93)
         code = main(["oracle", EXP, "--size", "8", "--budget", "100"])
         captured = capsys.readouterr()
         assert code == 2
@@ -286,7 +286,7 @@ class TestErrors:
             f"{n}\tExact({h})" for n, h in enumerate([0, 0, 1, 4, 8, 14, 24])
         ]
         assert captured.err == (
-            "error: more than 100 terms up to size 8; try a smaller --size or --budget\n"
+            "error: more than 93 terms up to size 8; try a smaller --size or --budget\n"
         )
 
     def test_parse_error(self, capsys, tmp_path):

@@ -350,6 +350,24 @@ class TestCcRows:
         assert rows[-1] == last
 
 
+    def test_table_numbers_only_the_reducts_it_reads(self, exp_problem, monkeypatch):
+        # exp's corpus table numbered 786 nodes while every reached node
+        # built its reducts in context, which argument-first summaries
+        # never read; root reducts alone take 659
+        systems = []
+        init = rewriting._System.__init__
+
+        def recorded(system, *args):
+            init(system, *args)
+            systems.append(system)
+
+        monkeypatch.setattr(rewriting._System, "__init__", recorded)
+        rows = list(cc_rows(exp_problem, 10, 200))
+        assert rows[-2:] == [OracleResult.exactly(142), OracleResult.at_least(200)]
+        (system,) = systems
+        assert len(system.nodes) <= 659
+
+
 class TestSummaries:
     """Heights answers every start term from its summary, and the rows are
     the reference's."""

@@ -190,6 +190,41 @@ class TestSuccessorsAgainstReference:
         assert len(seen) > 100
 
 
+# eq(x, x) is not left-linear and d(s(s(x))) is nested; the rules leave out
+# eq(s(x), s(y)), which Q keeps, so such a term is a Q-redex without a step
+# and blocks the steps above it
+MATCHES = """
+(VAR x y)
+(RULES
+  eq(x, x) -> true
+  eq(s(x), s(y)) -> eq(x, y)
+  d(s(s(x))) -> d(x)
+  d(s(0)) -> 0
+  f(x, y) -> c(eq(x, y), d(x))
+  c(x, y) -> y
+)
+(STARTTERM FULL)
+"""
+
+
+def test_match_programs_against_reference():
+    p = parse_problem(MATCHES)
+    q = p.all_rules
+    rules = tuple(r for r in q if str(r) != "eq(s(x), s(y)) -> eq(x, y)")
+    assert len(rules) == len(q) - 1
+    todo = list(start_terms_up_to(p, 5))
+    seen = set()
+    while todo:
+        t = todo.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        want = reference_successors(t, rules, q)
+        assert q_successors(t, rules, q) == tuple((r, v) for _, r, v in want)
+        todo.extend(v for _, _, v in want)
+    assert len(seen) > 100
+
+
 class TestCallsApart:
     """An oracle call's answer does not depend on the calls before it: not
     on another split of equal rules into strict and weak ones, nor on equal
