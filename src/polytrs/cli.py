@@ -66,8 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--coeff-max",
         type=_at_least(1),
         default=3,
-        help="largest interpretation coefficient to search; a certificate "
-        "records the largest coefficient it uses",
+        help="largest interpretation coefficient to search",
     )
     analyze.add_argument(
         "--timeout", type=_seconds, default=None, help="time limit in seconds"

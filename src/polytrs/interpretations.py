@@ -71,15 +71,6 @@ class PolyInterp:
             if len(sp.lin) != sym.arity:
                 raise ValueError(f"interpretation of {sym.display_name} has wrong arity")
 
-    @property
-    def degree(self) -> int:
-        return max((sp.degree for sp in self.entries.values()), default=0)
-
-    @property
-    def largest_coefficient(self) -> int:
-        coeffs = (c for sp in self.entries.values() for c in (*sp.lin, *sp.sq, sp.const))
-        return max(coeffs, default=0)
-
 
 def needs_monotone(p: Problem, sym: Symbol) -> bool:
     """Whether sym's interpretation must be strictly monotone in every argument.
@@ -253,9 +244,10 @@ class Synthesis:
     """Result of one interpretation search.
 
     outcome is "found", "refuted" (the whole box was searched and holds no
-    compatible interpretation), "budget" or "deadline" (the fuel or the time
-    ran out, so interp is None without proving anything).  nodes counts the
-    propagations after a branching decision or a candidate trial.
+    compatible interpretation) or the reason the fuel cut the search, "out
+    of fuel" or "timeout", when interp is None without proving anything.
+    nodes counts the propagations after a branching decision or a candidate
+    trial.
     """
 
     interp: Optional[PolyInterp]
@@ -294,8 +286,7 @@ def search_interpretation(
         solver = _Solver(p, degree, coeff_max, fuel)
         interp = solver.first_solution()
     except OutOfFuel:
-        outcome = "budget" if fuel.cuts[-1] == "out of fuel" else "deadline"
-        return Synthesis(None, outcome, solver.nodes if solver else 0)
+        return Synthesis(None, fuel.cuts[-1], solver.nodes if solver else 0)
     finally:
         fuel.reserve = 0
     return Synthesis(interp, "refuted" if interp is None else "found", solver.nodes)

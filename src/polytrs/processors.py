@@ -116,13 +116,7 @@ def _steps(p: Problem, cfg: StrategyConfig, fuel: Fuel) -> Iterator[tuple[str, d
     for degree in range(1, top + 1):
         interp = synthesize(p, degree, cfg.coeff_max, fuel)
         if interp is not None:
-            params = {
-                "degree": degree,
-                # the certificate records the largest coefficient it uses
-                "coeff_max": max(interp.largest_coefficient, 1),
-                "interpretation": interp_to_json(interp),
-            }
-            yield "complexity_pair", params, False
+            yield "complexity_pair", {"interpretation": interp_to_json(interp)}, False
             break
 
     if p.is_dp_problem():

@@ -10,13 +10,13 @@ the bound from the premises' bounds, or None when a side condition fails.
 The walks over a tree keep their own stack; only the decoder is bounded by
 Python's recursion limit.
 
-The JSON form is schema 3.  A symbol is the one string name/arity/kind, a
+The JSON form is schema 4.  A symbol is the one string name/arity/kind, a
 variable is a bare string and an application is {"sym": ..., "args": [...]}.
 A problem is its five rule lists and its start terms: no signature, and no
 DP flag on a rule, which is a dependency pair because it sits in a *_dps
-list.  proof_from_json is the one way in: it rejects any other schema,
-schemas 1 and 2 among them, and reports JSON of any other shape as a
-ValueError.
+list.  A complexity pair's parameters are its interpretation alone.
+proof_from_json is the one way in: it rejects any other schema, schemas 1
+to 3 among them, and reports JSON of any other shape as a ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .framework import Bound, Judgement, Problem, StartKind, bound_add, bound_mu
 from .interpretations import PolyInterp, SymbolPoly, check_orientation, induced_bound, mu_monotone
 from .terms import App, Rule, Symbol, SymbolKind, Term, Var
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,17 @@ def is_closed(tree: ProofTree) -> bool:
 # --- text rendering ---------------------------------------------------------
 
 
+# deeper lines print their depth in place of more indentation
+_MAX_INDENT = 32
+
+
 def render_proof(tree: ProofTree) -> str:
     """One line per node in preorder, each premise indented below its node."""
     lines = []
-    stack = [(tree, "")]
+    stack = [(tree, 0)]
     while stack:
-        node, pad = stack.pop()
+        node, depth = stack.pop()
+        pad = "  " * min(depth, _MAX_INDENT) + (f"({depth}) " if depth > _MAX_INDENT else "")
         j = node.judgement
         head = f"{pad}|- {j.problem} : {j.bound}"
         if isinstance(node, Axiom):
@@ -92,7 +97,7 @@ def render_proof(tree: ProofTree) -> str:
             lines.append(f"{head}   [open{why}]")
         else:
             lines.append(f"{head}   [{node.processor}{_render_params(node.params)}]")
-            stack.extend((pr, pad + "  ") for pr in reversed(node.premises))
+            stack.extend((pr, depth + 1) for pr in reversed(node.premises))
     return "\n".join(lines)
 
 
@@ -314,11 +319,6 @@ def _resolve(labels: list[str], pool: Sequence[Rule]) -> Optional[tuple[Rule, ..
 
 def _complexity_pair(params: dict, p: Problem):
     interp = interp_from_json(params["interpretation"])
-    degree, cap = params["degree"], params["coeff_max"]
-    if type(degree) is not int or type(cap) is not int:  # rejects bools too
-        return None
-    if degree < interp.degree or cap < interp.largest_coefficient:
-        return None
     if not mu_monotone(interp, p) or not check_orientation(interp, p):
         return None
     bound = induced_bound(interp, p)
@@ -401,7 +401,7 @@ def _dg_decomposition(params: dict, p: Problem):
 
 # each processor with the parameter keys it accepts
 _PROCESSORS = {
-    "complexity_pair": (_complexity_pair, {"interpretation", "degree", "coeff_max"}),
+    "complexity_pair": (_complexity_pair, {"interpretation"}),
     "decompose": (_decompose, {"strict_part"}),
     "weak_dependency_pairs": (_weak_dependency_pairs, set()),
     "dependency_tuples": (_dependency_tuples, set()),
@@ -444,44 +444,36 @@ class ValidationResult:
 
 
 def validate_proof(tree: ProofTree) -> ValidationResult:
-    """Replay every inference step and re-check the concluded bounds."""
-    errors: list[str] = []
-    stack = [(tree, "root")]
-    while stack:
-        node, path = stack.pop()
-        if isinstance(node, Assumption):
-            errors.append(f"{path}: open assumption")
-            continue
-        if isinstance(node, Axiom):
-            if node.judgement.problem.strict:
-                errors.append(f"{path}: axiom applied to nonempty strict part")
-            elif node.judgement.bound != Bound.poly(0):
-                errors.append(f"{path}: axiom must conclude O(1)")
-            continue
-        try:
-            result = apply_processor(node.processor, node.params, node.judgement.problem)
-        except (TypeError, ValueError):  # raised for an unknown (or unhashable) name only
-            errors.append(f"{path}: unknown processor {node.processor!r}")
-            continue
-        if result is None:
-            errors.append(f"{path}: processor {node.processor} not applicable")
-            continue
-        subs, bound_of = result
-        if len(subs) != len(node.premises):
-            errors.append(
-                f"{path}: expected {len(subs)} premises, found {len(node.premises)}"
-            )
-            continue
-        for i, (sub, premise) in enumerate(zip(subs, node.premises)):
-            if not problems_equal(sub, premise.judgement.problem):
-                errors.append(
-                    f"{path}.{i}: premise problem mismatch under {node.processor}"
-                )
-        got = bound_of([pr.judgement.bound for pr in node.premises])
-        if got != node.judgement.bound:
-            errors.append(
-                f"{path}: {node.processor} concluded {node.judgement.bound}, "
-                f"recomputed {got}"
-            )
-        stack.extend(reversed([(pr, f"{path}.{i}") for i, pr in enumerate(node.premises)]))
+    """Replay every inference step and re-check the concluded bounds.  Every
+    node is checked, also below one that fails; an error names node k, the
+    k-th in preorder from 0, which is line k + 1 of render_proof."""
+    errors = [f"node {k}: {e}" for k, node in enumerate(iter_nodes(tree)) for e in _errors(node)]
     return ValidationResult(not errors, errors)
+
+
+def _errors(node: ProofTree) -> list[str]:
+    """What is wrong with node itself, given its premises' conclusions."""
+    if isinstance(node, Assumption):
+        return ["open assumption"]
+    if isinstance(node, Axiom):
+        if node.judgement.problem.strict:
+            return ["axiom applied to nonempty strict part"]
+        return [] if node.judgement.bound == Bound.poly(0) else ["axiom must conclude O(1)"]
+    try:
+        result = apply_processor(node.processor, node.params, node.judgement.problem)
+    except (TypeError, ValueError):  # raised for an unknown (or unhashable) name only
+        return [f"unknown processor {node.processor!r}"]
+    if result is None:
+        return [f"processor {node.processor} not applicable"]
+    subs, bound_of = result
+    if len(subs) != len(node.premises):
+        return [f"expected {len(subs)} premises, found {len(node.premises)}"]
+    errors = [
+        f"premise problem mismatch under {node.processor}, premise {i}"
+        for i, (sub, premise) in enumerate(zip(subs, node.premises))
+        if not problems_equal(sub, premise.judgement.problem)
+    ]
+    got = bound_of([pr.judgement.bound for pr in node.premises])
+    if got != node.judgement.bound:
+        errors.append(f"{node.processor} concluded {node.judgement.bound}, recomputed {got}")
+    return errors

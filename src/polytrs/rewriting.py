@@ -20,6 +20,7 @@ references live in the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -36,6 +37,7 @@ class TooLargeError(RuntimeError):
     """An oracle call would number more than _NODE_CAP terms."""
 
 
+@functools.lru_cache(maxsize=4096)
 def _programs(lhs: App, rhs: Optional[Term]) -> tuple:
     """lhs's match program over a node key, and rhs's build program.
 
@@ -74,7 +76,7 @@ class _System:
     Node i is (symbol, argument nodes...) or (variable,); one dict maps each
     key to its node, so equal terms share a number, given after their
     arguments'.  Left-hand sides are matched and right-hand sides built by
-    programs compiled once per system (see _programs; Maranget, "Compiling
+    programs compiled once and cached (see _programs; Maranget, "Compiling
     pattern matching to good decision trees", 2008).  When node numbers a
     key it fixes the node's flags (has a step, has a Q-redex) and its root
     matches, from its arguments' flags: a root matches only when every

@@ -47,7 +47,7 @@ class TestAnalyze:
         assert (code, verdict) == (0, "WORST_CASE(?, O(n^1))")
         proof = proof_from_json(json.loads(cert))
         assert validate_proof(proof).ok
-        assert (proof.processor, proof.params["degree"]) == ("complexity_pair", 1)
+        assert (proof.processor, set(proof.params)) == ("complexity_pair", {"interpretation"})
 
     def test_no_strict_rules_is_constant(self, capsys, tmp_path):
         weak_only = tmp_path / "weak.trs"

@@ -78,10 +78,9 @@ def num(p, n):
     return t
 
 
-def cp_params(interpretation, degree=2, coeff_max=3) -> dict:
-    """complexity_pair parameters; the default box holds every test's
-    interpretation, so a rejection comes from another side condition."""
-    return {"degree": degree, "coeff_max": coeff_max, "interpretation": interpretation}
+def cp_params(interpretation) -> dict:
+    """complexity_pair parameters: the interpretation is the whole of them."""
+    return {"interpretation": interpretation}
 
 
 def strict_labels(p: Problem) -> list[str]:
@@ -516,7 +515,7 @@ class TestComplexityPairProcessor:
     def test_accepts_synthesized_pair(self, mult_dt):
         p = plus_only(mult_dt)
         interp = synthesize(p, 1, 1)
-        params = cp_params(interp_to_json(interp), 1, 1)
+        params = cp_params(interp_to_json(interp))
         subs, bound_of = apply_processor("complexity_pair", params, p)
         assert subs == []
         assert bound_of([]) == P1
@@ -572,33 +571,23 @@ def cp_nodes(proof) -> list[Inference]:
 
 
 class TestComplexityPairParameters:
-    """The checker verifies the search box a certificate records."""
+    """A complexity pair's side conditions and bound read its interpretation
+    alone, so the certificate records nothing else: schema 3's degree and
+    coeff_max keys are rejected as unknown."""
 
-    def test_mult_records_the_smallest_box(self, mult_proof):
-        got = [(n.params["degree"], n.params["coeff_max"]) for n in cp_nodes(mult_proof)]
-        assert got == [(1, 1), (1, 1)]
+    def test_mult_records_the_interpretation_alone(self, mult_proof):
+        assert [set(n.params) for n in cp_nodes(mult_proof)] == [{"interpretation"}] * 2
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("degree", 0),
-            ("coeff_max", 0),
-            ("degree", 1.0),
-            ("coeff_max", 1.0),
-            ("degree", True),
-            ("coeff_max", True),
-            ("degree", "1"),
-            ("coeff_max", None),
-        ],
-    )
-    def test_tampered_parameter_is_rejected(self, mult_proof, key, value):
+    @pytest.mark.parametrize("value", [1, 3, 0, None])
+    @pytest.mark.parametrize("key", ["degree", "coeff_max"])
+    def test_schema_3_parameter_is_rejected(self, mult_proof, key, value):
         for node in cp_nodes(mult_proof):
             p = node.judgement.problem
             assert apply_processor("complexity_pair", node.params, p) is not None
             tampered = dict(node.params, **{key: value})
             assert apply_processor("complexity_pair", tampered, p) is None
 
-    def test_tampered_certificate_fails_validation(self, mult_proof):
+    def test_schema_3_parameter_fails_validation(self, mult_proof):
         for key in ("degree", "coeff_max"):
             obj = json.loads(json.dumps(proof_to_json(mult_proof)))
             todo = [obj["proof"]]
@@ -607,17 +596,19 @@ class TestComplexityPairParameters:
                 if node.get("processor") == "complexity_pair":
                     break
                 todo += node.get("premises", [])
-            node["params"][key] = 0
-            assert not validate_proof(proof_from_json(obj)).ok
+            node["params"][key] = 1
+            result = validate_proof(proof_from_json(obj))
+            assert not result.ok and "processor complexity_pair not applicable" in result.errors[0]
 
-    def test_recorded_cap_is_the_largest_coefficient(self):
+    def test_search_goes_up_to_the_cap(self):
         # h's rule needs [s] = x + 1, g's then [g] = x + 2; the search
-        # goes up to 3 and records 2
+        # goes up to 3 and finds 2
         p = parse_problem(
             "(VAR x)\n(RULES\n  h(s(x)) -> h(x)\n  g(x) -> s(x)\n)\n(STARTTERM FULL)\n"
         )
         (node,) = cp_nodes(default_strategy(p))
-        assert (node.params["degree"], node.params["coeff_max"]) == (1, 2)
+        entries = node.params["interpretation"]
+        assert max(c for e in entries for c in (*e["lin"], *e["sq"], e["const"])) == 2
 
 
 class TestDefaultStrategy:
@@ -641,7 +632,7 @@ class TestDefaultStrategy:
         monkeypatch.setattr(interpretations, "search_interpretation", recorded)
         proof = default_strategy(mult_problem)
         assert proof.processor == "dependency_tuples" and not is_closed(proof)
-        assert "budget" in outcomes
+        assert "out of fuel" in outcomes
         assert "[open: out of fuel]" in render_proof(proof)
         # without fuel not even the first step is applied
         monkeypatch.setattr("polytrs.interpretations._FUEL", 0)
@@ -720,16 +711,17 @@ class TestDefaultStrategy:
         # pinned certificates: a refactor of the search or of the processors
         # must leave these bytes unchanged
         assert digests == [
-            "fc3442a0c85805a9c9b8e9b5c21207d5ae5ff502c7f94c6d5fc688387e28276f",
-            "3bcf577708fbe8726f956a79b0bd76fcc1e451c9de88ede02c76368469fac70d",
-            "84ea2be6c82f866768e06a6d46dc56809c176032834d50e0dcb08e81f26529ab",
+            "65350c53a56a577dcac0cb9a2747f12d7bf7c18908d3571a407dd1b27ba9afa2",
+            "2a9da42505924f364725bb7e696cbfd2e22f700d7c19e2a801e683385f73a879",
+            "d0bfba931458af091405f5223d447ceed3bbdc567b3697f8e358135618f0dd72",
         ]
-        # pinned renderings, which name rules by label only, so a change of
-        # the certificate schema leaves them as they are
+        # pinned renderings, which name rules by label and show parameters
+        # but no interpretation, so only a change of the parameters' keys
+        # moves them
         assert lines[1::2] == [
-            "384ad16f14021f5457a7f6ab2ee0e5b67dc6373823b60999ad20126dc4dad68b",
+            "8d93b1b50e26d695c63a7ce663dc37d68a24ca4395c9521052c1717b7def0c01",
             "5fd7d87bd17d555f7173b13ba464c072d38d7cde59873da86a3740c3988b9665",
-            "923b85c3cb5cd22000c4fa958a18469095abef78e40dda8903dc660b05391545",
+            "fdf1a17beb7f066c7d3a76dac136284fd3bb4d113732f1acfc8ff1ecac4d219f",
         ]
 
     def test_fuel_spent_does_not_depend_on_the_hash_seed(self):

@@ -10,6 +10,7 @@ from polytrs.framework import Bound, Judgement, Problem, StartKind, problems_equ
 from polytrs.parsing import parse_file, parse_problem
 from polytrs.processors import default_strategy
 from polytrs.proofs import (
+    SCHEMA_VERSION,
     Assumption,
     Axiom,
     Inference,
@@ -52,7 +53,7 @@ def conclusion_to_json(p: Problem, b: Bound = Bound.unknown()):
 
 def conclusion_from_json(problem, bound) -> Judgement:
     leaf = {"node": "assumption", "conclusion": {"problem": problem, "bound": bound}}
-    return proof_from_json({"schema": 3, "proof": leaf}).judgement
+    return proof_from_json({"schema": SCHEMA_VERSION, "proof": leaf}).judgement
 
 
 def bound_to_json(b):
@@ -181,9 +182,12 @@ class TestRendering:
 
 
 class TestDeepProofs:
-    """The walks over a proof keep their own stack: no recursion limit."""
+    """The walks over a proof keep their own stack: no recursion limit.  What
+    they print grows linearly in the depth: errors name a node by its
+    preorder index, and indentation stops at 32 levels."""
 
-    def test_chain_of_3000_steps(self):
+    @staticmethod
+    def chain(steps: int):
         p = dt_problem(parse_problem(
             "(VAR x)\n(RULES\n  f(s(x)) -> f(x)\n  f(0) -> 0\n)\n"
             "(STRATEGY INNERMOST)\n(STARTTERM CONSTRUCTOR-BASED)\n"
@@ -194,17 +198,48 @@ class TestDeepProofs:
         assert dp.rhs.sym is dp.lhs.sym
         unknown = Judgement(p, Bound.unknown())
         tree = Assumption(unknown)
-        for _ in range(3000):
+        for _ in range(steps):
             tree = Inference("predecessor_estimation", {"rules": [dp.label]}, unknown, (tree,))
+        return tree
+
+    def test_chain_of_3000_steps(self):
+        tree = self.chain(3000)
         assert sum(1 for _ in iter_nodes(tree)) == 3001
         assert not is_closed(tree)
-        assert validate_proof(tree).errors == ["root" + ".0" * 3000 + ": open assumption"]
+        assert validate_proof(tree).errors == ["node 3000: open assumption"]
         lines = render_proof(tree).splitlines()
-        assert len(lines) == 3001 and lines[-1].startswith(" " * 6000 + "|- ")
+        assert len(lines) == 3001
+        assert lines[32].startswith(" " * 64 + "|- ")
+        assert lines[33].startswith(" " * 64 + "(33) |- ")
+        assert lines[-1].startswith(" " * 64 + "(3000) |- ")
         node = proof_to_json(tree)["proof"]
         for _ in range(3000):
             (node,) = node["premises"]
         assert node["node"] == "assumption"
+
+    def test_chain_of_10000_nodes(self):
+        tree = self.chain(9999)
+        assert not is_closed(tree)
+        (error,) = validate_proof(tree).errors
+        assert error == "node 9999: open assumption" and len(error) < 40
+        text = render_proof(tree)
+        lines = text.splitlines()
+        assert len(lines) == 10000 and len(text) < 2_000_000
+        assert max(map(len, lines)) < 200
+        assert proof_to_json(tree)["proof"]["node"] == "inference"
+
+    def test_nodes_below_a_rejected_one_are_checked(self, mult_problem):
+        # the inference is rejected, and so is each of its leaves
+        leaves = (
+            Assumption(Judgement(mult_problem, Bound.unknown())),
+            Axiom(Judgement(mult_problem, Bound.poly(0))),
+        )
+        tree = Inference("decompose", {"strict_part": []}, leaves[0].judgement, leaves)
+        assert validate_proof(tree).errors == [
+            "node 0: processor decompose not applicable",
+            "node 1: open assumption",
+            "node 2: axiom applied to nonempty strict part",
+        ]
 
 
 class TestJsonRoundtrip:
@@ -293,8 +328,8 @@ class TestJsonRoundtrip:
         with pytest.raises(ValueError, match="left-hand side must not be a variable"):
             proof_from_json(obj)
 
-    def test_schemas_1_and_2_are_rejected_by_name(self, mult_proof):
-        for schema in (1, 2):
+    def test_schemas_1_to_3_are_rejected_by_name(self, mult_proof):
+        for schema in (1, 2, 3):
             obj = proof_to_json(mult_proof)
             obj["schema"] = schema
             with pytest.raises(ValueError, match=rf"schema {schema}\b"):
@@ -381,7 +416,7 @@ class TestJsonRoundtrip:
         (premise,) = root.premises
         bad = Inference(name, premise.params, premise.judgement, premise.premises)
         tree = Inference(root.processor, root.params, root.judgement, (bad,))
-        assert validate_proof(tree).errors == [f"root.0: unknown processor {name!r}"]
+        assert validate_proof(tree).errors == [f"node 1: unknown processor {name!r}"]
 
     @pytest.mark.parametrize("path", CORPUS, ids=lambda path: str(path.relative_to(ROOT)))
     def test_corpus_problems_hold_rule_lists_and_start_terms_only(self, path):
@@ -457,7 +492,7 @@ class TestTotality:
                 deep = [deep]
             node["params"]["deep"] = deep
         with pytest.raises(ValueError, match="nested too deeply"):
-            proof_from_json({"schema": 3, "proof": node})
+            proof_from_json({"schema": SCHEMA_VERSION, "proof": node})
 
     def test_every_field_of_any_type_is_decoded_or_rejected(self, mult_proof):
         cert = proof_to_json(mult_proof)
@@ -466,7 +501,7 @@ class TestTotality:
         shapes = {}
         for path in field_paths(cert):
             shapes.setdefault(tuple(k for k in path if type(k) is str)[-3:], path)
-        assert len(shapes) == 80
+        assert len(shapes) == 78
         failures = []
         for shape, (*head, last) in shapes.items():
             for value in WRONG_VALUES:

@@ -291,6 +291,17 @@ class TestOracles:
             b = strict_step_oracle(t, MULT_RULES, (), MULT_RULES, 30)
             assert a == b
 
+    def test_second_call_compiles_no_rule(self):
+        # every call builds its own system, but the match and build programs
+        # of equal rules are compiled once
+        rewriting._programs.cache_clear()
+        t = times(num(2), num(2))
+        first = dh_oracle(t, MULT_RULES, MULT_RULES, 50)
+        assert rewriting._programs.cache_info().misses == len(MULT_RULES)
+        assert strict_step_oracle(t, MULT_RULES, (), MULT_RULES, 50) == first
+        assert dh_oracle(t, MULT_RULES, MULT_RULES, 50) == first
+        assert rewriting._programs.cache_info().misses == len(MULT_RULES)
+
     def test_loop_with_strict_step_reports_at_least(self):
         h = Symbol("h", 0, SymbolKind.DEFINED)
         loop = (Rule(App(h), App(h), "1"),)
