@@ -18,7 +18,7 @@ from itertools import repeat
 from typing import Iterator, Optional
 
 from . import rewriting
-from .rewriting import Heights, OracleResult
+from .rewriting import Heights, OracleResult, start_nodes
 from .terms import (
     Rule, Symbol, SymbolKind, Term, check_labels, components, match_term, symbols_of, unmark
 )
@@ -195,7 +195,7 @@ def cc_rows(p: Problem, n: int, budget: int) -> Iterator[OracleResult]:
     heights = Heights(p.strict, p.weak, p.q, budget)
     symbols, roots = _start_symbols(p)
     best = done = 0  # done: rows yielded so far
-    for k, start in heights.starts(symbols, n, roots) if p.strict else ():
+    for k, start in start_nodes(heights.system, symbols, n, roots) if p.strict else ():
         if k > done:
             yield from repeat(OracleResult.exactly(best), k - done)
             done = k

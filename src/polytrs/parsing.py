@@ -1,19 +1,20 @@
 """Reader for the parenthesized rewrite-system format.
 
-A file is a sequence of sections: (VAR x y), (RULES l -> r ... l ->= r ...),
-(STRATEGY INNERMOST) and (STARTTERM CONSTRUCTOR-BASED | FULL).  `->=` marks a
-weak rule.  INNERMOST sets Q to all rules, otherwise Q is empty.  Start terms
-default to basic terms; FULL means all ground terms.  Defined symbols are the
-root symbols of left-hand sides, everything else is a constructor.
+A file is a sequence of sections, in any order, each read once: (VAR x y),
+(RULES l -> r ... l ->= r ...), (STRATEGY INNERMOST) and (STARTTERM
+CONSTRUCTOR-BASED | FULL).  `->=` marks a weak rule.  INNERMOST sets Q to
+all rules, otherwise Q is empty.  Start terms default to basic terms; FULL
+means all ground terms.  Defined symbols are the root symbols of left-hand
+sides, everything else is a constructor.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional, Union
+from typing import Iterator, Optional
 
 from .framework import Problem, StartKind
-from .terms import App, Rule, Symbol, SymbolKind, Term, Var, variables
+from .terms import App, Rule, Symbol, SymbolKind, Term, Var
 
 
 class ParseError(Exception):
@@ -30,9 +31,9 @@ _MARKS = {"(", ")", ",", "->", "->="}
 # a newline, punctuation or a word; other white space is skipped
 _TOKEN = re.compile(r"(\n)|[(),]|[^\s(),]+")
 
-# raw terms: symbol kinds are only known once every rule has been read, so
-# a variable is its name and an application is (name, arguments)
-_RawTerm = Union[str, tuple[str, list]]
+# a raw term is its name token and its raw arguments: which names are
+# variables or defined symbols is known once every section has been read
+_RawTerm = tuple[_Token, list]
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -48,10 +49,9 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
-def _sections(tokens: list[_Token]) -> list[tuple[_Token, list[_Token], _Token]]:
+def _sections(tokens: list[_Token]) -> Iterator[tuple[_Token, list[_Token], _Token]]:
     """Each section's name token, its body (the tokens inside its
-    parentheses) and its closing parenthesis."""
-    sections = []
+    parentheses) and its closing parenthesis, in file order."""
     i = 0
     while i < len(tokens):
         kind, text, line, column = tokens[i]
@@ -65,22 +65,17 @@ def _sections(tokens: list[_Token]) -> list[tuple[_Token, list[_Token], _Token]]
             j += 1
         if depth:
             raise ParseError("unbalanced parenthesis", *tokens[i + 1][2:])
-        sections.append((tokens[i + 1], tokens[i + 2 : j - 1], tokens[j - 1]))
+        yield tokens[i + 1], tokens[i + 2 : j - 1], tokens[j - 1]
         i = j
-    return sections
 
 
 class _Reader:
     """The tokens of one section body, read front to back."""
 
-    def __init__(
-        self, body: list[_Token], end: _Token, variables: set[str], arities: dict[str, int]
-    ) -> None:
+    def __init__(self, body: list[_Token], end: _Token) -> None:
         self.body = body
         self.pos = 0
         self.end = end  # the closing parenthesis
-        self.variables = variables
-        self.arities = arities  # shared by every section, names to arities
 
     def peek(self) -> Optional[str]:
         """The next token's kind, None at the end."""
@@ -99,7 +94,7 @@ class _Reader:
         return tok
 
     def term(self) -> _RawTerm:
-        _, name, line, column = self.expect("IDENT", "a term")
+        name = self.expect("IDENT", "a term")
         args: list[_RawTerm] = []
         if self.peek() == "(":
             self.pos += 1
@@ -108,16 +103,7 @@ class _Reader:
                 self.pos += 1
                 args.append(self.term())
             self.expect(")")
-        if name in self.variables:
-            if args:
-                raise ParseError(f"variable {name} used with arguments", line, column)
-            return name
-        seen = self.arities.setdefault(name, len(args))
-        if seen != len(args):
-            raise ParseError(
-                f"symbol {name} used with arity {len(args)} and {seen}", line, column
-            )
-        return (name, args)
+        return name, args
 
 
 # the sections that set an option: the option's name and its values
@@ -128,35 +114,27 @@ _OPTIONS = {
 
 
 def parse_problem(text: str) -> Problem:
-    sections = _sections(_tokenize(text))
-    declared: set[str] = set()  # the variables
+    variables: set[str] = set()
+    raw_rules: list[tuple[_RawTerm, _RawTerm, bool]] = []
+    options = {"STRATEGY": False, "STARTTERM": StartKind.BASIC}
     seen: set[str] = set()
-    for (_, name, line, column), body, end in sections:
+    for (_, name, line, column), body, end in _sections(_tokenize(text)):
         if name == "COMMENT":
             continue
         if name in seen:
             raise ParseError(f"duplicate section {name}", line, column)
         seen.add(name)
+        reader = _Reader(body, end)
         if name == "VAR":
-            reader = _Reader(body, end, declared, {})
             while reader.peek() is not None:
-                declared.add(reader.expect("IDENT", "a variable")[1])
-        elif name != "RULES" and name not in _OPTIONS:
-            raise ParseError(f"unknown section {name}", line, column)
-
-    arities: dict[str, int] = {}
-    raw_rules: list[tuple[_RawTerm, _RawTerm, bool, _Token]] = []
-    options = {"STRATEGY": False, "STARTTERM": StartKind.BASIC}
-    for (_, name, _, _), body, end in sections:
-        reader = _Reader(body, end, declared, arities)
-        if name == "RULES":
+                variables.add(reader.expect("IDENT", "a variable")[1])
+        elif name == "RULES":
             while reader.peek() is not None:
-                at = body[reader.pos]
                 lhs = reader.term()
                 arrow = reader.next("-> or ->=")
                 if arrow[0] not in ("->", "->="):
                     raise ParseError(f"expected -> or ->=, found {arrow[1]!r}", *arrow[2:])
-                raw_rules.append((lhs, reader.term(), arrow[0] == "->=", at))
+                raw_rules.append((lhs, reader.term(), arrow[0] == "->="))
         elif name in _OPTIONS:
             option, values = _OPTIONS[name]
             _, word, line, column = reader.expect("IDENT", " or ".join(values))
@@ -166,31 +144,36 @@ def parse_problem(text: str) -> Problem:
                 _, extra, line, column = body[reader.pos]
                 raise ParseError(f"expected end of section, found {extra!r}", line, column)
             options[name] = values[word]
+        else:
+            raise ParseError(f"unknown section {name}", line, column)
 
-    defined = {lhs[0] for lhs, _, _, _ in raw_rules if type(lhs) is tuple}
-    symbols = {
-        name: Symbol(
-            name, arity, SymbolKind.DEFINED if name in defined else SymbolKind.CONSTRUCTOR
-        )
-        for name, arity in arities.items()
-    }
+    defined = {lhs[0][1] for lhs, _, _ in raw_rules}
+    symbols: dict[str, Symbol] = {}
 
     def build(raw: _RawTerm) -> Term:
-        if type(raw) is str:
-            return Var(raw)
-        return App(symbols[raw[0]], tuple(build(a) for a in raw[1]))
+        (_, name, line, column), args = raw
+        if name in variables:
+            if args:
+                raise ParseError(f"variable {name} used with arguments", line, column)
+            return Var(name)
+        kind = SymbolKind.DEFINED if name in defined else SymbolKind.CONSTRUCTOR
+        sym = symbols.setdefault(name, Symbol(name, len(args), kind))
+        if sym.arity != len(args):
+            raise ParseError(
+                f"symbol {name} used with arity {len(args)} and {sym.arity}", line, column
+            )
+        return App(sym, tuple(build(a) for a in args))
 
     strict: list[Rule] = []
     weak: list[Rule] = []
-    for index, (raw_lhs, raw_rhs, is_weak, (_, _, line, column)) in enumerate(raw_rules):
-        if type(raw_lhs) is str:
-            raise ParseError("left-hand side is a variable", line, column)
-        lhs, rhs = build(raw_lhs), build(raw_rhs)
-        extra = sorted(set(variables(rhs)) - set(variables(lhs)))
-        if extra:
-            raise ParseError(f"right-hand side introduces {', '.join(extra)}", line, column)
+    for index, (lhs, rhs, is_weak) in enumerate(raw_rules):
         label = chr(ord("a") + index) if index < 26 else f"r{index + 1}"
-        (weak if is_weak else strict).append(Rule(lhs, rhs, label))
+        sides = build(lhs), build(rhs)
+        try:
+            rule = Rule(*sides, label)
+        except ValueError as err:  # Rule's own checks, at the rule's first token
+            raise ParseError(str(err), *lhs[0][2:]) from None
+        (weak if is_weak else strict).append(rule)
 
     q = tuple(strict + weak) if options["STRATEGY"] else ()
     return Problem((), tuple(strict), (), tuple(weak), q, options["STARTTERM"])

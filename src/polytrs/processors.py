@@ -101,9 +101,10 @@ def _steps(p: Problem, cfg: StrategyConfig, fuel: Fuel) -> Iterator[tuple[str, d
     if p.is_dp_problem():
         g = estimate_dg(p)
         weak_set = set(p.weak_dps)
-        # estimate strict DPs whose successors are all weak already; keeping
-        # the predecessors strict guarantees the strict component shrinks
-        targets = [d for d in p.strict_dps if g.successors((d,)) <= weak_set]
+        # estimate strict DPs with no strict successor; keeping the
+        # predecessors strict guarantees the strict component shrinks
+        to_strict = g.predecessors(p.strict_dps)
+        targets = [d for d in p.strict_dps if d not in to_strict]
         if g.predecessors(targets) <= set(p.strict_dps):
             yield "predecessor_estimation", {"rules": [d.label for d in targets]}, False
         removable = [w.label for w in p.weak_dps if g.forward_closure((w,)) <= weak_set]

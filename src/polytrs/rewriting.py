@@ -6,16 +6,16 @@ rewriting, Q equal to the rule set gives innermost rewriting.
 
 Terms are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006) into the nodes of one system per oracle call, into
-which start terms are enumerated, and which raises TooLargeError rather
-than number more than _NODE_CAP nodes.  Each rule is compiled once per
-system into flat programs that match its left-hand side over node keys and
-build its right-hand side into nodes, and a node's facts are fixed when it
-is numbered (see _System).  The oracles count steps over node numbers and
-recurse on no reached term's depth: Heights summarises each reached node
-once, from its arguments' where its root cannot step before them (see
-there), and strict_step_oracle is Heights on one start term.  A budget
-bounds the length of the derivations explored, weak steps included.  The
-references live in the tests.
+which start terms are enumerated by size, then by root symbol, and which
+raises TooLargeError rather than number more than _NODE_CAP nodes.  Each
+rule is compiled once per system into flat programs that match its
+left-hand side over node keys and build its right-hand side into nodes, and
+a node's facts are fixed when it is numbered (see _System).  The oracles
+count steps over node numbers and recurse on no reached term's depth:
+Heights summarises each reached node once, from its arguments' where its
+root cannot step before them (see there), and strict_step_oracle is Heights
+on one start term.  A budget bounds the length of the derivations explored,
+weak steps included.  The references live in the tests.
 """
 
 from __future__ import annotations
@@ -280,12 +280,6 @@ class Heights:
         self.budget = budget
         self.memo: dict[int, Summary] = {}  # {} while on the stack
 
-    def starts(
-        self, symbols: Iterable[Symbol], max_size: int, roots: Optional[SymbolKind]
-    ) -> list[tuple[int, int]]:
-        """(size, node) per start term up to max_size (see _start_nodes), by size."""
-        return sorted(_start_nodes(self.system, symbols, max_size, roots), key=itemgetter(0))
-
     def __call__(self, start: int) -> Optional[int]:
         if not self.system.flags[start] & _STEPS:
             return 0
@@ -355,32 +349,29 @@ def basic_terms(
     symbols: Iterable[Symbol], max_size: int, roots: Optional[SymbolKind]
 ) -> list[Term]:
     """Ground basic terms (roots of the given kind, constructor arguments) up
-    to max_size: by root symbol (arity, name), then by size; with roots
-    None, all ground terms: by size, then by symbol (arity, name)."""
+    to max_size, or with roots None all ground terms: by size, then by root
+    symbol (arity, name), then by argument sizes and arguments (see _apps)."""
     system = _System((), ())
-    return [system.term(i) for _, i in _start_nodes(system, symbols, max_size, roots)]
+    return [system.term(i) for _, i in start_nodes(system, symbols, max_size, roots)]
 
 
-def _start_nodes(
+def start_nodes(
     system: _System, symbols: Iterable[Symbol], max_size: int, roots: Optional[SymbolKind]
 ) -> list[tuple[int, int]]:
     """(size, node) per term of basic_terms(symbols, max_size, roots), in
-    its order, numbered in system."""
+    its order, numbered in system size by size."""
     syms = sorted(symbols, key=lambda s: (s.arity, s.name))
-    by_size: list[list[int]] = [[]]  # the nodes of each size
-
-    def ground(fs: list[Symbol], max_size: int) -> list[tuple[int, int]]:
-        for k in range(max_size):
-            by_size.append([i for f in fs for i in _apps(system, f, by_size, k)])
-        return [(k, i) for k, nodes in enumerate(by_size) for i in nodes]
-
-    if roots is None:
-        return ground(syms, max_size)
-    ground([s for s in syms if s.kind is SymbolKind.CONSTRUCTOR], max_size - 1)
-    heads = [s for s in syms if s.kind is roots]
-    return [
-        (k + 1, i) for h in heads for k in range(max_size) for i in _apps(system, h, by_size, k)
-    ]
+    heads = [s for s in syms if roots in (None, s.kind)]
+    constructors = [s for s in syms if s.kind is SymbolKind.CONSTRUCTOR]
+    by_size: list[list[int]] = [[]]  # the argument nodes of each size below max_size
+    out: list[tuple[int, int]] = []
+    for k in range(max_size):
+        new = [i for f in heads for i in _apps(system, f, by_size, k)]
+        out += [(k + 1, i) for i in new]
+        if roots is not None and k + 1 < max_size:  # the arguments are constructor terms
+            new = [i for f in constructors for i in _apps(system, f, by_size, k)]
+        by_size.append(new)  # with roots None, every ground term is an argument
+    return out
 
 
 def _apps(system: _System, f: Symbol, by_size: list[list[int]], inner: int) -> Iterator[int]:

@@ -269,7 +269,7 @@ class Rule:
         extra = set(variables(self.rhs)) - set(variables(self.lhs))
         if extra:
             raise ValueError(
-                f"rule {self.label}: right-hand side introduces {sorted(extra)}"
+                f"rule {self.label}: right-hand side introduces {', '.join(sorted(extra))}"
             )
 
     def __str__(self) -> str:

@@ -58,7 +58,20 @@ def test_checker_reaches_no_search_cli_or_parser():
 CHECKER = {"check_orientation", "orients_strictly", "orients_weakly", "mu_monotone",
            "induced_bound", "expand_rule"}
 SOLVER = {"_Solver", "search_interpretation", "synthesize", "Synthesis", "Fuel",
-          "OutOfFuel", "_FUEL", "_candidates", "_with_sum", "_value"}
+          "OutOfFuel", "_FUEL", "_candidates", "_value"}
+
+
+def test_checker_and_solver_names_are_defined():
+    # a renamed name would otherwise drop out of the guard below unnoticed
+    tree = ast.parse((SRC / "interpretations.py").read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert sorted((CHECKER | SOLVER) - defined) == []
 
 
 def test_orientation_checker_uses_no_solver_name():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polytrs.framework import Problem, StartKind, is_innermost, problems_equal
 from polytrs.parsing import ParseError, parse_problem
 from polytrs.terms import SymbolKind, Var, render
+from tests.conftest import ROOT
 
 
 MULT = """\
@@ -74,6 +77,41 @@ class TestHappyPath:
         assert p.strict_trs[26].label == "r27"
 
 
+def sections(text: str) -> list[str]:
+    """The top-level parenthesized sections of text, in order."""
+    out, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            start = i if depth == 0 else start
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                out.append(text[start : i + 1])
+    return out
+
+
+PROBLEM_FILES = [ROOT / "problems" / "mult.trs", *sorted(ROOT.glob("bench/problems/*.trs"))]
+
+
+class TestSectionOrder:
+    @pytest.mark.parametrize(
+        "path", PROBLEM_FILES, ids=lambda path: str(path.relative_to(ROOT))
+    )
+    def test_every_order_gives_the_same_problem(self, path):
+        # the sections hold every token of the file, so a permutation of
+        # them is the same file with its sections reordered
+        text = path.read_text(encoding="utf-8")
+        parts = sections(text)
+        assert "".join("".join(parts).split()) == "".join(text.split())
+        p = parse_problem(text)
+        for order in itertools.permutations(parts):
+            q = parse_problem("\n".join(order))
+            assert (q.strict_trs, q.weak_trs, q.q, q.start_terms) == (
+                p.strict_trs, p.weak_trs, p.q, p.start_terms
+            )
+
+
 def error_at(source: str) -> ParseError:
     with pytest.raises(ParseError) as info:
         parse_problem(source)
@@ -88,7 +126,8 @@ class TestErrors:
 
     def test_lhs_variable(self):
         err = error_at("(VAR x)(RULES x -> x)")
-        assert "left-hand side is a variable" in str(err)
+        assert "left-hand side must not be a variable" in str(err)
+        assert (err.line, err.column) == (1, 15)
 
     def test_variable_with_arguments(self):
         err = error_at("(VAR x)(RULES f(x(a)) -> a)")

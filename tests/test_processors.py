@@ -13,7 +13,7 @@ import pytest
 
 from polytrs import depgraph, interpretations, processors, proofs
 from polytrs.dependency_pairs import dt_problem, wdp_problem
-from polytrs.depgraph import estimate_dg
+from polytrs.depgraph import DepGraph, estimate_dg
 from polytrs.framework import (
     Bound,
     Problem,
@@ -69,6 +69,13 @@ def chain(k: int) -> str:
     for i in range(k):
         rules += [f"h{i}(s(x), y) -> h{i}(x, y)", f"h{i}(0, y) -> h{i + 1}(y, y)"]
     return "(VAR x y)\n(RULES\n  " + "\n  ".join(rules) + "\n)\n(STRATEGY INNERMOST)\n"
+
+
+def pair_chain(k: int) -> str:
+    """f_i(s(x)) -> f_{i+1}(x) for i < k and f_k(x) -> x, innermost; its
+    runtime is constant."""
+    rules = [f"f{i}(s(x)) -> f{i + 1}(x)" for i in range(k)] + [f"f{k}(x) -> x"]
+    return "(VAR x)\n(RULES\n  " + "\n  ".join(rules) + "\n)\n(STRATEGY INNERMOST)\n"
 
 
 def num(p, n):
@@ -673,6 +680,21 @@ class TestDefaultStrategy:
         assert len(dt_problem(p).dps) == 40
         assert is_closed(default_strategy(p))
         assert (len(calls), depgraph._edges.cache_info().misses) == (80, 1)
+
+    def test_pair_chain_queries_the_graph_a_constant_per_node(self, monkeypatch):
+        # predecessor estimation finds the strict pairs without a strict
+        # successor in one predecessors query, not one successors scan per
+        # strict pair (63 proof nodes made 2,013 queries that way at k = 60)
+        calls = []
+        for name in ("successors", "predecessors", "forward_closure"):
+            def counted(self, dps, inner=getattr(DepGraph, name), name=name):
+                calls.append(name)
+                return inner(self, dps)
+
+            monkeypatch.setattr(DepGraph, name, counted)
+        proof = default_strategy(parse_problem(pair_chain(60)))
+        assert str(proof.judgement.bound) == "O(1)"
+        assert len(calls) <= 3 * sum(1 for _ in iter_nodes(proof))
 
     def test_proof_bytes_independent_of_hash_seed(self, tmp_path):
         # f -> g -> f on FULL start terms closes at degree 1, cap 1 only by

@@ -339,7 +339,7 @@ class TestEnumeration:
         ]
 
     def test_basic_terms_order(self):
-        # by root symbol (arity, name), then by size
+        # by size, then by root symbol (arity, name), as ground terms are
         n = Symbol("n", 0, SymbolKind.DEFINED)
         double = Symbol("double", 1, SymbolKind.DEFINED)
         z, one = num(0), num(1)
@@ -348,11 +348,11 @@ class TestEnumeration:
             App(n),
             App(double, (z,)),
             App(double, (one,)),
-            App(double, (num(2),)),
             plus(z, z),
+            times(z, z),
+            App(double, (num(2),)),
             plus(z, one),
             plus(one, z),
-            times(z, z),
             times(z, one),
             times(one, z),
         ]
