@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Callable, Collection, Iterable
 
 from .framework import Problem
 from .terms import App, Rule, Term, Var, components, fresh_var, render, unify_terms
@@ -50,18 +50,13 @@ class DepGraph:
         targets = set(dps)
         return frozenset(src for src, dst, _ in self.edges if dst in targets)
 
-    def is_forward_closed(self, dps: Iterable[Rule]) -> bool:
-        members = set(dps)
-        return self.successors(members) <= members
-
-    def forward_closure(self, dps: Iterable[Rule]) -> frozenset[Rule]:
-        closed = set(dps)
-        frontier = list(closed)
+    def closure(self, dps: Iterable[Rule], step: Callable) -> frozenset[Rule]:
+        """dps and all that step, successors or predecessors, reaches from them."""
+        closed = frontier = frozenset(dps)
         while frontier:
-            nxt = self.successors(frontier) - closed
-            closed |= nxt
-            frontier = list(nxt)
-        return frozenset(closed)
+            frontier = step(frontier) - closed
+            closed |= frontier
+        return closed
 
 
 def estimate_dg(p: Problem) -> DepGraph:

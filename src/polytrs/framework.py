@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 from . import rewriting
 from .rewriting import Heights, OracleResult, start_nodes
 from .terms import (
-    Rule, Symbol, SymbolKind, Term, check_labels, components, match_term, symbols_of, unmark
+    Rule, Symbol, SymbolKind, Term, check_labels, match_term, symbols_of, unmark
 )
 
 
@@ -32,8 +32,8 @@ class Bound:
 
     @classmethod
     def poly(cls, degree: int) -> "Bound":
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
+        if degree.__class__ is not int or degree < 0:  # also rejects bool
+            raise ValueError(f"bound degree {degree!r} is not an integer >= 0")
         return cls(degree)
 
     @classmethod
@@ -92,7 +92,7 @@ class Problem:
     def __post_init__(self) -> None:
         check_labels(self.strict_dps + self.strict_trs + self.weak_dps + self.weak_trs)
         for r in self.strict_dps + self.weak_dps:
-            if not is_well_formed_dp(r):
+            if r.lhs.sym.kind is not SymbolKind.MARKED:
                 raise ValueError(f"rule {r.label} is not a well-formed DP")
 
     @property
@@ -127,17 +127,6 @@ class Problem:
 
         q = "Q=S+W" if set(self.q) == set(self.all_rules) else f"Q={len(self.q)} rules"
         return f"<{lbls(self.strict)} / {lbls(self.weak)}, {q}, {self.start_terms}>"
-
-
-def is_well_formed_dp(rule: Rule) -> bool:
-    """Marked left-hand side and a right-hand side whose components are free
-    of compound symbols."""
-    if rule.lhs.sym.kind is not SymbolKind.MARKED:
-        return False
-    return all(
-        not any(s.kind is SymbolKind.COMPOUND for s in symbols_of(c))
-        for c in components(rule.rhs)
-    )
 
 
 def problems_equal(a: Problem, b: Problem) -> bool:

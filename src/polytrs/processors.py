@@ -100,14 +100,15 @@ def _steps(p: Problem, cfg: StrategyConfig, fuel: Fuel) -> Iterator[tuple[str, d
         return
     if p.is_dp_problem():
         g = estimate_dg(p)
-        weak_set = set(p.weak_dps)
         # estimate strict DPs with no strict successor; keeping the
         # predecessors strict guarantees the strict component shrinks
         to_strict = g.predecessors(p.strict_dps)
         targets = [d for d in p.strict_dps if d not in to_strict]
         if g.predecessors(targets) <= set(p.strict_dps):
             yield "predecessor_estimation", {"rules": [d.label for d in targets]}, False
-        removable = [w.label for w in p.weak_dps if g.forward_closure((w,)) <= weak_set]
+        # a weak pair that reaches no strict pair is in the weak suffix
+        reaches_strict = g.closure(p.strict_dps, g.predecessors)
+        removable = [w.label for w in p.weak_dps if w not in reaches_strict]
         yield "remove_weak_suffix", {"rules": removable}, False
 
     # one complete interpretation search per degree, lowest first; for all
@@ -134,7 +135,7 @@ def _dgd_candidates(p: Problem, g: DepGraph) -> list[tuple[list[str], list[str]]
     seen: set[frozenset[Rule]] = set()
     ranked = []
     for d in p.dps:
-        down = g.forward_closure((d,))
+        down = g.closure((d,), g.successors)
         if down in seen:
             continue
         seen.add(down)

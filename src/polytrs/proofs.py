@@ -240,8 +240,6 @@ def _judgement(obj: Any) -> Judgement:
     (kind,) = _fields(start, "kind")
     rules = [tuple(_rule(r) for r in _typed(rs, list, "rule list")) for rs in slots]
     (degree,) = _fields(bound, "degree")
-    if degree is not None and type(degree) is not int:  # also rejects bool
-        raise ValueError(f"bound degree {degree!r} is neither null nor an integer")
     return Judgement(
         Problem(**dict(zip(_RULE_SLOTS, rules)), start_terms=StartKind(kind)),
         Bound.unknown() if degree is None else Bound.poly(degree),
@@ -368,13 +366,9 @@ def _predecessor_estimation(params: dict, p: Problem):
 def _remove_weak_suffix(params: dict, p: Problem):
     if not p.strict_dps or p.strict_trs:
         return None
-    w1 = _resolve(params["rules"], p.weak_dps)
-    if not w1:
+    gone = set(_resolve(params["rules"], p.weak_dps) or ())
+    if not gone or not estimate_dg(p).successors(gone) <= gone:
         return None
-    g = estimate_dg(p)
-    if not g.is_forward_closed(w1):
-        return None
-    gone = set(w1)
     sub = replace(p, weak_dps=tuple(d for d in p.weak_dps if d not in gone))
     return [sub], _sum
 
@@ -388,7 +382,7 @@ def _dg_decomposition(params: dict, p: Problem):
         return None
     down = set(s_down) | set(w_down)
     g = estimate_dg(p)
-    if not g.is_forward_closed(down):
+    if not g.successors(down) <= down:
         return None
     s_up = tuple(d for d in p.strict_dps if d not in down)
     w_up = tuple(d for d in p.weak_dps if d not in down)

@@ -259,6 +259,8 @@ def render(t: Term) -> str:
 
 @dataclass(frozen=True)
 class Rule:
+    """A compound symbol may stand only at the root of the right-hand side."""
+
     lhs: App
     rhs: Term
     label: str
@@ -266,11 +268,25 @@ class Rule:
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
             raise ValueError("left-hand side must not be a variable")
-        extra = set(variables(self.rhs)) - set(variables(self.lhs))
+        extra = self._walk(components(self.rhs)) - self._walk((self.lhs,))
         if extra:
             raise ValueError(
                 f"rule {self.label}: right-hand side introduces {', '.join(sorted(extra))}"
             )
+
+    def _walk(self, todo: tuple[Term, ...]) -> set:
+        """The variable names of todo, which must be free of compound symbols."""
+        names, todo = set(), list(todo)
+        while todo:
+            s = todo.pop()
+            if s.__class__ is Var:
+                names.add(s.name)
+            elif s.sym.kind is SymbolKind.COMPOUND:
+                raise ValueError(f"rule {self.label}: compound symbol {s.sym.name} off "
+                                 "the root of the right-hand side")
+            else:
+                todo += s.args
+        return names
 
     def __str__(self) -> str:
         return f"{render(self.lhs)} -> {render(self.rhs)}"

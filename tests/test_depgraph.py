@@ -229,14 +229,14 @@ class TestGraphQueries:
         assert graph.predecessors(()) == frozenset()
 
     def test_forward_closed(self, graph, mult_dt):
-        assert not graph.is_forward_closed(by_label(mult_dt, "2"))
-        assert graph.is_forward_closed(by_label(mult_dt, "1", "2"))
-        assert graph.is_forward_closed(by_label(mult_dt, "1", "3"))
+        for labels, closed in [("2", False), ("12", True), ("13", True)]:
+            dps = set(by_label(mult_dt, *labels))
+            assert (graph.successors(dps) <= dps) is closed
 
     def test_forward_closure(self, graph, mult_dt):
-        closure = graph.forward_closure(by_label(mult_dt, "2"))
+        closure = graph.closure(by_label(mult_dt, "2"), graph.successors)
         assert {d.label for d in closure} == {"1", "2"}
-        everything = graph.forward_closure(by_label(mult_dt, "4"))
+        everything = graph.closure(by_label(mult_dt, "4"), graph.successors)
         assert everything == frozenset(mult_dt.dps)
 
 

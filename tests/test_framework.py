@@ -59,6 +59,11 @@ class TestBoundLattice:
         assert str(Bound.poly(2)) == "O(n^2)"
         assert str(Bound.unknown()) == "?"
 
+    @pytest.mark.parametrize("degree", [True, False, 1.0, -1, "2", None])
+    def test_degree_is_an_int_at_least_zero(self, degree):
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            Bound.poly(degree)
+
 
 class TestProblemValidation:
     def test_dp_slot_requires_dp_flag(self, mult_problem):

@@ -10,8 +10,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polytrs import depgraph, interpretations, processors, proofs
+from polytrs import dependency_pairs, depgraph, interpretations, processors, proofs, terms
 from polytrs.dependency_pairs import dt_problem, wdp_problem
 from polytrs.depgraph import DepGraph, estimate_dg
 from polytrs.framework import (
@@ -22,7 +23,7 @@ from polytrs.framework import (
     problems_equal,
 )
 from polytrs.interpretations import synthesize
-from polytrs.parsing import parse_problem
+from polytrs.parsing import parse_file, parse_problem
 from polytrs.processors import (
     StrategyConfig,
     apply_processor,
@@ -41,15 +42,18 @@ from polytrs.proofs import (
     render_proof,
     validate_proof,
 )
-from polytrs.terms import App, components
+from polytrs.terms import App, Rule, components
 from tests.conftest import (
     ROOT,
     constructor,
     enumerate_derivation_trees,
     marked_sym,
+    systems,
     tree_size_restricted,
     trim,
 )
+from tests.test_depgraph import CORPUS
+from tests.test_framework import RECURSIVE
 
 P0 = Bound.poly(0)
 P1 = Bound.poly(1)
@@ -413,6 +417,66 @@ class TestRemoveWeakSuffix:
         )
 
 
+def weak_suffix_reference(p: Problem, g: DepGraph) -> list[Rule]:
+    """The weak pairs whose forward closure stays weak, by one forward
+    closure per pair: the definition of the weak suffix, kept as reference."""
+    weak, suffix = set(p.weak_dps), []
+    for w in p.weak_dps:
+        closed, todo = {w}, [w]
+        while todo:
+            new = g.successors((todo.pop(),)) - closed
+            closed |= new
+            todo += new
+        if closed <= weak:
+            suffix.append(w)
+    return suffix
+
+
+class TestWeakSuffixIsOneWalk:
+    """The weak pairs outside one backward closure from the strict pairs are
+    exactly the pairs from which no strict pair is reachable."""
+
+    @staticmethod
+    def check(tree) -> tuple[int, int]:
+        """(pairs dropped, pairs kept) over the DP problems of tree."""
+        dropped = kept = 0
+        for node in iter_nodes(tree):
+            p = node.judgement.problem
+            if not p.is_dp_problem():
+                continue
+            g = estimate_dg(p)
+            reaches_strict = g.closure(p.strict_dps, g.predecessors)
+            suffix = [w for w in p.weak_dps if w not in reaches_strict]
+            assert suffix == weak_suffix_reference(p, g)
+            dropped += len(suffix)
+            kept += len(p.weak_dps) - len(suffix)
+        return dropped, kept
+
+    def test_corpus_proofs(self):
+        counts = [self.check(default_strategy(parse_file(str(path)))) for path in CORPUS]
+        assert all(map(sum, zip(*counts)))  # some pairs dropped, some kept
+
+    def test_fuzzed_proofs(self, monkeypatch):
+        # the systems, fuel and draws of test_framework's
+        # test_fuzzed_proof_problems_match_per_row_definition
+        monkeypatch.setattr("polytrs.interpretations._FUEL", 2_000)
+        counts = []
+
+        @settings(
+            derandomize=True,
+            database=None,
+            max_examples=100,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(systems(extra=RECURSIVE), st.integers(min_value=1, max_value=12))
+        def check(text, budget):
+            counts.append(self.check(default_strategy(parse_problem(text))))
+
+        check()
+        assert sum(dropped for dropped, _ in counts)
+
+
 def simplified(mult_dt: Problem) -> Problem:
     p = pe_then(mult_dt)
     subs, _ = apply_processor("remove_weak_suffix", {"rules": ["1", "3"]}, p)
@@ -686,15 +750,32 @@ class TestDefaultStrategy:
         # successor in one predecessors query, not one successors scan per
         # strict pair (63 proof nodes made 2,013 queries that way at k = 60)
         calls = []
-        for name in ("successors", "predecessors", "forward_closure"):
-            def counted(self, dps, inner=getattr(DepGraph, name), name=name):
+        for name in ("successors", "predecessors", "closure"):
+            def counted(self, *args, inner=getattr(DepGraph, name), name=name):
                 calls.append(name)
-                return inner(self, dps)
+                return inner(self, *args)
 
             monkeypatch.setattr(DepGraph, name, counted)
         proof = default_strategy(parse_problem(pair_chain(60)))
         assert str(proof.judgement.bound) == "O(1)"
         assert len(calls) <= 3 * sum(1 for _ in iter_nodes(proof))
+
+    @pytest.mark.parametrize("k", [40, 80])
+    def test_pair_chain_walks_each_pair_a_constant_times(self, monkeypatch, k):
+        # every derived problem used to walk every pair again to check its
+        # shape (1,803 and 6,803 subterms walks at k = 40 and 80); a rule
+        # checks its shape once, when it is built
+        p = parse_problem(pair_chain(k))
+        calls = []
+
+        def counted(t, inner=terms.subterms):
+            calls.append(t)
+            return inner(t)
+
+        for module in (terms, dependency_pairs):
+            monkeypatch.setattr(module, "subterms", counted)
+        default_strategy(p)
+        assert len(calls) <= 4 * (k + 1)
 
     def test_proof_bytes_independent_of_hash_seed(self, tmp_path):
         # f -> g -> f on FULL start terms closes at degree 1, cap 1 only by

@@ -22,7 +22,7 @@ from polytrs.proofs import (
     symbol_to_json,
     validate_proof,
 )
-from polytrs.terms import App, Rule, Symbol, SymbolKind, Var, compound
+from polytrs.terms import App, Rule, Symbol, SymbolKind, Var, compound, variables
 from tests.conftest import ROOT, constructor
 from tests.test_depgraph import CORPUS
 
@@ -39,10 +39,7 @@ def empty_problem(template: Problem) -> Problem:
 
 
 # The codec's parts, each reached through a whole certificate: an open leaf
-# concluding a problem whose one weak rule is wrap(t) -> wrap(t) for a term t.
-WRAP = Symbol("wrap", 1, SymbolKind.DEFINED)
-
-
+# concluding a problem with the part in it.
 def problem_of(*weak_trs: Rule) -> Problem:
     return Problem((), (), (), weak_trs, (), StartKind.BASIC)
 
@@ -82,14 +79,27 @@ def rule_from_json(obj):
     return rule
 
 
+# A term travels as the right-hand side of a rule, the one place where a
+# compound symbol may stand, under a left-hand side over its variables.
+def carrier(names) -> App:
+    return App(Symbol("carry", len(names), SymbolKind.DEFINED), tuple(map(Var, names)))
+
+
 def term_to_json(t):
-    wrapped = App(WRAP, (t,))
-    return rule_to_json(Rule(wrapped, wrapped, "t"))["lhs"]["args"][0]
+    return rule_to_json(Rule(carrier(variables(t)), t, "t"))["rhs"]
+
+
+def json_variables(obj) -> list[str]:
+    """The variable names in obj, read as a term in schema 4."""
+    if obj.__class__ is str:
+        return [obj]
+    args = obj.get("args") if obj.__class__ is dict else None
+    return sorted({v for a in args for v in json_variables(a)}) if type(args) is list else []
 
 
 def term_from_json(obj):
-    wrapped = {"sym": symbol_to_json(WRAP), "args": [obj]}
-    return rule_from_json({"label": "t", "lhs": wrapped, "rhs": wrapped}).lhs.args[0]
+    lhs = term_to_json(carrier(json_variables(obj)))
+    return rule_from_json({"label": "t", "lhs": lhs, "rhs": obj}).rhs
 
 
 class TestValidation:
@@ -326,6 +336,14 @@ class TestJsonRoundtrip:
         obj = proof_to_json(Axiom(Judgement(empty_problem(mult_problem), Bound.poly(0))))
         obj["proof"]["conclusion"]["problem"]["weak_trs"][0]["lhs"] = "y"
         with pytest.raises(ValueError, match="left-hand side must not be a variable"):
+            proof_from_json(obj)
+
+    def test_compound_below_a_root_is_rejected(self, mult_proof):
+        obj = proof_to_json(mult_proof)
+        rule = obj["proof"]["conclusion"]["problem"]["strict_trs"][0]
+        hidden = {"sym": "c_2/2/compound", "args": [rule["rhs"], rule["rhs"]]}
+        rule["rhs"] = {"sym": "s/1/constructor", "args": [hidden]}
+        with pytest.raises(ValueError, match="compound symbol c_2 off the root"):
             proof_from_json(obj)
 
     def test_schemas_1_to_3_are_rejected_by_name(self, mult_proof):

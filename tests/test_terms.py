@@ -11,6 +11,7 @@ from polytrs.interpretations import needs_monotone
 from polytrs.parsing import parse_problem
 from polytrs.terms import (
     App,
+    Rule,
     Symbol,
     SymbolKind,
     Var,
@@ -148,6 +149,33 @@ class TestStructure:
     @given(term_strategy())
     def test_positions_index_every_subterm(self, t):
         assert [subterm_at(t, p) for p in positions(t)] == list(subterms(t))
+
+
+class TestRuleShape:
+    """A compound symbol may stand only at the root of a right-hand side."""
+
+    C2 = compound(2)
+
+    def test_compound_root_of_right_side(self):
+        lhs = App(marked(PLUS), (X, Y))
+        assert Rule(lhs, App(self.C2, (X, App(S, (Y,)))), "r").rhs.sym is self.C2
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            (App(PLUS, (App(C2, (X, Y)), Y)), X),
+            (App(PLUS, (X, Y)), App(S, (App(C2, (X, Y)),))),
+            (App(PLUS, (X, Y)), App(C2, (App(C2, (X, Y)), Y))),
+        ],
+        ids=["left_side", "below_root", "below_compound_root"],
+    )
+    def test_compound_elsewhere_is_rejected(self, lhs, rhs):
+        with pytest.raises(ValueError, match="rule r: compound symbol c_2 off the root"):
+            Rule(lhs, rhs, "r")
+
+    def test_extra_variable_is_rejected(self):
+        with pytest.raises(ValueError, match="right-hand side introduces y$"):
+            Rule(App(S, (X,)), App(self.C2, (X, Y)), "r")
 
 
 class TestEqualityAndHash:
